@@ -5,10 +5,15 @@ of the built-in benchmark function), ``solve`` (Crank-Nicolson solver),
 ``spectrum`` (symbol samples and eigenvalue extremes), ``convergence``
 (reference-table studies), and ``surface`` (space-time error surface).
 
-Exit codes: 0 on success, 1 on a numerical-domain error, 2 on a usage
-error.  Diagnostics go to stderr; data goes to the output path or stdout.
-Numeric output uses 17 significant digits and LF line endings so repeated
-runs are byte-identical.
+Exit codes: 0 on success, 1 on a numerical-domain error (an unwritable
+output file included), 2 on a usage error.  Diagnostics go to stderr; data
+goes to the output path or stdout.  Numeric output uses 17 significant
+digits and LF line endings so repeated runs are byte-identical.
+
+``solve`` and ``surface`` stream their CSV one time level at a time, so
+``--keep all`` holds the (N+1) x (M+1) float solution array but never a
+string per cell.  JSON output never carries NaN or infinity: a non-finite
+value is a numerical-domain error.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -60,21 +66,40 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_text(text: str, path: str | None) -> None:
+@contextmanager
+def _open_out(path: str | None):
+    """Yield stdout, or ``path`` opened for LF-terminated text; any OSError
+    while opening or writing it becomes a NumericsError."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", newline="\n") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise NumericsError(f"cannot write output file {path!r}: {exc}")
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", newline="\n") as handle:
+            yield handle
+    except OSError as exc:
+        raise NumericsError(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _write_json(payload, path: str | None) -> None:
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericsError(f"non-finite value in JSON output: {exc}") from exc
+    with _open_out(path) as out:
+        out.write(text)
+
+
+def _write_levels(out, header: list[str], sol, columns) -> None:
+    """Write ``sol`` as long-format CSV, one time level at a time: a row
+    ``t,x,*columns(x, t, u)`` per node, where ``columns`` returns one array
+    per remaining column given the nodes, the level's time and its values."""
+    out.write(",".join(header) + "\n")
+    x = sol.grid.nodes()
+    xs = [_fmt(v) for v in x.tolist()]
+    for t, u in zip(sol.times, sol.snapshots):
+        cols = columns(x, t, u)
+        row = _fmt(t) + ",%s" + ",%.17g" * len(cols) + "\n"
+        out.write("".join([row % cells for cells in zip(xs, *[c.tolist() for c in cols])]))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -149,10 +174,11 @@ def _cmd_coeffs(args) -> None:
             "alpha": table.alpha,
             "values": [float(v) for v in table.values],
         }
-        _write_text(json.dumps(payload, sort_keys=True) + "\n", args.out)
+        _write_json(payload, args.out)
     else:
-        rows = [[str(ell), _fmt(v)] for ell, v in enumerate(table.values)]
-        _write_text(_csv(["ell", "value"], rows), args.out)
+        with _open_out(args.out) as out:
+            out.write("ell,value\n")
+            out.write("".join(["%d,%.17g\n" % row for row in enumerate(table.values.tolist())]))
 
 
 def _cmd_deriv(args) -> None:
@@ -173,7 +199,7 @@ def _cmd_deriv(args) -> None:
         exact = _harness.example41_exact(args.alpha)
         payload["exact"] = exact
         payload["abs_error"] = abs(value - exact)
-    _write_text(json.dumps(payload, sort_keys=True) + "\n", args.out)
+    _write_json(payload, args.out)
 
 
 def _zero_problem(alpha: float) -> AdvectionDiffusionProblem:
@@ -194,19 +220,18 @@ def _cmd_solve(args) -> None:
     else:
         problem = _zero_problem(args.alpha)
     sol = _solve(problem, args.M, args.N, keep=args.keep)
-    x = sol.grid.nodes()
     header = ["t", "x", "u_numeric"]
     if problem.exact is not None:
         header += ["u_exact", "error"]
-    rows = []
-    for t, snapshot in zip(sol.times, sol.snapshots):
-        exact = problem.exact(x, t) if problem.exact is not None else None
-        for jj in range(len(x)):
-            row = [_fmt(t), _fmt(x[jj]), _fmt(snapshot[jj])]
-            if exact is not None:
-                row += [_fmt(exact[jj]), _fmt(abs(snapshot[jj] - exact[jj]))]
-            rows.append(row)
-    _write_text(_csv(header, rows), args.out)
+
+    def columns(x, t, u):
+        if problem.exact is None:
+            return (u,)
+        exact = problem.exact(x, t)
+        return u, exact, np.abs(u - exact)
+
+    with _open_out(args.out) as out:
+        _write_levels(out, header, sol, columns)
 
 
 def _cmd_spectrum(args) -> None:
@@ -214,10 +239,11 @@ def _cmd_spectrum(args) -> None:
     if args.out is not None:
         xs = np.linspace(-math.pi, math.pi, args.symbol_samples)
         fs = generating_symbol(args.alpha, xs)
-        rows = [[_fmt(x), _fmt(f)] for x, f in zip(xs, fs)]
-        _write_text(_csv(["x", "f_alpha_x"], rows), args.out)
+        with _open_out(args.out) as out:
+            out.write("x,f_alpha_x\n")
+            out.write("".join(["%.17g,%.17g\n" % row for row in zip(xs.tolist(), fs.tolist())]))
     record = {"alpha": args.alpha, "M": args.M, "min_eig": lo, "max_eig": hi}
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    _write_json(record, None)
 
 
 def _cmd_convergence(args) -> None:
@@ -226,37 +252,34 @@ def _cmd_convergence(args) -> None:
         alphas = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
     report = _harness.convergence_study(_TABLE_KINDS[args.table], alphas=alphas)
     if args.format == "json":
-        payload = [asdict(row) for row in report.rows]
-        _write_text(json.dumps(payload, sort_keys=True) + "\n", args.out)
+        _write_json([asdict(row) for row in report.rows], args.out)
         return
     header = ["alpha", "resolution", "error", "order", "ref_error", "ref_order", "pass"]
-    rows = []
+    lines = [",".join(header)]
     for row in report.rows:
-        rows.append(
-            [
-                _fmt(row.alpha),
-                _fmt(row.resolution),
-                _fmt(row.error),
-                _fmt(row.observed_order) if row.observed_order is not None else "",
-                _fmt(row.ref_error) if row.ref_error is not None else "",
-                _fmt(row.ref_order) if row.ref_order is not None else "",
-                "" if row.passed is None else str(row.passed).lower(),
-            ]
-        )
-    _write_text(_csv(header, rows), args.out)
+        cells = [
+            _fmt(row.alpha),
+            _fmt(row.resolution),
+            _fmt(row.error),
+            _fmt(row.observed_order) if row.observed_order is not None else "",
+            _fmt(row.ref_error) if row.ref_error is not None else "",
+            _fmt(row.ref_order) if row.ref_order is not None else "",
+            "" if row.passed is None else str(row.passed).lower(),
+        ]
+        lines.append(",".join(cells))
+    with _open_out(args.out) as out:
+        out.write("\n".join(lines) + "\n")
 
 
 def _cmd_surface(args) -> None:
-    surface = _harness.error_surface(args.alpha, args.M, args.N)
-    grid = GridSpec1D(0.0, 1.0, args.M)
-    x = grid.nodes()
-    tau = 1.0 / args.N
-    rows = []
-    for k in range(args.N + 1):
-        t = k * tau
-        for jj in range(args.M + 1):
-            rows.append([_fmt(t), _fmt(x[jj]), _fmt(surface[k, jj])])
-    _write_text(_csv(["t", "x", "abs_error"], rows), args.out)
+    problem = _harness.example42_problem(args.alpha)
+    sol = _solve(problem, args.M, args.N, keep="all")
+
+    def columns(x, t, u):
+        return (np.abs(u - problem.exact(x, t)),)
+
+    with _open_out(args.out) as out:
+        _write_levels(out, ["t", "x", "abs_error"], sol, columns)
 
 
 _DISPATCH = {

@@ -1,16 +1,64 @@
 """Tests for the command-line interface."""
 
+import io
 import json
 
 import pytest
 
+import rieszfd.cli
 from rieszfd.cli import RunConfig, run
+from rieszfd.harness import error_surface, example42_problem
+from rieszfd.operators import GridSpec1D
+from rieszfd.pde import solve
 
 
 def _run_capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Reference writer: a verbatim copy of the original per-cell CSV loop, one
+# formatted string per cell, joined into one text.  The streaming writer in
+# rieszfd.cli must reproduce it byte for byte.
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _csv(header: list[str], rows: list[list[str]]) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_solve(problem, M, N, keep):
+    sol = solve(problem, M, N, keep=keep)
+    x = sol.grid.nodes()
+    header = ["t", "x", "u_numeric"]
+    if problem.exact is not None:
+        header += ["u_exact", "error"]
+    rows = []
+    for t, snapshot in zip(sol.times, sol.snapshots):
+        exact = problem.exact(x, t) if problem.exact is not None else None
+        for jj in range(len(x)):
+            row = [_fmt(t), _fmt(x[jj]), _fmt(snapshot[jj])]
+            if exact is not None:
+                row += [_fmt(exact[jj]), _fmt(abs(snapshot[jj] - exact[jj]))]
+            rows.append(row)
+    return _csv(header, rows)
+
+
+def _reference_surface(alpha, M, N):
+    surface = error_surface(alpha, M, N)
+    grid = GridSpec1D(0.0, 1.0, M)
+    x = grid.nodes()
+    tau = 1.0 / N
+    rows = []
+    for k in range(N + 1):
+        t = k * tau
+        for jj in range(M + 1):
+            rows.append([_fmt(t), _fmt(x[jj]), _fmt(surface[k, jj])])
+    return _csv(["t", "x", "abs_error"], rows)
 
 
 class TestExitCodes:
@@ -187,6 +235,82 @@ class TestSurface:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,x,abs_error"
         assert len(lines) == 1 + 5 * 11
+
+
+class TestByteIdentity:
+    """The streamed CSV equals the reference per-cell writer byte for byte,
+    on stdout and through --out."""
+
+    CASES = [
+        (
+            ["solve", "--alpha", "1.6", "--M", "37", "--N", "9", "--keep", "all"],
+            lambda: _reference_solve(example42_problem(1.6), 37, 9, "all"),
+        ),
+        (
+            ["solve", "--alpha", "1.3", "--M", "50", "--N", "7", "--keep", "final"],
+            lambda: _reference_solve(example42_problem(1.3), 50, 7, "final"),
+        ),
+        (
+            ["solve", "--alpha", "1.4", "--M", "12", "--N", "5", "--problem", "zero",
+             "--keep", "all"],
+            lambda: _reference_solve(rieszfd.cli._zero_problem(1.4), 12, 5, "all"),
+        ),
+        (
+            ["surface", "--alpha", "1.7", "--M", "25", "--N", "11"],
+            lambda: _reference_surface(1.7, 25, 11),
+        ),
+    ]
+    IDS = ["solve-all", "solve-final", "solve-zero", "surface"]
+
+    @pytest.mark.parametrize("argv,reference", CASES, ids=IDS)
+    def test_stdout(self, capsys, argv, reference):
+        expected = reference()
+        code, out, _ = _run_capture(capsys, argv)
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("argv,reference", CASES, ids=IDS)
+    def test_out_file(self, tmp_path, argv, reference):
+        path = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(path)]) == 0
+        assert path.read_bytes() == reference().encode("ascii")
+
+
+class TestOutputErrors:
+    def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "sol.csv"
+        code, _, err = _run_capture(
+            capsys, ["solve", "--alpha", "1.5", "--M", "8", "--N", "2", "--out", str(path)]
+        )
+        assert code == 1
+        assert err.startswith("error: cannot write output file")
+        assert err.count("\n") == 1
+
+    def test_failure_mid_stream_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        class FailingFile(io.StringIO):
+            def write(self, text):
+                if self.tell() > 0:
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(rieszfd.cli, "open", lambda *a, **k: FailingFile(), raising=False)
+        code, _, err = _run_capture(
+            capsys,
+            ["solve", "--alpha", "1.5", "--M", "8", "--N", "2", "--keep", "all",
+             "--out", str(tmp_path / "sol.csv")],
+        )
+        assert code == 1
+        assert err.startswith("error: cannot write output file")
+
+    def test_nan_derivative_is_exit_1(self, capsys):
+        with pytest.warns(RuntimeWarning):
+            code, out, err = _run_capture(
+                capsys, ["deriv", "--alpha", "1.2", "--p", "4", "--M", "2000"]
+            )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 def test_runconfig_roundtrip():
