@@ -175,11 +175,17 @@ def assemble_galpha(alpha: float, p: int, M: int) -> np.ndarray:
 
 
 def riesz_matrix(alpha: float, p: int, grid: GridSpec1D) -> RieszMatrix:
-    """Dense Riesz operator matrix C_alpha h**(-alpha) (G + G^T)."""
-    if not 1.0 < alpha < 2.0:
-        raise DomainError(f"riesz matrix requires alpha in (1, 2), got {alpha}")
+    """Dense Riesz operator matrix C_alpha h**(-alpha) (G + G^T).
+
+    ``alpha = 2`` is admitted: the p = 2 kappa weights then reduce to the
+    classical second difference exactly.  At most two m x m arrays are
+    alive at once.
+    """
+    if not 1.0 < alpha <= 2.0:
+        raise DomainError(f"riesz matrix requires alpha in (1, 2], got {alpha}")
     g = assemble_galpha(alpha, p, grid.M)
-    entries = riesz_constant(alpha) * grid.h ** (-alpha) * (g + g.T)
+    entries = g + g.T
+    entries *= riesz_constant(alpha) * grid.h ** (-alpha)
     return RieszMatrix(alpha, p, grid, entries)
 
 

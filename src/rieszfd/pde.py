@@ -3,20 +3,25 @@ equation ``u_t + K u_x = K_alpha d^alpha u / d|x|^alpha + f`` with
 homogeneous Dirichlet boundaries.
 
 The implicit matrix is time-independent, so it is LU-factorized once and
-the factorization is reused across every time step.  The scheme is
+the factorization is reused across every time step.  Because the explicit
+matrix is ``B = 2I - lhs``, a step needs only one triangular solve pair on
+those factors and no matrix-vector product:
+``u+ = 2 y - u`` with ``lhs y = u + (tau/2) f``.  The scheme is
 unconditionally stable and second-order accurate in both the time step
 and the mesh size.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, lu_factor
+from scipy.linalg.lapack import dgetrs
 
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError, SingularMatrixError, SizeLimitError
 from .operators import GridSpec1D, riesz_matrix
 
 __all__ = [
@@ -28,6 +33,10 @@ __all__ = [
     "solve",
     "grid_norm",
 ]
+
+# m x m float64 arrays alive at once while assembling: lhs, B and the LU
+# copy of lhs at the end (riesz_matrix holds two of them before that)
+_ASSEMBLY_PEAK_ARRAYS = 3
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,8 @@ class SteppingSystem:
     ``lhs = I + (tau/2)(K C - K_alpha R)`` and
     ``B = I - (tau/2)(K C - K_alpha R)``, where C is the central
     difference matrix and R the Riesz operator matrix; lhs + B = 2I.
+    :func:`step` reads only ``lu``; ``lhs`` and ``B`` are kept for checks.
+    Assembly holds three m x m arrays at its peak (m = M - 1).
     """
 
     lu: tuple
@@ -101,42 +112,48 @@ class SteppingSystem:
     x_interior: np.ndarray
 
 
-def _riesz_entries(alpha: float, grid: GridSpec1D) -> np.ndarray:
-    if alpha == 2.0:
-        # classical limit: the operator degenerates to the second difference
-        m = grid.M - 1
-        lap = np.zeros((m, m))
-        idx = np.arange(m)
-        lap[idx, idx] = -2.0
-        lap[idx[:-1], idx[:-1] + 1] = 1.0
-        lap[idx[1:], idx[1:] - 1] = 1.0
-        return lap / grid.h**2
-    return riesz_matrix(alpha, 2, grid).entries
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def assemble_system(
     problem: AdvectionDiffusionProblem, M: int, N: int
 ) -> SteppingSystem:
-    """Build and factorize the Crank-Nicolson stepping system."""
+    """Build and factorize the Crank-Nicolson stepping system.
+
+    Raises SizeLimitError, before allocating, when the dense assembly
+    would need more than the machine's physical memory.
+    """
     if M < 4:
         raise DomainError(f"solver requires M >= 4, got M={M}")
     if N < 1:
         raise DomainError(f"solver requires N >= 1, got N={N}")
+    m = M - 1
+    needed = _ASSEMBLY_PEAK_ARRAYS * m * m * 8
+    available = _physical_memory_bytes()
+    if needed > available:
+        raise SizeLimitError(
+            f"dense assembly at M={M} needs about {needed} bytes, more than "
+            f"the {available} bytes of physical memory"
+        )
     a, b = problem.domain
     grid = GridSpec1D(a, b, M)
     tau = problem.T / N
     h = grid.h
-    m = M - 1
 
-    R = _riesz_entries(problem.alpha, grid)
-    C = np.zeros((m, m))
-    idx = np.arange(m)
-    C[idx[:-1], idx[:-1] + 1] = 1.0 / (2.0 * h)
-    C[idx[1:], idx[1:] - 1] = -1.0 / (2.0 * h)
+    # half_a = (tau/2)(K C - K_alpha R) is built in R's buffer, with the
+    # same rounding as forming it from dense matrices; C has two bands
+    stride = m + 1  # flat step along one diagonal
+    half_a = riesz_matrix(problem.alpha, 2, grid).entries
+    np.multiply(half_a, -problem.K_alpha, out=half_a)
+    half_a.flat[1::stride] += problem.K * (1.0 / (2.0 * h))
+    half_a.flat[m::stride] += problem.K * (-1.0 / (2.0 * h))
+    half_a *= tau / 2.0
 
-    A = problem.K * C - problem.K_alpha * R
-    lhs = np.eye(m) + (tau / 2.0) * A
-    B = np.eye(m) - (tau / 2.0) * A
+    B = np.negative(half_a)
+    B.flat[::stride] = 1.0 - half_a.flat[::stride]
+    lhs = half_a
+    lhs.flat[::stride] += 1.0
     try:
         lu = lu_factor(lhs)
     except LinAlgError as exc:  # unreachable for valid alpha; internal invariant
@@ -147,11 +164,25 @@ def assemble_system(
 
 def step(system: SteppingSystem, u_k: np.ndarray, t_k: float) -> np.ndarray:
     """Advance interior values one time level, sampling the source at the
-    half level t_k + tau/2."""
-    rhs = system.B @ u_k + system.tau * np.asarray(
-        system.problem.source(system.x_interior, t_k + system.tau / 2.0), dtype=float
-    )
-    return lu_solve(system.lu, rhs)
+    half level t_k + tau/2: ``2 y - u_k`` with ``lhs y = u_k + (tau/2) f``."""
+    half = system.tau / 2.0
+    f = np.asarray(system.problem.source(system.x_interior, t_k + half), dtype=float)
+    lu, piv = system.lu
+    y, info = dgetrs(lu, piv, u_k + half * f, overwrite_b=True)
+    if info != 0:  # only an illegal argument sets it; internal invariant
+        raise SingularMatrixError(f"LAPACK getrs failed with info={info}")
+    return 2.0 * y - u_k
+
+
+def _require_finite(u: np.ndarray, t: float) -> None:
+    """``2 y - u`` keeps every NaN or inf of ``u``, and the dense factors
+    spread one from the right-hand side, so checking the final level
+    covers the whole run."""
+    if not np.all(np.isfinite(u)):
+        raise DomainError(
+            f"solution is not finite at t={t!r}; the source or the initial "
+            "data produced NaN or inf"
+        )
 
 
 def solve(
@@ -181,6 +212,7 @@ def solve(
             full = np.zeros(M + 1)
             full[1:M] = u
             rows.append(full)
+    _require_finite(u, N * tau)
     if keep == "final":
         full = np.zeros(M + 1)
         full[1:M] = u

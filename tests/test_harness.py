@@ -1,12 +1,17 @@
 """Tests for the benchmark problems and convergence studies."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma
 
+import rieszfd.cli
+import rieszfd.harness
 from rieszfd import (
     DomainError,
+    NumericsError,
     GridFunction,
     GridSpec1D,
     convergence_study,
@@ -58,7 +63,64 @@ class TestExample41Exact:
             example41_exact(2.0)
 
 
+def _reference_source(alpha, x, t):
+    """Verbatim copy of the benchmark source as first written, which
+    recomputes every space factor on each call; the reference for the
+    cached one."""
+    k_alpha = alpha * alpha
+    cos_half = math.cos(math.pi * alpha / 2.0)
+    gamma_coeffs = np.array(
+        [
+            12.0 / gamma(5.0 - alpha),
+            -240.0 / gamma(6.0 - alpha),
+            2160.0 / gamma(7.0 - alpha),
+            -10080.0 / gamma(8.0 - alpha),
+            20160.0 / gamma(9.0 - alpha),
+        ]
+    )
+    powers = np.array([4.0 - alpha, 5.0 - alpha, 6.0 - alpha, 7.0 - alpha, 8.0 - alpha])
+
+    def bump(x):
+        return x**4 * (1.0 - x) ** 4
+
+    def bump_dx(x):
+        return 4.0 * x**3 - 20.0 * x**4 + 36.0 * x**5 - 28.0 * x**6 + 8.0 * x**7
+
+    x = np.asarray(x, dtype=float)
+    ct = math.cos(alpha * t * t)
+    st = math.sin(alpha * t * t)
+    frac = np.zeros_like(x)
+    for coef, power in zip(gamma_coeffs, powers):
+        frac += coef * (x**power + (1.0 - x) ** power)
+    return (
+        k_alpha * frac * ct / cos_half
+        - 2.0 * alpha * t * st * bump(x)
+        + 2.0 * ct * bump_dx(x)
+    )
+
+
+def _reference_exact(alpha, x, t):
+    return math.cos(alpha * t * t) * (x**4 * (1.0 - x) ** 4)
+
+
 class TestExample42Problem:
+    def test_cached_space_factors_are_bit_identical(self):
+        alpha = 1.7
+        problem = example42_problem(alpha)
+        first = np.linspace(0.0, 1.0, 33)[1:-1]
+        other = np.linspace(0.0, 1.0, 41)[1:-1]
+
+        def check(x):
+            for t in (0.0, 0.41, 0.9):
+                assert np.array_equal(problem.source(x, t), _reference_source(alpha, x, t))
+                assert np.array_equal(problem.exact(x, t), _reference_exact(alpha, x, t))
+
+        check(first)
+        check(other)
+        check(first)
+        first *= 0.75  # in place: the cache must hold its own copy of the nodes
+        check(first)
+
     def test_initial_and_boundaries(self):
         problem = example42_problem(1.4)
         x = np.linspace(0.0, 1.0, 11)
@@ -134,6 +196,23 @@ class TestConvergenceStudy:
     def test_bad_mesh(self):
         with pytest.raises(DomainError):
             convergence_study("operator_table1", alphas=[1.5], resolutions=[0.3])
+
+    def test_non_finite_source_is_an_error(self, monkeypatch, tmp_path):
+        real = rieszfd.harness.example42_problem
+
+        def nan_after_half(alpha):
+            problem = real(alpha)
+
+            def source(x, t):
+                return problem.source(x, t) * (np.nan if t > 0.5 else 1.0)
+
+            return dataclasses.replace(problem, source=source)
+
+        monkeypatch.setattr(rieszfd.harness, "example42_problem", nan_after_half)
+        with pytest.raises(NumericsError):
+            rieszfd.harness._solver_error(1.5, 10, 20)
+        argv = ["solve", "--alpha", "1.5", "--M", "10", "--N", "20"]
+        assert rieszfd.cli.run(argv + ["--out", str(tmp_path / "u.csv")]) == 1
 
 
 class TestErrorSurface:

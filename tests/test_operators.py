@@ -158,6 +158,23 @@ class TestMatrix:
         )
         np.testing.assert_allclose(g, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("M", (10, 50, 200))
+    def test_integer_order_matrix_is_exact_laplacian(self, M):
+        grid = GridSpec1D(0.0, 1.0, M)
+        m = M - 1
+        lap = np.zeros((m, m))
+        idx = np.arange(m)
+        lap[idx, idx] = -2.0
+        lap[idx[:-1], idx[:-1] + 1] = 1.0
+        lap[idx[1:], idx[1:] - 1] = 1.0
+        assert np.array_equal(riesz_matrix(2.0, 2, grid).entries, lap / grid.h**2)
+
+    def test_matrix_alpha_domain(self):
+        grid = GridSpec1D(0.0, 1.0, 8)
+        for alpha in (1.0, 2.1):
+            with pytest.raises(DomainError):
+                riesz_matrix(alpha, 2, grid)
+
     def test_toeplitz_diagonals(self):
         g = assemble_galpha(1.7, 3, 12)
         for offset in range(-10, 2):

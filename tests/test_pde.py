@@ -1,12 +1,17 @@
 """Tests for the Crank-Nicolson advection-diffusion solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_solve
 
+import rieszfd.pde
 from rieszfd import (
     AdvectionDiffusionProblem,
     DomainError,
+    NumericsError,
+    SizeLimitError,
     assemble_system,
     example42_problem,
     grid_norm,
@@ -93,8 +98,59 @@ class TestAssembly:
         with pytest.raises(DomainError):
             assemble_system(example42_problem(1.5), 10, 0)
 
+    def test_size_guard_refuses_before_allocating(self, monkeypatch):
+        def no_assembly(*args):
+            raise AssertionError("assembly started despite the size guard")
+
+        monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(rieszfd.pde, "riesz_matrix", no_assembly)
+        with pytest.raises(SizeLimitError):
+            assemble_system(example42_problem(1.5), 1000, 10)
+
+    def test_size_guard_counts_three_arrays(self, monkeypatch):
+        needed = 3 * 9 * 9 * 8
+        monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: needed)
+        assemble_system(example42_problem(1.5), 10, 5)
+        monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: needed - 1)
+        with pytest.raises(SizeLimitError):
+            assemble_system(example42_problem(1.5), 10, 5)
+
+
+def _explicit_matrix_step(system, u, t):
+    """The explicit-matrix step ``lhs^-1 (B u + tau f)``, kept as the
+    reference for :func:`step`."""
+    f = system.problem.source(system.x_interior, t + system.tau / 2.0)
+    return lu_solve(system.lu, system.B @ u + system.tau * f)
+
+
+def _sine_problem(alpha):
+    return AdvectionDiffusionProblem(
+        alpha=alpha,
+        K=1.5,
+        K_alpha=1.0,
+        domain=(0.0, 1.0),
+        T=1.0,
+        source=lambda x, t: np.sin(np.pi * x) * np.cos(t),
+        initial=lambda x: np.sin(np.pi * x),
+    )
+
 
 class TestStep:
+    @pytest.mark.parametrize("alpha", (1.2, 1.8, 2.0))
+    def test_matches_explicit_matrix_step(self, alpha):
+        system = assemble_system(_sine_problem(alpha), 64, 200)
+        u = ref = np.sin(np.pi * system.x_interior)
+        for k in range(200):
+            u = step(system, u, k * system.tau)
+            ref = _explicit_matrix_step(system, ref, k * system.tau)
+            assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_reads_only_the_factors(self):
+        system = assemble_system(example42_problem(1.6), 32, 10)
+        bare = dataclasses.replace(system, lhs=None, B=None)
+        u = system.problem.initial(system.x_interior)
+        np.testing.assert_array_equal(step(bare, u, 0.3), step(system, u, 0.3))
+
     def test_zero_stays_zero(self):
         system = assemble_system(_zero_problem(1.5), 16, 4)
         u = step(system, np.zeros(15), 0.0)
@@ -148,6 +204,15 @@ class TestSolve:
     def test_keep_validation(self):
         with pytest.raises(DomainError):
             solve(example42_problem(1.5), 12, 6, keep="some")
+
+    @pytest.mark.parametrize("keep", ("all", "final"))
+    def test_non_finite_source_is_an_error(self, keep):
+        def source(x, t):
+            return np.full_like(x, np.nan) if t > 0.5 else np.zeros_like(x)
+
+        problem = dataclasses.replace(_zero_problem(1.5), source=source)
+        with pytest.raises(NumericsError):
+            solve(problem, 16, 8, keep=keep)
 
     def test_benchmark_accuracy(self):
         problem = example42_problem(1.6)
