@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,27 +39,10 @@ from .operators import (
 )
 from .pde import AdvectionDiffusionProblem, solve as _solve
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 _FAMILIES = ("kappa", "gl", "lubich", "wsgd1", "wsgd2")
 _TABLE_KINDS = {"1": "operator_table1", "2": "temporal_table2", "3": "spatial_table3"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation record; round-trips losslessly through JSON."""
-
-    subcommand: str
-    flags: dict
-    seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
-        return cls(data["subcommand"], data["flags"], data["seed"])
 
 
 def _fmt(x: float) -> str:
@@ -107,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rieszfd",
         description="Riesz fractional derivative discretizations and solver",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in the run config")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("coeffs", help="emit a weight coefficient table")
@@ -177,8 +159,7 @@ def _cmd_coeffs(args) -> None:
         _write_json(payload, args.out)
     else:
         with _open_out(args.out) as out:
-            out.write("ell,value\n")
-            out.write("".join(["%d,%.17g\n" % row for row in enumerate(table.values.tolist())]))
+            table.write_csv(out)
 
 
 def _cmd_deriv(args) -> None:
@@ -290,11 +271,6 @@ _DISPATCH = {
     "convergence": _cmd_convergence,
     "surface": _cmd_surface,
 }
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    flags = {k: v for k, v in vars(args).items() if k not in ("subcommand", "seed")}
-    return RunConfig(args.subcommand, flags, args.seed)
 
 
 def run(argv: list[str]) -> int:

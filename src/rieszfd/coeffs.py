@@ -73,8 +73,7 @@ class CoefficientTable:
     def write_csv(self, stream) -> None:
         """Write the table as ``ell,value`` rows, 17 significant digits."""
         stream.write("ell,value\n")
-        for ell, value in enumerate(self.values):
-            stream.write(f"{ell},{value:.17g}\n")
+        stream.write("".join(["%d,%.17g\n" % row for row in enumerate(self.values.tolist())]))
 
 
 @dataclass(frozen=True)
@@ -111,11 +110,9 @@ class PropertyReport:
         return all(self.clauses.values())
 
 
-def _check_alpha(alpha: float, *, closed_right: bool = True) -> None:
-    top_ok = alpha <= 2.0 if closed_right else alpha < 2.0
-    if not (1.0 < alpha and top_ok):
-        interval = "(1, 2]" if closed_right else "(1, 2)"
-        raise DomainError(f"alpha={alpha} outside the valid interval {interval}")
+def _check_alpha(alpha: float) -> None:
+    if not 1.0 < alpha <= 2.0:
+        raise DomainError(f"alpha={alpha} outside the valid interval (1, 2]")
 
 
 def _check_count(count: int) -> None:
@@ -284,6 +281,15 @@ def _kappa_convolution(a: np.ndarray, alpha: float, count: int) -> np.ndarray:
     return a[0] ** alpha * np.convolve(gl, inner)[: count + 1]
 
 
+def _grows(a: np.ndarray) -> bool:
+    """True when the polynomial ``sum a_k z**k`` has a root in the closed
+    unit disk other than z = 1, i.e. when the coefficients of its
+    fractional powers grow geometrically."""
+    roots = np.roots(a[::-1])
+    roots = roots[np.abs(roots - 1.0) > 1e-6]
+    return bool(roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-9)
+
+
 def _kappa_fft(
     a: np.ndarray, alpha: float, count: int, samples: int | None
 ) -> np.ndarray:
@@ -302,9 +308,7 @@ def _kappa_fft(
         raise DomainError(
             f"fft extraction needs at least 2*count={2 * count} samples, got {samples}"
         )
-    roots = np.roots(a[::-1])
-    roots = roots[np.abs(roots - 1.0) > 1e-6]
-    if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-9:
+    if _grows(a):
         raise DomainError(
             "fft extraction unavailable: the generating polynomial has a root "
             "inside the closed unit disk, so the weights grow geometrically "

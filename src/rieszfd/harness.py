@@ -320,7 +320,6 @@ def convergence_study(
     kind: str,
     alphas: Optional[Sequence[float]] = None,
     resolutions: Optional[Sequence[float]] = None,
-    max_workers: Optional[int] = None,
 ) -> ConvergenceReport:
     """Run one of the three convergence studies.
 
@@ -348,7 +347,7 @@ def convergence_study(
         return _solver_error(alpha, m, 2000)
 
     cells = [(a, r) for a in alphas for r in resolutions]
-    with ThreadPoolExecutor(max_workers=max_workers or 4) as pool:
+    with ThreadPoolExecutor(max_workers=4) as pool:
         errors = dict(zip(cells, pool.map(lambda c: cell_error(*c), cells)))
 
     rows: list[StudyRow] = []

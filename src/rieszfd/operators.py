@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, toeplitz
 
-from .coeffs import CoefficientTable, kappa_weights
+from .coeffs import CoefficientTable, _grows, kappa_polynomial, kappa_weights
 from .errors import DomainError, SizeLimitError, TableError
 
 __all__ = [
@@ -134,12 +134,23 @@ def right_apply(u: GridFunction, table: CoefficientTable, shift: int) -> GridFun
     return GridFunction(u.grid, out)
 
 
+def _operator_weights(p: int, alpha: float, M: int) -> CoefficientTable:
+    """Kappa weights 0..M for an operator; a (p, alpha) whose weights grow
+    geometrically is refused before any weight is computed."""
+    if _grows(kappa_polynomial(p, alpha).coeffs):
+        raise DomainError(
+            f"kappa weights for p={p}, alpha={alpha} grow geometrically: the "
+            "generating polynomial has a root inside the closed unit disk"
+        )
+    return kappa_weights(p, alpha, M)
+
+
 def riesz_apply(u: GridFunction, alpha: float, p: int) -> GridFunction:
     """Order-p Riesz fractional derivative approximation:
     ``C_alpha (left + right)`` with shift 1 and the kappa weights."""
     if not 1.0 < alpha < 2.0:
         raise DomainError(f"riesz operator requires alpha in (1, 2), got {alpha}")
-    table = kappa_weights(p, alpha, u.grid.M)
+    table = _operator_weights(p, alpha, u.grid.M)
     left = left_apply(u, table, shift=1)
     right = right_apply(u, table, shift=1)
     values = riesz_constant(alpha) * (left.values + right.values)
@@ -154,7 +165,7 @@ def point_riesz_derivative(u: GridFunction, alpha: float, p: int, j: int) -> flo
     M = u.grid.M
     if not 1 <= j <= M - 1:
         raise DomainError(f"index j={j} outside the interior range 1..{M - 1}")
-    w = kappa_weights(p, alpha, M).values
+    w = _operator_weights(p, alpha, M).values
     v = u.values
     left = np.dot(w[: j + 2], v[j + 1 :: -1])
     right = np.dot(w[: M - j + 2], v[j - 1 :])
@@ -166,7 +177,7 @@ def assemble_galpha(alpha: float, p: int, M: int) -> np.ndarray:
     over the M-1 interior nodes (first superdiagonal kappa_0)."""
     if M < 4:
         raise DomainError(f"assembly requires M >= 4, got M={M}")
-    k = kappa_weights(p, alpha, M).values
+    k = _operator_weights(p, alpha, M).values
     first_col = k[1:M]
     first_row = np.zeros(M - 1)
     first_row[0] = k[1]

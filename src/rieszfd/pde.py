@@ -190,38 +190,27 @@ def solve(
 ) -> SolutionGrid:
     """Run N Crank-Nicolson steps from the sampled initial data.
 
-    ``keep="all"`` retains every time level (for error surfaces);
-    ``keep="final"`` retains only t = T to bound memory.
+    ``keep="all"`` retains every time level (for error surfaces) in one
+    (N+1) x (M+1) array, filled in place; ``keep="final"`` retains only
+    t = T to bound memory.
     """
     if keep not in ("all", "final"):
         raise DomainError(f"keep must be 'all' or 'final', got {keep!r}")
     system = assemble_system(problem, M, N)
     grid = system.grid
     tau = system.tau
-    x = grid.nodes()
-    u = np.asarray(problem.initial(x), dtype=float)[1:M]
-
-    rows = []
-    if keep == "all":
-        full = np.zeros(M + 1)
-        full[1:M] = u
-        rows.append(full)
+    u = np.asarray(problem.initial(grid.nodes()), dtype=float)[1:M]
+    levels = np.arange(N + 1) if keep == "all" else np.array([N])
+    snapshots = np.zeros((len(levels), M + 1))
+    interior = snapshots[:, 1:M]
+    interior[0] = u  # with keep="final" the final level overwrites it
     for k in range(N):
         u = step(system, u, k * tau)
         if keep == "all":
-            full = np.zeros(M + 1)
-            full[1:M] = u
-            rows.append(full)
+            interior[k + 1] = u
     _require_finite(u, N * tau)
-    if keep == "final":
-        full = np.zeros(M + 1)
-        full[1:M] = u
-        times = np.array([N * tau])
-        snapshots = full[np.newaxis, :]
-    else:
-        times = tau * np.arange(N + 1)
-        snapshots = np.array(rows)
-    return SolutionGrid(grid, tau, N, times, snapshots)
+    interior[-1] = u
+    return SolutionGrid(grid, tau, N, tau * levels, snapshots)
 
 
 def grid_norm(values: np.ndarray, h: float) -> float:

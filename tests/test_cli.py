@@ -6,7 +6,8 @@ import json
 import pytest
 
 import rieszfd.cli
-from rieszfd.cli import RunConfig, run
+from rieszfd.cli import run
+from rieszfd.coeffs import gl_weights, kappa_weights, lubich_weights, wsgd_weights
 from rieszfd.harness import error_surface, example42_problem
 from rieszfd.operators import GridSpec1D
 from rieszfd.pde import solve
@@ -128,6 +129,31 @@ class TestCoeffs:
         payload = json.loads(out)
         assert payload["family"] == "gl"
         assert payload["values"] == pytest.approx([1.0, -1.5, 0.375, 0.0625], rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "argv, make_table",
+        [
+            (["--p", "3", "--alpha", "1.7"], lambda n: kappa_weights(3, 1.7, n)),
+            (["--family", "gl", "--alpha", "1.3"], lambda n: gl_weights(1.3, n)),
+            (["--family", "lubich", "--p", "4", "--alpha", "1.6"], lambda n: lubich_weights(4, 1.6, n)),
+            (["--family", "wsgd1", "--alpha", "1.5"], lambda n: wsgd_weights(1, 1.5, n)),
+            (["--family", "wsgd2", "--alpha", "1.9"], lambda n: wsgd_weights(2, 1.9, n)),
+            (
+                ["--alpha", "1.5", "--method", "fft", "--samples", "65536"],
+                lambda n: kappa_weights(2, 1.5, n, method="fft", samples=65536),
+            ),
+        ],
+        ids=["kappa", "gl", "lubich", "wsgd1", "wsgd2", "fft"],
+    )
+    def test_csv_matches_per_element_writer(self, capsys, argv, make_table):
+        code, out, _ = _run_capture(capsys, ["coeffs", "--count", "300", *argv])
+        assert code == 0
+        # verbatim copy of the original per-element CoefficientTable.write_csv
+        expected = io.StringIO()
+        expected.write("ell,value\n")
+        for ell, value in enumerate(make_table(300).values):
+            expected.write(f"{ell},{value:.17g}\n")
+        assert out == expected.getvalue()
 
     def test_fft_method(self, capsys):
         code, out, _ = _run_capture(
@@ -303,16 +329,21 @@ class TestOutputErrors:
         assert err.startswith("error: cannot write output file")
 
     def test_nan_derivative_is_exit_1(self, capsys):
-        with pytest.warns(RuntimeWarning):
-            code, out, err = _run_capture(
-                capsys, ["deriv", "--alpha", "1.2", "--p", "4", "--M", "2000"]
-            )
+        code, out, err = _run_capture(
+            capsys, ["deriv", "--alpha", "1.2", "--p", "4", "--M", "2000"]
+        )
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
-
-def test_runconfig_roundtrip():
-    config = RunConfig("coeffs", {"alpha": 1.5, "p": 2, "count": 8}, seed=7)
-    assert RunConfig.from_json(config.to_json()) == config
+    def test_growing_weights_derivative_is_exit_1(self, capsys):
+        # the weights at M = 100 are still finite, so without the growth
+        # check this printed a 1.1e14 "derivative" and exited 0
+        code, out, err = _run_capture(
+            capsys, ["deriv", "--alpha", "1.2", "--p", "4", "--M", "100"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1

@@ -131,6 +131,32 @@ class TestRiesz:
         with pytest.raises(DomainError):
             point_riesz_derivative(u, 1.5, 2, 10)
 
+    @pytest.mark.parametrize("p, alpha", [(3, 1.1), (3, 1.3), (4, 1.2), (4, 1.5), (4, 1.7)])
+    def test_growing_weights_are_refused(self, p, alpha):
+        # the weights are finite at M = 100 but grow geometrically
+        grid = GridSpec1D(0.0, 1.0, 100)
+        u = GridFunction(grid, np.zeros(101))
+        assert np.all(np.isfinite(kappa_weights(p, alpha, 100).values))
+        with pytest.raises(DomainError, match="grow geometrically"):
+            riesz_apply(u, alpha, p)
+        with pytest.raises(DomainError, match="grow geometrically"):
+            point_riesz_derivative(u, alpha, p, 50)
+        with pytest.raises(DomainError, match="grow geometrically"):
+            assemble_galpha(alpha, p, 100)
+        with pytest.raises(DomainError, match="grow geometrically"):
+            riesz_matrix(alpha, p, grid)
+        with pytest.raises(DomainError, match="grow geometrically"):
+            spectral_bounds(alpha, p, 100)
+
+    @pytest.mark.parametrize("p, alpha", [(3, 1.5), (3, 1.9), (4, 1.9)])
+    def test_decaying_high_order_weights_are_admitted(self, p, alpha):
+        grid = GridSpec1D(0.0, 1.0, 100)
+        x = grid.nodes()
+        u = GridFunction(grid, x**2 * (1 - x) ** 2)
+        full = riesz_apply(u, alpha, p).values
+        assert np.all(np.isfinite(full))
+        assert point_riesz_derivative(u, alpha, p, 50) == pytest.approx(full[50], rel=1e-12)
+
     def test_table1_entry(self):
         # point error at x = 0.5 on the coarsest reference mesh
         grid = GridSpec1D(0.0, 1.0, 20)

@@ -180,7 +180,50 @@ class TestStep:
         assert defect <= 10.0 * 1.238098e-4
 
 
+def _reference_solve(problem, M, N, keep):
+    """Verbatim copy of the original list-based ``solve`` loop, which kept
+    each level in its own zero-padded row and copied the rows into one
+    array at the end."""
+    system = assemble_system(problem, M, N)
+    grid = system.grid
+    tau = system.tau
+    x = grid.nodes()
+    u = np.asarray(problem.initial(x), dtype=float)[1:M]
+
+    rows = []
+    if keep == "all":
+        full = np.zeros(M + 1)
+        full[1:M] = u
+        rows.append(full)
+    for k in range(N):
+        u = step(system, u, k * tau)
+        if keep == "all":
+            full = np.zeros(M + 1)
+            full[1:M] = u
+            rows.append(full)
+    if keep == "final":
+        full = np.zeros(M + 1)
+        full[1:M] = u
+        times = np.array([N * tau])
+        snapshots = full[np.newaxis, :]
+    else:
+        times = tau * np.arange(N + 1)
+        snapshots = np.array(rows)
+    return times, snapshots
+
+
 class TestSolve:
+    @pytest.mark.parametrize("keep", ("all", "final"))
+    @pytest.mark.parametrize("M, N", [(8, 1), (40, 25)])
+    @pytest.mark.parametrize("alpha", (1.3, 2.0))
+    def test_matches_list_based_reference(self, alpha, M, N, keep):
+        problem = dataclasses.replace(_sine_problem(alpha), T=0.7)
+        times, snapshots = _reference_solve(problem, M, N, keep)
+        sol = solve(problem, M, N, keep=keep)
+        assert np.array_equal(sol.times, times)
+        assert np.array_equal(sol.snapshots, snapshots)
+        assert sol.snapshots.shape == (N + 1 if keep == "all" else 1, M + 1)
+
     def test_zero_problem(self):
         sol = solve(_zero_problem(1.3), 16, 8)
         np.testing.assert_array_equal(sol.snapshots, 0.0)
