@@ -5,9 +5,7 @@ verification harness."""
 
 from .coeffs import (
     CoefficientTable,
-    ExpansionCoefficients,
     Family,
-    GeneratingPolynomial,
     PropertyReport,
     alpha_star,
     expansion_coefficients,
@@ -39,7 +37,6 @@ from .harness import (
 from .operators import (
     GridFunction,
     GridSpec1D,
-    RieszMatrix,
     assemble_galpha,
     generating_symbol,
     left_apply,

@@ -28,8 +28,6 @@ from .errors import DomainError, SeriesError, UnsupportedOrderError
 __all__ = [
     "Family",
     "CoefficientTable",
-    "GeneratingPolynomial",
-    "ExpansionCoefficients",
     "PropertyReport",
     "alpha_star",
     "gl_weights",
@@ -58,13 +56,21 @@ class CoefficientTable:
     """A finite prefix of a weight sequence.
 
     ``values`` has length ``truncation + 1`` and holds the weights at
-    indices 0..truncation.
+    indices 0..truncation; a non-finite weight raises :class:`DomainError`.
     """
 
     family: Family
     order_p: int
     alpha: float
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise DomainError(
+                f"{self.family.value} weights for p={self.order_p}, alpha={self.alpha}, "
+                f"count={self.truncation} overflow double precision at index {bad[0]}"
+            )
 
     @property
     def truncation(self) -> int:
@@ -74,26 +80,6 @@ class CoefficientTable:
         """Write the table as ``ell,value`` rows, 17 significant digits."""
         stream.write("ell,value\n")
         stream.write("".join(["%d,%.17g\n" % row for row in enumerate(self.values.tolist())]))
-
-
-@dataclass(frozen=True)
-class GeneratingPolynomial:
-    """Polynomial ``a0 + a1 z + ... + ad z**d`` with nonzero a0."""
-
-    coeffs: np.ndarray
-    description: str = ""
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
-class ExpansionCoefficients:
-    """Consistency-error expansion coefficients gamma_1..gamma_n."""
-
-    alpha: float
-    gammas: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,7 +144,7 @@ def lubich_weights(p: int, alpha: float, count: int) -> CoefficientTable:
     for ell in range(1, p + 1):
         power = np.convolve(power, one_minus_z)
         inner[: ell + 1] += power / ell
-    values = _series_pow(inner, alpha, count)
+    values = series_fractional_power(inner, alpha, count)
     return CoefficientTable(Family.LUBICH, p, alpha, values)
 
 
@@ -174,7 +160,6 @@ def wsgd_weights(variant: int, alpha: float, count: int) -> CoefficientTable:
     _check_alpha(alpha)
     _check_count(count)
     w = _gl_series(alpha, count)
-    values = np.zeros(count + 1)
     if variant == 1:
         values = (alpha / 2.0) * w
         values[1:] += ((2.0 - alpha) / 2.0) * w[:-1]
@@ -186,9 +171,9 @@ def wsgd_weights(variant: int, alpha: float, count: int) -> CoefficientTable:
     return CoefficientTable(family, 2, alpha, values)
 
 
-def kappa_polynomial(p: int, alpha: float) -> GeneratingPolynomial:
-    """Degree-p generating polynomial whose alpha-th power yields the
-    order-p kappa weights."""
+def kappa_polynomial(p: int, alpha: float) -> np.ndarray:
+    """Coefficients a0..ap of the degree-p generating polynomial whose
+    alpha-th power yields the order-p kappa weights."""
     _check_alpha(alpha)
     a = alpha
     if p == 2:
@@ -218,10 +203,10 @@ def kappa_polynomial(p: int, alpha: float) -> GeneratingPolynomial:
         raise UnsupportedOrderError(
             f"kappa weights are only constructed for p in {{2, 3, 4}}, got p={p}"
         )
-    return GeneratingPolynomial(np.array(coeffs), description=f"kappa-{p}")
+    return np.array(coeffs)
 
 
-def _series_pow(a: np.ndarray, alpha: float, count: int) -> np.ndarray:
+def series_fractional_power(a: np.ndarray, alpha: float, count: int) -> np.ndarray:
     """Coefficients 0..count of ``(sum a_k z**k)**alpha`` with a0 != 0.
 
     Uses the standard recurrence for fractional powers of a power series:
@@ -240,13 +225,6 @@ def _series_pow(a: np.ndarray, alpha: float, count: int) -> np.ndarray:
             s += (k * (alpha + 1.0) - ell) * a[k] * c[ell - k]
         c[ell] = s / (ell * a[0])
     return c
-
-
-def series_fractional_power(
-    poly: GeneratingPolynomial, alpha: float, count: int
-) -> np.ndarray:
-    """Coefficients 0..count of ``poly(z)**alpha``."""
-    return _series_pow(poly.coeffs, alpha, count)
 
 
 def _kappa_convolution(a: np.ndarray, alpha: float, count: int) -> np.ndarray:
@@ -336,30 +314,28 @@ def kappa_weights(
     ``method`` selects one of three mutually validating evaluations:
     ``recursion`` (the production default), ``convolution`` (the closed
     nested-sum form), or ``fft`` (unit-circle sampling; only available
-    when the weights decay).
+    when the weights decay).  Growing weights are returned while finite.
     """
     _check_count(count)
-    poly = kappa_polynomial(p, alpha)
-    if method == "recursion":
-        values = _series_pow(poly.coeffs, alpha, count)
-    elif method == "convolution":
-        values = _kappa_convolution(poly.coeffs, alpha, count)
-    elif method == "fft":
-        values = _kappa_fft(poly.coeffs, alpha, count, samples)
-    else:
-        raise DomainError(
-            f"unknown method {method!r}; expected recursion, convolution or fft"
-        )
+    a = kappa_polynomial(p, alpha)
+    # growing weights overflow to inf/NaN silently; CoefficientTable refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "recursion":
+            values = series_fractional_power(a, alpha, count)
+        elif method == "convolution":
+            values = _kappa_convolution(a, alpha, count)
+        elif method == "fft":
+            values = _kappa_fft(a, alpha, count, samples)
+        else:
+            raise DomainError(
+                f"unknown method {method!r}; expected recursion, convolution or fft"
+            )
     return CoefficientTable(Family.KAPPA, p, alpha, values)
 
 
-def _trunc_conv(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
-    return np.convolve(a, b)[:length]
-
-
-def expansion_coefficients(alpha: float, n: int) -> ExpansionCoefficients:
+def expansion_coefficients(alpha: float, n: int) -> np.ndarray:
     """Consistency-error expansion coefficients gamma_1..gamma_n for the
-    p = 2 kappa operator.
+    p = 2 kappa operator, as an array of length n.
 
     With W(z) the degree-2 generating polynomial, the symbol ratio
     ``phi(z) = e**z z**(-alpha) W(e**(-z))**alpha = 1 + sum gamma_ell z**ell``
@@ -376,14 +352,13 @@ def expansion_coefficients(alpha: float, n: int) -> ExpansionCoefficients:
     fact = np.concatenate(([1.0], np.cumprod(k[1:])))
     eneg = (-1.0) ** np.arange(m) / fact
     epos = 1.0 / fact
-    a = kappa_polynomial(2, alpha).coeffs
-    s = a[1] * eneg + a[2] * _trunc_conv(eneg, eneg, m)
-    s[0] += a[0]  # algebraically zero: a0 + a1 + a2 = 0
-    s[0] = 0.0
+    a = kappa_polynomial(2, alpha)
+    s = a[1] * eneg + a[2] * np.convolve(eneg, eneg)[:m]
+    s[0] = 0.0  # a0 + a1 + a2, algebraically zero
     g = s[1:]  # divide by z; g[0] = 1 algebraically
-    galpha = _series_pow(g, alpha, n + 1)
-    phi = _trunc_conv(epos[: n + 2], galpha, n + 2)
-    return ExpansionCoefficients(alpha, phi[1 : n + 1])
+    galpha = series_fractional_power(g, alpha, n + 1)
+    phi = np.convolve(epos[: n + 2], galpha)[: n + 2]
+    return phi[1 : n + 1]
 
 
 def verify_properties(table: CoefficientTable) -> PropertyReport:

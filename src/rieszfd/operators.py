@@ -21,7 +21,6 @@ from .errors import DomainError, SizeLimitError, TableError
 __all__ = [
     "GridSpec1D",
     "GridFunction",
-    "RieszMatrix",
     "riesz_constant",
     "left_apply",
     "right_apply",
@@ -72,24 +71,9 @@ class GridFunction:
             )
 
 
-@dataclass(frozen=True)
-class RieszMatrix:
-    """Dense interior-node matrix C_alpha h**(-alpha) (G + G^T)."""
-
-    alpha: float
-    order_p: int
-    grid: GridSpec1D
-    entries: np.ndarray
-
-
 def riesz_constant(alpha: float) -> float:
     """The combination constant C_alpha = -1/(2 cos(pi alpha / 2))."""
     return -1.0 / (2.0 * math.cos(math.pi * alpha / 2.0))
-
-
-def _check_shift(shift: int) -> None:
-    if shift not in (0, 1):
-        raise DomainError(f"shift must be 0 or 1, got {shift}")
 
 
 def _check_table_length(table: CoefficientTable, M: int) -> None:
@@ -101,35 +85,34 @@ def _check_table_length(table: CoefficientTable, M: int) -> None:
 
 
 def _left_interior(
-    values: np.ndarray, w: np.ndarray, M: int, h: float, alpha: float, shift: int
+    values: np.ndarray, w: np.ndarray, M: int, h: float, alpha: float
 ) -> np.ndarray:
-    """Interior entries j = 1..M-1 of the left shifted difference."""
+    """Interior entries j = 1..M-1 of the left difference shifted by one."""
     conv = np.convolve(w[: M + 1], values)
-    return h ** (-alpha) * conv[1 + shift : M + shift]
+    return h ** (-alpha) * conv[2 : M + 1]
 
 
-def left_apply(u: GridFunction, table: CoefficientTable, shift: int) -> GridFunction:
-    """Left fractional difference:
-    ``h**(-alpha) sum_{ell=0..j+shift} w_ell u_{j-ell+shift}`` at interior
-    nodes, zero at the boundaries."""
-    _check_shift(shift)
+def left_apply(u: GridFunction, table: CoefficientTable) -> GridFunction:
+    """Left fractional difference shifted by one node:
+    ``h**(-alpha) sum_{ell=0..j+1} w_ell u_{j-ell+1}`` at interior nodes,
+    zero at the boundaries.  The shift is fixed at 1: the alpha-th power of
+    a kappa generating polynomial approximates ``z (-log z)**alpha``, and
+    only the shifted difference cancels that factor z (unshifted, the kappa
+    operators drop to first order)."""
     M = u.grid.M
     _check_table_length(table, M)
     out = np.zeros(M + 1)
-    out[1:M] = _left_interior(u.values, table.values, M, u.grid.h, table.alpha, shift)
+    out[1:M] = _left_interior(u.values, table.values, M, u.grid.h, table.alpha)
     return GridFunction(u.grid, out)
 
 
-def right_apply(u: GridFunction, table: CoefficientTable, shift: int) -> GridFunction:
+def right_apply(u: GridFunction, table: CoefficientTable) -> GridFunction:
     """Right fractional difference, the mirror image of :func:`left_apply`:
-    ``h**(-alpha) sum_{ell=0..M-j+shift} w_ell u_{j+ell-shift}``."""
-    _check_shift(shift)
+    ``h**(-alpha) sum_{ell=0..M-j+1} w_ell u_{j+ell-1}``."""
     M = u.grid.M
     _check_table_length(table, M)
     out = np.zeros(M + 1)
-    interior = _left_interior(
-        u.values[::-1], table.values, M, u.grid.h, table.alpha, shift
-    )
+    interior = _left_interior(u.values[::-1], table.values, M, u.grid.h, table.alpha)
     out[1:M] = interior[::-1]
     return GridFunction(u.grid, out)
 
@@ -137,7 +120,7 @@ def right_apply(u: GridFunction, table: CoefficientTable, shift: int) -> GridFun
 def _operator_weights(p: int, alpha: float, M: int) -> CoefficientTable:
     """Kappa weights 0..M for an operator; a (p, alpha) whose weights grow
     geometrically is refused before any weight is computed."""
-    if _grows(kappa_polynomial(p, alpha).coeffs):
+    if _grows(kappa_polynomial(p, alpha)):
         raise DomainError(
             f"kappa weights for p={p}, alpha={alpha} grow geometrically: the "
             "generating polynomial has a root inside the closed unit disk"
@@ -147,12 +130,12 @@ def _operator_weights(p: int, alpha: float, M: int) -> CoefficientTable:
 
 def riesz_apply(u: GridFunction, alpha: float, p: int) -> GridFunction:
     """Order-p Riesz fractional derivative approximation:
-    ``C_alpha (left + right)`` with shift 1 and the kappa weights."""
+    ``C_alpha (left + right)`` with the kappa weights."""
     if not 1.0 < alpha < 2.0:
         raise DomainError(f"riesz operator requires alpha in (1, 2), got {alpha}")
     table = _operator_weights(p, alpha, u.grid.M)
-    left = left_apply(u, table, shift=1)
-    right = right_apply(u, table, shift=1)
+    left = left_apply(u, table)
+    right = right_apply(u, table)
     values = riesz_constant(alpha) * (left.values + right.values)
     return GridFunction(u.grid, values)
 
@@ -185,8 +168,8 @@ def assemble_galpha(alpha: float, p: int, M: int) -> np.ndarray:
     return toeplitz(first_col, first_row)
 
 
-def riesz_matrix(alpha: float, p: int, grid: GridSpec1D) -> RieszMatrix:
-    """Dense Riesz operator matrix C_alpha h**(-alpha) (G + G^T).
+def riesz_matrix(alpha: float, p: int, grid: GridSpec1D) -> np.ndarray:
+    """Dense interior-node Riesz operator matrix C_alpha h**(-alpha) (G + G^T).
 
     ``alpha = 2`` is admitted: the p = 2 kappa weights then reduce to the
     classical second difference exactly.  At most two m x m arrays are
@@ -197,7 +180,7 @@ def riesz_matrix(alpha: float, p: int, grid: GridSpec1D) -> RieszMatrix:
     g = assemble_galpha(alpha, p, grid.M)
     entries = g + g.T
     entries *= riesz_constant(alpha) * grid.h ** (-alpha)
-    return RieszMatrix(alpha, p, grid, entries)
+    return entries
 
 
 def generating_symbol(alpha: float, x):

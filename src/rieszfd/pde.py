@@ -144,16 +144,17 @@ def assemble_system(
     # half_a = (tau/2)(K C - K_alpha R) is built in R's buffer, with the
     # same rounding as forming it from dense matrices; C has two bands
     stride = m + 1  # flat step along one diagonal
-    half_a = riesz_matrix(problem.alpha, 2, grid).entries
+    half_a = riesz_matrix(problem.alpha, 2, grid)
     np.multiply(half_a, -problem.K_alpha, out=half_a)
     half_a.flat[1::stride] += problem.K * (1.0 / (2.0 * h))
     half_a.flat[m::stride] += problem.K * (-1.0 / (2.0 * h))
     half_a *= tau / 2.0
 
     B = np.negative(half_a)
-    B.flat[::stride] = 1.0 - half_a.flat[::stride]
     lhs = half_a
     lhs.flat[::stride] += 1.0
+    # 2 - lhs_ii is exact for 1 <= lhs_ii < 2**53, so lhs + B = 2I bit for bit
+    B.flat[::stride] = 2.0 - lhs.flat[::stride]
     try:
         lu = lu_factor(lhs)
     except LinAlgError as exc:  # unreachable for valid alpha; internal invariant

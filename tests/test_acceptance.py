@@ -209,9 +209,9 @@ def test_criterion_8_gamma_expansion():
         ec = expansion_coefficients(alpha, 3)
         g2 = -(2 * alpha**2 - 6 * alpha + 3) / (6 * alpha)
         g3 = (3 * alpha**3 - 11 * alpha**2 + 12 * alpha - 4) / (12 * alpha**2)
-        assert abs(ec.gammas[0]) <= 1e-12
-        dev = max(abs(ec.gammas[1] - g2), abs(ec.gammas[2] - g3))
-        worst = max(worst, dev, abs(ec.gammas[0]))
+        assert abs(ec[0]) <= 1e-12
+        dev = max(abs(ec[1] - g2), abs(ec[2] - g3))
+        worst = max(worst, dev, abs(ec[0]))
         assert dev <= 1e-10
     print(f"criterion 8 (gamma expansion): PASS (worst deviation {worst:.1e})")
 

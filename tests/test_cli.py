@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +98,17 @@ class TestExitCodes:
         assert run(["--help"]) == 0
         capsys.readouterr()
 
+    def test_python_m_matches_run(self, capsys):
+        argv = ["coeffs", "--p", "3", "--alpha", "1.7", "--count", "16"]
+        code, out, _ = _run_capture(capsys, argv)
+        src = str(Path(rieszfd.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rieszfd.cli", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out)
+
 
 class TestCoeffs:
     def test_determinism(self, tmp_path):
@@ -154,6 +169,20 @@ class TestCoeffs:
         for ell, value in enumerate(make_table(300).values):
             expected.write(f"{ell},{value:.17g}\n")
         assert out == expected.getvalue()
+
+    def test_overflowing_table_is_exit_1(self, tmp_path, capsys):
+        # the recursion overflows from index 768 on; the CSV writer used to
+        # print 19,233 inf/nan rows and exit 0
+        argv = ["coeffs", "--p", "4", "--alpha", "1.2", "--count", "20000"]
+        path = tmp_path / "k.csv"
+        for extra in ([], ["--out", str(path)]):
+            code, out, err = _run_capture(capsys, argv + extra)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ")
+            assert "index 768" in err
+            assert err.count("\n") == 1
+        assert not path.exists()
 
     def test_fft_method(self, capsys):
         code, out, _ = _run_capture(

@@ -10,7 +10,6 @@ from scipy.special import binom
 from rieszfd import (
     DomainError,
     Family,
-    GeneratingPolynomial,
     SeriesError,
     UnsupportedOrderError,
     alpha_star,
@@ -121,16 +120,16 @@ class TestKappaPolynomial:
     def test_p2_alpha_15(self):
         poly = kappa_polynomial(2, 1.5)
         np.testing.assert_allclose(
-            poly.coeffs, [5.0 / 6.0, -2.0 / 3.0, -1.0 / 6.0], rtol=1e-15
+            poly, [5.0 / 6.0, -2.0 / 3.0, -1.0 / 6.0], rtol=1e-15
         )
 
     def test_p2_integer_order(self):
         poly = kappa_polynomial(2, 2.0)
-        np.testing.assert_allclose(poly.coeffs, [1.0, -1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(poly, [1.0, -1.0, 0.0], atol=1e-15)
 
     def test_p3_leading(self):
         poly = kappa_polynomial(3, 1.5)
-        assert poly.coeffs[0] == pytest.approx(9.75 / 13.5, rel=1e-14)
+        assert poly[0] == pytest.approx(9.75 / 13.5, rel=1e-14)
 
     @pytest.mark.parametrize("p", (1, 5, 6))
     def test_unsupported_order(self, p):
@@ -141,7 +140,7 @@ class TestKappaPolynomial:
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_root_at_one(self, p, alpha):
         # every generating polynomial vanishes at z = 1 (zero-sum weights)
-        assert abs(np.sum(kappa_polynomial(p, alpha).coeffs)) < 1e-14
+        assert abs(np.sum(kappa_polynomial(p, alpha))) < 1e-14
 
 
 class TestSeriesFractionalPower:
@@ -157,12 +156,12 @@ class TestSeriesFractionalPower:
         np.testing.assert_allclose(c, [1.0, -2.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
 
     def test_constant_polynomial(self):
-        poly = GeneratingPolynomial(np.array([1.0]))
+        poly = np.array([1.0])
         c = series_fractional_power(poly, 1.7, 5)
         np.testing.assert_allclose(c, [1.0, 0, 0, 0, 0, 0], atol=0)
 
     def test_zero_leading_coefficient(self):
-        poly = GeneratingPolynomial(np.array([0.0, 1.0]))
+        poly = np.array([0.0, 1.0])
         with pytest.raises(SeriesError):
             series_fractional_power(poly, 1.5, 3)
 
@@ -225,6 +224,22 @@ class TestKappaWeights:
         with pytest.raises(DomainError):
             kappa_weights(2, 1.5, 8, method="magic")
 
+    @pytest.mark.parametrize(
+        "p, alpha, count, method, first_bad",
+        [(4, 1.2, 20000, "recursion", 768), (3, 1.2, 2000, "convolution", 1926)],
+    )
+    def test_overflowing_table_is_refused(self, p, alpha, count, method, first_bad):
+        with pytest.raises(DomainError) as info:
+            kappa_weights(p, alpha, count, method=method)
+        message = str(info.value)
+        assert f"p={p}, alpha={alpha}, count={count}" in message
+        assert f"index {first_bad}" in message
+
+    def test_growing_but_finite_table_is_returned(self):
+        k = kappa_weights(4, 1.2, 100).values
+        assert np.all(np.isfinite(k))
+        assert np.max(np.abs(k)) > 1e30
+
     def test_sign_flip_around_threshold(self):
         # the third weight changes sign at the threshold order
         star = alpha_star()
@@ -246,14 +261,14 @@ class TestExpansionCoefficients:
         ec = expansion_coefficients(alpha, 3)
         g2 = -(2 * alpha**2 - 6 * alpha + 3) / (6 * alpha)
         g3 = (3 * alpha**3 - 11 * alpha**2 + 12 * alpha - 4) / (12 * alpha**2)
-        assert abs(ec.gammas[0]) <= 1e-13
-        assert ec.gammas[1] == pytest.approx(g2, abs=1e-12)
-        assert ec.gammas[2] == pytest.approx(g3, abs=1e-12)
+        assert abs(ec[0]) <= 1e-13
+        assert ec[1] == pytest.approx(g2, abs=1e-12)
+        assert ec[2] == pytest.approx(g3, abs=1e-12)
 
     def test_alpha_15_values(self):
         ec = expansion_coefficients(1.5, 3)
-        assert ec.gammas[1] == pytest.approx(1.0 / 6.0, rel=1e-12)
-        assert ec.gammas[2] == pytest.approx(-0.625 / 27.0, rel=1e-10)
+        assert ec[1] == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert ec[2] == pytest.approx(-0.625 / 27.0, rel=1e-10)
 
     @pytest.mark.parametrize("n", (1, 0, 13))
     def test_order_domain(self, n):
@@ -261,7 +276,7 @@ class TestExpansionCoefficients:
             expansion_coefficients(1.5, n)
 
     def test_length(self):
-        assert len(expansion_coefficients(1.3, 7).gammas) == 7
+        assert len(expansion_coefficients(1.3, 7)) == 7
 
 
 class TestVerifyProperties:

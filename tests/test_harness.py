@@ -54,8 +54,8 @@ class TestExample41Exact:
         x = grid.nodes()
         u = GridFunction(grid, x**2 * (1 - x) ** 2)
         table = kappa_weights(2, 1.5, 64)
-        left = left_apply(u, table, shift=1).values[32]
-        right = right_apply(u, table, shift=1).values[32]
+        left = left_apply(u, table).values[32]
+        right = right_apply(u, table).values[32]
         assert left == pytest.approx(right, rel=1e-12)
 
     def test_domain(self):

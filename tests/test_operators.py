@@ -55,7 +55,7 @@ class TestApply:
         u = GridFunction(grid, np.zeros(17))
         table = kappa_weights(2, 1.5, 16)
         for op in (left_apply, right_apply):
-            out = op(u, table, shift=1)
+            out = op(u, table)
             np.testing.assert_array_equal(out.values, 0.0)
 
     def test_integer_order_is_second_difference(self):
@@ -65,7 +65,7 @@ class TestApply:
         vals[0] = vals[-1] = 0.0
         u = GridFunction(grid, vals)
         table = gl_weights(2.0, 32)
-        out = left_apply(u, table, shift=1)
+        out = left_apply(u, table)
         h = grid.h
         expected = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h**2
         np.testing.assert_allclose(out.values[1:-1], expected, rtol=1e-12)
@@ -77,9 +77,9 @@ class TestApply:
         grid = GridSpec1D(0.0, 1.0, 24)
         u = _random_dirichlet(grid, rng)
         table = kappa_weights(p, alpha, 24)
-        right = right_apply(u, table, shift=1).values
+        right = right_apply(u, table).values
         mirrored = GridFunction(grid, u.values[::-1])
-        left_of_mirror = left_apply(mirrored, table, shift=1).values[::-1]
+        left_of_mirror = left_apply(mirrored, table).values[::-1]
         np.testing.assert_allclose(right, left_of_mirror, rtol=1e-13, atol=1e-13)
 
     def test_symmetric_function_mirrors(self):
@@ -87,23 +87,16 @@ class TestApply:
         x = grid.nodes()
         u = GridFunction(grid, x**2 * (1 - x) ** 2)
         table = kappa_weights(2, 1.5, 40)
-        left = left_apply(u, table, shift=1).values
-        right = right_apply(u, table, shift=1).values
+        left = left_apply(u, table).values
+        right = right_apply(u, table).values
         np.testing.assert_allclose(left[1:-1], right[1:-1][::-1], rtol=1e-12)
-
-    def test_shift_validation(self):
-        grid = GridSpec1D(0.0, 1.0, 8)
-        u = GridFunction(grid, np.zeros(9))
-        table = kappa_weights(2, 1.5, 8)
-        with pytest.raises(DomainError):
-            left_apply(u, table, shift=2)
 
     def test_table_too_short(self):
         grid = GridSpec1D(0.0, 1.0, 16)
         u = GridFunction(grid, np.zeros(17))
         table = kappa_weights(2, 1.5, 8)
         with pytest.raises(TableError):
-            left_apply(u, table, shift=1)
+            left_apply(u, table)
 
 
 class TestRiesz:
@@ -193,7 +186,7 @@ class TestMatrix:
         lap[idx, idx] = -2.0
         lap[idx[:-1], idx[:-1] + 1] = 1.0
         lap[idx[1:], idx[1:] - 1] = 1.0
-        assert np.array_equal(riesz_matrix(2.0, 2, grid).entries, lap / grid.h**2)
+        assert np.array_equal(riesz_matrix(2.0, 2, grid), lap / grid.h**2)
 
     def test_matrix_alpha_domain(self):
         grid = GridSpec1D(0.0, 1.0, 8)
@@ -210,7 +203,7 @@ class TestMatrix:
     def test_matrix_matches_apply(self):
         rng = np.random.default_rng(7)
         grid = GridSpec1D(0.0, 1.0, 64)
-        mat = riesz_matrix(1.3, 2, grid).entries
+        mat = riesz_matrix(1.3, 2, grid)
         for _ in range(20):
             u = _random_dirichlet(grid, rng)
             by_apply = riesz_apply(u, 1.3, 2).values[1:-1]
@@ -219,12 +212,12 @@ class TestMatrix:
 
     def test_symmetry(self):
         grid = GridSpec1D(0.0, 1.0, 32)
-        mat = riesz_matrix(1.5, 2, grid).entries
+        mat = riesz_matrix(1.5, 2, grid)
         assert np.max(np.abs(mat - mat.T)) == 0.0
 
     def test_negative_semidefinite(self):
         grid = GridSpec1D(0.0, 1.0, 32)
-        mat = riesz_matrix(1.5, 2, grid).entries
+        mat = riesz_matrix(1.5, 2, grid)
         eigs = np.linalg.eigvalsh(mat)
         assert eigs[-1] <= 1e-10
 
@@ -257,7 +250,7 @@ class TestGeneratingSymbol:
     def test_direct_unit_circle_oracle(self, alpha):
         # independent evaluation: 2 Re[e^{-ix} W(e^{ix})^alpha] with the
         # principal branch, against the factored magnitude/phase form
-        a = kappa_polynomial(2, alpha).coeffs
+        a = kappa_polynomial(2, alpha)
         xs = np.linspace(1e-3, math.pi, 200)
         z = np.exp(1j * xs)
         w = a[0] + a[1] * z + a[2] * z**2
