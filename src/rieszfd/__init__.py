@@ -35,7 +35,6 @@ from .harness import (
     example42_problem,
 )
 from .operators import (
-    GridFunction,
     GridSpec1D,
     assemble_galpha,
     generating_symbol,

@@ -31,7 +31,6 @@ from . import coeffs as _coeffs
 from . import harness as _harness
 from .errors import NumericsError
 from .operators import (
-    GridFunction,
     GridSpec1D,
     generating_symbol,
     point_riesz_derivative,
@@ -85,6 +84,27 @@ def _write_levels(out, header: list[str], sol, columns) -> None:
         out.write("".join([row % cells for cells in zip(xs, *[c.tolist() for c in cols])]))
 
 
+def _float_list(text: str) -> list[float]:
+    """A non-empty comma-separated list of floats; empty items are skipped."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rieszfd",
@@ -121,12 +141,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--M", type=int, default=64)
-    p.add_argument("--symbol-samples", type=int, default=1024)
+    p.add_argument("--symbol-samples", type=_positive_int, default=1024)
     p.add_argument("--out", default=None, help="CSV path for symbol samples")
 
     p = sub.add_parser("convergence", help="reproduce a reference convergence table")
     p.add_argument("--table", choices=("1", "2", "3"), required=True)
-    p.add_argument("--alphas", default=None, help="comma-separated list (default: table values)")
+    p.add_argument("--alphas", type=_float_list, help="comma-separated list (default: table values)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -165,9 +185,8 @@ def _cmd_coeffs(args) -> None:
 def _cmd_deriv(args) -> None:
     grid = GridSpec1D(0.0, 1.0, args.M)
     x = grid.nodes()
-    u = GridFunction(grid, x**2 * (1.0 - x) ** 2)
     j = args.j if args.j is not None else args.M // 2
-    value = point_riesz_derivative(u, args.alpha, args.p, j)
+    value = point_riesz_derivative(x**2 * (1.0 - x) ** 2, grid, args.alpha, args.p, j)
     payload = {
         "alpha": args.alpha,
         "p": args.p,
@@ -228,10 +247,7 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_convergence(args) -> None:
-    alphas = None
-    if args.alphas is not None:
-        alphas = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
-    report = _harness.convergence_study(_TABLE_KINDS[args.table], alphas=alphas)
+    report = _harness.convergence_study(_TABLE_KINDS[args.table], alphas=args.alphas)
     if args.format == "json":
         _write_json([asdict(row) for row in report.rows], args.out)
         return

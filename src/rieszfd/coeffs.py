@@ -250,6 +250,10 @@ def _kappa_convolution(a: np.ndarray, alpha: float, count: int) -> np.ndarray:
     power[0] = 1.0
     binom = 1.0
     for n in range(1, count + 1):
+        # term n changes only indices >= n (b[0] = 0), and a non-finite entry never
+        # turns finite, so a bad inner[n - 1] fixes the table's first bad index
+        if not math.isfinite(inner[n - 1]):
+            break
         binom *= (alpha - n + 1.0) / n
         power = np.convolve(power, b)[: count + 1]
         if not power.any():

@@ -1,7 +1,7 @@
 """Fractional difference operators on uniform 1D grids.
 
 Applies left/right shifted fractional differences and their symmetric
-Riesz combination to grid functions with homogeneous Dirichlet data,
+Riesz combination to node values with homogeneous Dirichlet data,
 assembles the dense Toeplitz operator matrix, and evaluates the Toeplitz
 generating symbol used to certify negative semi-definiteness of the
 discrete operator.
@@ -20,7 +20,6 @@ from .errors import DomainError, SizeLimitError, TableError
 
 __all__ = [
     "GridSpec1D",
-    "GridFunction",
     "riesz_constant",
     "left_apply",
     "right_apply",
@@ -55,66 +54,37 @@ class GridSpec1D:
         return self.a + self.h * np.arange(self.M + 1)
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Values of a function on a uniform grid, zero at both boundaries
-    when used as operator input (homogeneous Dirichlet convention)."""
-
-    grid: GridSpec1D
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.grid.M + 1:
-            raise DomainError(
-                f"grid function needs M+1={self.grid.M + 1} values, "
-                f"got {len(self.values)}"
-            )
-
-
 def riesz_constant(alpha: float) -> float:
     """The combination constant C_alpha = -1/(2 cos(pi alpha / 2))."""
     return -1.0 / (2.0 * math.cos(math.pi * alpha / 2.0))
 
 
-def _check_table_length(table: CoefficientTable, M: int) -> None:
-    if len(table.values) < M + 1:
-        raise TableError(
-            f"coefficient table of length {len(table.values)} is too short "
-            f"for a grid with M={M} (need at least {M + 1} entries)"
-        )
+def _check_operand(u: np.ndarray, grid: GridSpec1D, table: CoefficientTable) -> None:
+    n = grid.M + 1
+    if len(u) != n:
+        raise DomainError(f"operator input needs M+1={n} node values, got {len(u)}")
+    if len(table.values) < n:
+        raise TableError(f"{len(table.values)} weights are too few for M={grid.M}; need {n}")
 
 
-def _left_interior(
-    values: np.ndarray, w: np.ndarray, M: int, h: float, alpha: float
-) -> np.ndarray:
-    """Interior entries j = 1..M-1 of the left difference shifted by one."""
-    conv = np.convolve(w[: M + 1], values)
-    return h ** (-alpha) * conv[2 : M + 1]
-
-
-def left_apply(u: GridFunction, table: CoefficientTable) -> GridFunction:
+def left_apply(u: np.ndarray, grid: GridSpec1D, table: CoefficientTable) -> np.ndarray:
     """Left fractional difference shifted by one node:
     ``h**(-alpha) sum_{ell=0..j+1} w_ell u_{j-ell+1}`` at interior nodes,
     zero at the boundaries.  The shift is fixed at 1: the alpha-th power of
     a kappa generating polynomial approximates ``z (-log z)**alpha``, and
     only the shifted difference cancels that factor z (unshifted, the kappa
     operators drop to first order)."""
-    M = u.grid.M
-    _check_table_length(table, M)
+    _check_operand(u, grid, table)
+    M = grid.M
     out = np.zeros(M + 1)
-    out[1:M] = _left_interior(u.values, table.values, M, u.grid.h, table.alpha)
-    return GridFunction(u.grid, out)
+    out[1:M] = grid.h ** (-table.alpha) * np.convolve(table.values[: M + 1], u)[2 : M + 1]
+    return out
 
 
-def right_apply(u: GridFunction, table: CoefficientTable) -> GridFunction:
-    """Right fractional difference, the mirror image of :func:`left_apply`:
-    ``h**(-alpha) sum_{ell=0..M-j+1} w_ell u_{j+ell-1}``."""
-    M = u.grid.M
-    _check_table_length(table, M)
-    out = np.zeros(M + 1)
-    interior = _left_interior(u.values[::-1], table.values, M, u.grid.h, table.alpha)
-    out[1:M] = interior[::-1]
-    return GridFunction(u.grid, out)
+def right_apply(u: np.ndarray, grid: GridSpec1D, table: CoefficientTable) -> np.ndarray:
+    """Right fractional difference ``h**(-alpha) sum_{ell=0..M-j+1} w_ell u_{j+ell-1}``:
+    the left difference of the mirrored node values, mirrored back."""
+    return left_apply(u[::-1], grid, table)[::-1]
 
 
 def _operator_weights(p: int, alpha: float, M: int) -> CoefficientTable:
@@ -128,31 +98,29 @@ def _operator_weights(p: int, alpha: float, M: int) -> CoefficientTable:
     return kappa_weights(p, alpha, M)
 
 
-def riesz_apply(u: GridFunction, alpha: float, p: int) -> GridFunction:
+def riesz_apply(u: np.ndarray, grid: GridSpec1D, alpha: float, p: int) -> np.ndarray:
     """Order-p Riesz fractional derivative approximation:
     ``C_alpha (left + right)`` with the kappa weights."""
     if not 1.0 < alpha < 2.0:
         raise DomainError(f"riesz operator requires alpha in (1, 2), got {alpha}")
-    table = _operator_weights(p, alpha, u.grid.M)
-    left = left_apply(u, table)
-    right = right_apply(u, table)
-    values = riesz_constant(alpha) * (left.values + right.values)
-    return GridFunction(u.grid, values)
+    table = _operator_weights(p, alpha, grid.M)
+    return riesz_constant(alpha) * (left_apply(u, grid, table) + right_apply(u, grid, table))
 
 
-def point_riesz_derivative(u: GridFunction, alpha: float, p: int, j: int) -> float:
+def point_riesz_derivative(u: np.ndarray, grid: GridSpec1D, alpha: float, p: int, j: int) -> float:
     """Single interior entry of :func:`riesz_apply` without materializing
     the full result."""
     if not 1.0 < alpha < 2.0:
         raise DomainError(f"riesz operator requires alpha in (1, 2), got {alpha}")
-    M = u.grid.M
+    M = grid.M
     if not 1 <= j <= M - 1:
         raise DomainError(f"index j={j} outside the interior range 1..{M - 1}")
-    w = _operator_weights(p, alpha, M).values
-    v = u.values
-    left = np.dot(w[: j + 2], v[j + 1 :: -1])
-    right = np.dot(w[: M - j + 2], v[j - 1 :])
-    return riesz_constant(alpha) * u.grid.h ** (-alpha) * (left + right)
+    table = _operator_weights(p, alpha, M)
+    _check_operand(u, grid, table)
+    w = table.values
+    left = np.dot(w[: j + 2], u[j + 1 :: -1])
+    right = np.dot(w[: M - j + 2], u[j - 1 :])
+    return riesz_constant(alpha) * grid.h ** (-alpha) * (left + right)
 
 
 def assemble_galpha(alpha: float, p: int, M: int) -> np.ndarray:

@@ -94,6 +94,25 @@ class TestExitCodes:
         assert run(["coeffs", "--alpha", "1.5", "--bogus", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convergence", "--table", "1", "--alphas", "1.5,abc"],
+            ["convergence", "--table", "1", "--alphas", ","],
+            ["convergence", "--table", "1", "--alphas", ""],
+            ["spectrum", "--alpha", "1.5", "--symbol-samples", "-1"],
+            ["spectrum", "--alpha", "1.5", "--symbol-samples", "0"],
+            ["spectrum", "--alpha", "1.5", "--symbol-samples", "2.5"],
+        ],
+    )
+    def test_bad_list_or_count_is_usage_error(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "out.csv"
+        code, out, err = _run_capture(capsys, argv + ["--out", str(out_file)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: rieszfd ")
+        assert not out_file.exists()
+
     def test_help_is_exit_0(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()

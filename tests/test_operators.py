@@ -7,7 +7,6 @@ import pytest
 
 from rieszfd import (
     DomainError,
-    GridFunction,
     GridSpec1D,
     SizeLimitError,
     TableError,
@@ -29,7 +28,7 @@ from rieszfd import (
 def _random_dirichlet(grid, rng):
     values = rng.standard_normal(grid.M + 1)
     values[0] = values[-1] = 0.0
-    return GridFunction(grid, values)
+    return values
 
 
 class TestGridSpec:
@@ -45,30 +44,37 @@ class TestGridSpec:
             GridSpec1D(0.0, 1.0, 3)
 
     def test_gridfunction_length_check(self):
-        with pytest.raises(DomainError):
-            GridFunction(GridSpec1D(0.0, 1.0, 10), np.zeros(5))
+        grid = GridSpec1D(0.0, 1.0, 10)
+        table = kappa_weights(2, 1.5, 10)
+        for u in (np.zeros(5), np.zeros(12)):
+            for op in (left_apply, right_apply):
+                with pytest.raises(DomainError):
+                    op(u, grid, table)
+            with pytest.raises(DomainError):
+                riesz_apply(u, grid, 1.5, 2)
+            with pytest.raises(DomainError):
+                point_riesz_derivative(u, grid, 1.5, 2, 5)
 
 
 class TestApply:
     def test_zero_input(self):
         grid = GridSpec1D(0.0, 1.0, 16)
-        u = GridFunction(grid, np.zeros(17))
+        u = np.zeros(17)
         table = kappa_weights(2, 1.5, 16)
         for op in (left_apply, right_apply):
-            out = op(u, table)
-            np.testing.assert_array_equal(out.values, 0.0)
+            out = op(u, grid, table)
+            np.testing.assert_array_equal(out, 0.0)
 
     def test_integer_order_is_second_difference(self):
         grid = GridSpec1D(0.0, 1.0, 32)
         x = grid.nodes()
         vals = np.sin(np.pi * x)
         vals[0] = vals[-1] = 0.0
-        u = GridFunction(grid, vals)
         table = gl_weights(2.0, 32)
-        out = left_apply(u, table)
+        out = left_apply(vals, grid, table)
         h = grid.h
         expected = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h**2
-        np.testing.assert_allclose(out.values[1:-1], expected, rtol=1e-12)
+        np.testing.assert_allclose(out[1:-1], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("alpha", (1.1, 1.5, 1.9))
     @pytest.mark.parametrize("p", (2, 3, 4))
@@ -77,63 +83,84 @@ class TestApply:
         grid = GridSpec1D(0.0, 1.0, 24)
         u = _random_dirichlet(grid, rng)
         table = kappa_weights(p, alpha, 24)
-        right = right_apply(u, table).values
-        mirrored = GridFunction(grid, u.values[::-1])
-        left_of_mirror = left_apply(mirrored, table).values[::-1]
+        right = right_apply(u, grid, table)
+        left_of_mirror = left_apply(u[::-1], grid, table)[::-1]
         np.testing.assert_allclose(right, left_of_mirror, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("M", (9, 16))
+    @pytest.mark.parametrize("p", (2, 3, 4))
+    def test_matches_explicit_sums(self, M, p):
+        # the docstring sums written out term by term, independent of
+        # np.convolve and of right_apply being the mirrored left_apply
+        rng = np.random.default_rng(M + p)
+        grid = GridSpec1D(0.0, 1.0, M)
+        u = _random_dirichlet(grid, rng)
+        table = kappa_weights(p, 1.8, M)
+        w, scale = table.values, grid.h ** (-1.8)
+        left = np.zeros(M + 1)
+        right = np.zeros(M + 1)
+        for j in range(1, M):
+            for ell in range(j + 2):
+                left[j] += w[ell] * u[j - ell + 1]
+            for ell in range(M - j + 2):
+                right[j] += w[ell] * u[j + ell - 1]
+        left *= scale
+        right *= scale
+        np.testing.assert_allclose(left_apply(u, grid, table), left, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(right_apply(u, grid, table), right, rtol=1e-13, atol=1e-13)
 
     def test_symmetric_function_mirrors(self):
         grid = GridSpec1D(0.0, 1.0, 40)
         x = grid.nodes()
-        u = GridFunction(grid, x**2 * (1 - x) ** 2)
+        u = x**2 * (1 - x) ** 2
         table = kappa_weights(2, 1.5, 40)
-        left = left_apply(u, table).values
-        right = right_apply(u, table).values
+        left = left_apply(u, grid, table)
+        right = right_apply(u, grid, table)
         np.testing.assert_allclose(left[1:-1], right[1:-1][::-1], rtol=1e-12)
 
     def test_table_too_short(self):
         grid = GridSpec1D(0.0, 1.0, 16)
-        u = GridFunction(grid, np.zeros(17))
+        u = np.zeros(17)
         table = kappa_weights(2, 1.5, 8)
         with pytest.raises(TableError):
-            left_apply(u, table)
+            left_apply(u, grid, table)
 
 
 class TestRiesz:
     def test_alpha_domain(self):
         grid = GridSpec1D(0.0, 1.0, 8)
-        u = GridFunction(grid, np.zeros(9))
+        u = np.zeros(9)
         with pytest.raises(DomainError):
-            riesz_apply(u, 2.0, 2)
+            riesz_apply(u, grid, 2.0, 2)
 
     def test_point_matches_full_apply(self):
         rng = np.random.default_rng(3)
         grid = GridSpec1D(0.0, 1.0, 20)
         u = _random_dirichlet(grid, rng)
-        full = riesz_apply(u, 1.3, 2).values
+        full = riesz_apply(u, grid, 1.3, 2)
         for j in (1, 7, 10, 19):
-            assert point_riesz_derivative(u, 1.3, 2, j) == pytest.approx(
+            assert point_riesz_derivative(u, grid, 1.3, 2, j) == pytest.approx(
                 full[j], rel=1e-12
             )
 
     def test_point_index_range(self):
         grid = GridSpec1D(0.0, 1.0, 10)
-        u = GridFunction(grid, np.zeros(11))
+        u = np.zeros(11)
         with pytest.raises(DomainError):
-            point_riesz_derivative(u, 1.5, 2, 0)
+            point_riesz_derivative(u, grid, 1.5, 2, 0)
         with pytest.raises(DomainError):
-            point_riesz_derivative(u, 1.5, 2, 10)
+            point_riesz_derivative(u, grid, 1.5, 2, 10)
 
     @pytest.mark.parametrize("p, alpha", [(3, 1.1), (3, 1.3), (4, 1.2), (4, 1.5), (4, 1.7)])
     def test_growing_weights_are_refused(self, p, alpha):
         # the weights are finite at M = 100 but grow geometrically
         grid = GridSpec1D(0.0, 1.0, 100)
-        u = GridFunction(grid, np.zeros(101))
+        u = np.zeros(101)
         assert np.all(np.isfinite(kappa_weights(p, alpha, 100).values))
         with pytest.raises(DomainError, match="grow geometrically"):
-            riesz_apply(u, alpha, p)
+            riesz_apply(u, grid, alpha, p)
         with pytest.raises(DomainError, match="grow geometrically"):
-            point_riesz_derivative(u, alpha, p, 50)
+            point_riesz_derivative(u, grid, alpha, p, 50)
         with pytest.raises(DomainError, match="grow geometrically"):
             assemble_galpha(alpha, p, 100)
         with pytest.raises(DomainError, match="grow geometrically"):
@@ -145,19 +172,19 @@ class TestRiesz:
     def test_decaying_high_order_weights_are_admitted(self, p, alpha):
         grid = GridSpec1D(0.0, 1.0, 100)
         x = grid.nodes()
-        u = GridFunction(grid, x**2 * (1 - x) ** 2)
-        full = riesz_apply(u, alpha, p).values
+        u = x**2 * (1 - x) ** 2
+        full = riesz_apply(u, grid, alpha, p)
         assert np.all(np.isfinite(full))
-        assert point_riesz_derivative(u, alpha, p, 50) == pytest.approx(full[50], rel=1e-12)
+        assert point_riesz_derivative(u, grid, alpha, p, 50) == pytest.approx(full[50], rel=1e-12)
 
     def test_table1_entry(self):
         # point error at x = 0.5 on the coarsest reference mesh
         grid = GridSpec1D(0.0, 1.0, 20)
         x = grid.nodes()
-        u = GridFunction(grid, x**2 * (1 - x) ** 2)
+        u = x**2 * (1 - x) ** 2
         from rieszfd.harness import example41_exact
 
-        err = abs(point_riesz_derivative(u, 1.5, 2, 10) - example41_exact(1.5))
+        err = abs(point_riesz_derivative(u, grid, 1.5, 2, 10) - example41_exact(1.5))
         assert err == pytest.approx(4.555022e-3, rel=5e-3)
 
 
@@ -206,8 +233,8 @@ class TestMatrix:
         mat = riesz_matrix(1.3, 2, grid)
         for _ in range(20):
             u = _random_dirichlet(grid, rng)
-            by_apply = riesz_apply(u, 1.3, 2).values[1:-1]
-            by_matrix = mat @ u.values[1:-1]
+            by_apply = riesz_apply(u, grid, 1.3, 2)[1:-1]
+            by_matrix = mat @ u[1:-1]
             np.testing.assert_allclose(by_matrix, by_apply, rtol=1e-12, atol=1e-12)
 
     def test_symmetry(self):
