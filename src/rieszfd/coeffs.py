@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from .errors import DomainError, SeriesError, UnsupportedOrderError
 
@@ -397,7 +396,7 @@ def verify_properties(table: CoefficientTable) -> PropertyReport:
     if ell_max >= 3:
         clauses["tail_nonnegative"] = bool(np.min(k[3:]) >= -1e-14)
 
-    constant = -math.sin(math.pi * alpha) * _gamma_fn(alpha + 1.0) / math.pi
+    constant = -math.sin(math.pi * alpha) * math.gamma(alpha + 1.0) / math.pi
     if ell_max >= 10**4 and abs(constant) > 1e-12:
         ratio = float(k[ell_max] * ell_max ** (alpha + 1.0) / constant)
         witnesses["asymptotic_ratio"] = ratio

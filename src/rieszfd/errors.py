@@ -45,5 +45,6 @@ class SizeLimitError(NumericsError):
 
 
 class SingularMatrixError(NumericsError):
-    """A matrix factorization failed; for the Crank-Nicolson system this
-    indicates an internal invariant violation rather than bad input."""
+    """A matrix factorization failed or its Toeplitz generators failed
+    their residual check; for the Crank-Nicolson system this indicates an
+    internal invariant violation rather than bad input."""

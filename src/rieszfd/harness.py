@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from .errors import DomainError
 from .operators import GridSpec1D, point_riesz_derivative
@@ -205,7 +204,7 @@ def example41_exact(alpha: float) -> float:
     sec = 1.0 / math.cos(math.pi * alpha / 2.0)
     return float(
         -((alpha - 1.0) * (alpha - 3.0) * 2.0 ** (alpha - 1.0))
-        / _gamma_fn(5.0 - alpha)
+        / math.gamma(5.0 - alpha)
         * sec
     )
 
@@ -224,11 +223,11 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
     cos_half = math.cos(math.pi * alpha / 2.0)
     gamma_coeffs = np.array(
         [
-            12.0 / _gamma_fn(5.0 - alpha),
-            -240.0 / _gamma_fn(6.0 - alpha),
-            2160.0 / _gamma_fn(7.0 - alpha),
-            -10080.0 / _gamma_fn(8.0 - alpha),
-            20160.0 / _gamma_fn(9.0 - alpha),
+            12.0 / math.gamma(5.0 - alpha),
+            -240.0 / math.gamma(6.0 - alpha),
+            2160.0 / math.gamma(7.0 - alpha),
+            -10080.0 / math.gamma(8.0 - alpha),
+            20160.0 / math.gamma(9.0 - alpha),
         ]
     )
     powers = np.array([4.0 - alpha, 5.0 - alpha, 6.0 - alpha, 7.0 - alpha, 8.0 - alpha])

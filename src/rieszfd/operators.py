@@ -136,19 +136,29 @@ def assemble_galpha(alpha: float, p: int, M: int) -> np.ndarray:
     return toeplitz(first_col, first_row)
 
 
+def _riesz_column(alpha: float, p: int, grid: GridSpec1D) -> np.ndarray:
+    """First column of :func:`riesz_matrix`, in O(M): the matrix is
+    symmetric Toeplitz, with entry d of this column on its d-th sub- and
+    superdiagonals."""
+    if not 1.0 < alpha <= 2.0:
+        raise DomainError(f"riesz matrix requires alpha in (1, 2], got {alpha}")
+    k = _operator_weights(p, alpha, grid.M).values
+    # entry (d, 0) of G + G^T is kappa_{d+1} plus the first row of G
+    column = k[1 : grid.M].copy()
+    column[0] += k[1]
+    column[1] += k[0]
+    column *= riesz_constant(alpha) * grid.h ** (-alpha)
+    return column
+
+
 def riesz_matrix(alpha: float, p: int, grid: GridSpec1D) -> np.ndarray:
     """Dense interior-node Riesz operator matrix C_alpha h**(-alpha) (G + G^T).
 
     ``alpha = 2`` is admitted: the p = 2 kappa weights then reduce to the
-    classical second difference exactly.  At most two m x m arrays are
-    alive at once.
+    classical second difference exactly.  Only the result is an m x m
+    array; it is expanded from :func:`_riesz_column`.
     """
-    if not 1.0 < alpha <= 2.0:
-        raise DomainError(f"riesz matrix requires alpha in (1, 2], got {alpha}")
-    g = assemble_galpha(alpha, p, grid.M)
-    entries = g + g.T
-    entries *= riesz_constant(alpha) * grid.h ** (-alpha)
-    return entries
+    return toeplitz(_riesz_column(alpha, p, grid))
 
 
 def generating_symbol(alpha: float, x):

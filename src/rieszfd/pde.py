@@ -2,13 +2,25 @@
 equation ``u_t + K u_x = K_alpha d^alpha u / d|x|^alpha + f`` with
 homogeneous Dirichlet boundaries.
 
-The implicit matrix is time-independent, so it is LU-factorized once and
-the factorization is reused across every time step.  Because the explicit
-matrix is ``B = 2I - lhs``, a step needs only one triangular solve pair on
-those factors and no matrix-vector product:
+The implicit matrix ``lhs`` is time-independent, so it is factorized once
+and the factorization is reused across every time step.  Because the
+explicit matrix is ``B = 2I - lhs``, a step needs only one solve with
+``lhs`` and no matrix-vector product:
 ``u+ = 2 y - u`` with ``lhs y = u + (tau/2) f``.  The scheme is
 unconditionally stable and second-order accurate in both the time step
 and the mesh size.
+
+``lhs`` is Toeplitz, and the factorization takes one of two paths, chosen
+by the number of intervals M:
+
+* below ``_TOEPLITZ_MIN_M`` (500), a dense LU: O(M**3) setup, O(M**2)
+  memory and an O(M**2) triangular solve pair per step;
+* from ``_TOEPLITZ_MIN_M`` on, the Gohberg-Semencul formula
+  ``lhs^-1 = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)]`` with the generators
+  ``x = lhs^-1 e_0`` and ``y = lhs^-1 e_{m-1}`` (Levinson recursion,
+  O(M**2) setup), O(M) memory, and six real FFTs per step.
+  L(v) and U(v) are the lower and upper triangular Toeplitz matrices with
+  first column and first row v, J reverses and Z shifts down by one.
 """
 
 from __future__ import annotations
@@ -18,11 +30,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor
+from scipy.linalg import LinAlgError, lu_factor, solve_toeplitz
 from scipy.linalg.lapack import dgetrs
 
 from .errors import DomainError, SingularMatrixError, SizeLimitError
-from .operators import GridSpec1D, riesz_matrix
+from .operators import GridSpec1D, _riesz_column, riesz_matrix
 
 __all__ = [
     "AdvectionDiffusionProblem",
@@ -34,9 +46,20 @@ __all__ = [
     "grid_norm",
 ]
 
-# m x m float64 arrays alive at once while assembling: lhs, B and the LU
-# copy of lhs at the end (riesz_matrix holds two of them before that)
+# m x m float64 arrays alive at once on the dense path: lhs, B and the LU
+# copy of lhs
 _ASSEMBLY_PEAK_ARRAYS = 3
+
+# Smallest M on the Toeplitz path.  Measured per step with the example42
+# source on a 2-vCPU x86 machine, dense vs Toeplitz: 90 vs 134 us at
+# M = 420, 156 vs 136 us at M = 500, 218 vs 178 us at M = 580 (dense grows
+# as M**2, the FFTs as M log M).  The Toeplitz setup is the cheaper one at
+# every M (13 vs 5 ms at M = 500).
+_TOEPLITZ_MIN_M = 500
+
+# Largest accepted ||lhs [x y] - [e_0 e_{m-1}]||_inf relative to
+# ||lhs||_inf max|[x y]| for the Levinson generators x and y
+_GENERATOR_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,17 +122,31 @@ class SteppingSystem:
     ``lhs = I + (tau/2)(K C - K_alpha R)`` and
     ``B = I - (tau/2)(K C - K_alpha R)``, where C is the central
     difference matrix and R the Riesz operator matrix; lhs + B = 2I.
-    :func:`step` reads only ``lu``; ``lhs`` and ``B`` are kept for checks.
-    Assembly holds three m x m arrays at its peak (m = M - 1).
+    Both are m x m Toeplitz matrices (m = M - 1).
+
+    Dense path (M < ``_TOEPLITZ_MIN_M``): ``lu`` holds the LU factors,
+    ``lhs`` and ``B`` the dense matrices, and the Toeplitz fields are None.
+    Assembly holds three m x m arrays at its peak.
+
+    Toeplitz path (M >= ``_TOEPLITZ_MIN_M``): ``lu``, ``lhs`` and ``B`` are
+    None; ``column`` and ``row`` hold the first column and row of lhs, and
+    ``spectra`` the FFT spectra of the Gohberg-Semencul factors (see the
+    module docstring), so everything held is O(M).
+
+    :func:`step` reads only ``lu`` or ``spectra``; the rest is kept for
+    checks.
     """
 
-    lu: tuple
-    lhs: np.ndarray
-    B: np.ndarray
+    lu: Optional[tuple]
+    lhs: Optional[np.ndarray]
+    B: Optional[np.ndarray]
     grid: GridSpec1D
     tau: float
     problem: AdvectionDiffusionProblem
     x_interior: np.ndarray
+    column: Optional[np.ndarray] = None
+    row: Optional[np.ndarray] = None
+    spectra: Optional[tuple] = None
 
 
 def _physical_memory_bytes() -> int:
@@ -119,15 +156,29 @@ def _physical_memory_bytes() -> int:
 def assemble_system(
     problem: AdvectionDiffusionProblem, M: int, N: int
 ) -> SteppingSystem:
-    """Build and factorize the Crank-Nicolson stepping system.
+    """Build and factorize the Crank-Nicolson stepping system, densely
+    below ``_TOEPLITZ_MIN_M`` and as Toeplitz generators from there on.
 
     Raises SizeLimitError, before allocating, when the dense assembly
-    would need more than the machine's physical memory.
+    would need more than the machine's physical memory, and
+    SingularMatrixError when the Toeplitz generators fail their residual
+    check.
     """
     if M < 4:
         raise DomainError(f"solver requires M >= 4, got M={M}")
     if N < 1:
         raise DomainError(f"solver requires N >= 1, got N={N}")
+    a, b = problem.domain
+    grid = GridSpec1D(a, b, M)
+    tau = problem.T / N
+    x_interior = grid.nodes()[1:M]
+    if M >= _TOEPLITZ_MIN_M:
+        column, row = _lhs_column_row(problem, grid, tau)
+        spectra = _gohberg_semencul_spectra(column, row)
+        return SteppingSystem(
+            None, None, None, grid, tau, problem, x_interior, column, row, spectra
+        )
+
     m = M - 1
     needed = _ASSEMBLY_PEAK_ARRAYS * m * m * 8
     available = _physical_memory_bytes()
@@ -136,13 +187,10 @@ def assemble_system(
             f"dense assembly at M={M} needs about {needed} bytes, more than "
             f"the {available} bytes of physical memory"
         )
-    a, b = problem.domain
-    grid = GridSpec1D(a, b, M)
-    tau = problem.T / N
-    h = grid.h
 
     # half_a = (tau/2)(K C - K_alpha R) is built in R's buffer, with the
     # same rounding as forming it from dense matrices; C has two bands
+    h = grid.h
     stride = m + 1  # flat step along one diagonal
     half_a = riesz_matrix(problem.alpha, 2, grid)
     np.multiply(half_a, -problem.K_alpha, out=half_a)
@@ -159,8 +207,104 @@ def assemble_system(
         lu = lu_factor(lhs)
     except LinAlgError as exc:  # unreachable for valid alpha; internal invariant
         raise SingularMatrixError(f"stepping matrix factorization failed: {exc}")
-    x_interior = grid.nodes()[1:M]
     return SteppingSystem(lu, lhs, B, grid, tau, problem, x_interior)
+
+
+def _lhs_column_row(
+    problem: AdvectionDiffusionProblem, grid: GridSpec1D, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """First column and first row of lhs in O(M), each entry formed by the
+    same operations in the same order as in the dense assembly, so both
+    are bit-equal to ``lhs[:, 0]`` and ``lhs[0]``."""
+    h = grid.h
+    column = _riesz_column(problem.alpha, 2, grid)
+    np.multiply(column, -problem.K_alpha, out=column)
+    row = column.copy()
+    row[1] += problem.K * (1.0 / (2.0 * h))
+    column[1] += problem.K * (-1.0 / (2.0 * h))
+    column *= tau / 2.0
+    row *= tau / 2.0
+    column[0] += 1.0
+    row[0] = column[0]
+    return column, row
+
+
+def _gohberg_semencul_spectra(column: np.ndarray, row: np.ndarray) -> tuple:
+    """Spectra of the Gohberg-Semencul factors of the Toeplitz matrix with
+    this first column and row, for :func:`_gohberg_semencul_solve`.
+
+    The generators x and y come from the Levinson recursion, are checked by
+    their residual, and get one step of iterative refinement with that
+    residual.  The formula amplifies generator errors: at M = 2000 and
+    alpha = 2, Levinson's generators (6e-13 relative error) gave a step
+    2e-12 off, the refined ones 7e-15.
+    """
+    m = len(column)
+    unit = np.zeros((m, 2))
+    unit[0, 0] = unit[-1, 1] = 1.0
+    try:
+        generators = solve_toeplitz((column, row), unit).T
+    except LinAlgError as exc:  # lhs has a positive definite symmetric part
+        raise SingularMatrixError(f"Toeplitz generator solve failed: {exc}")
+    # n >= 2m keeps every product's first m entries free of circular wrap
+    n = 1 << (2 * m - 1).bit_length()
+    residual = _generator_residual(column, row, generators, n)
+    error = float(np.max(np.abs(residual)))
+    lhs_norm = float(np.sum(np.abs(column)) + np.sum(np.abs(row[1:])))
+    bound = _GENERATOR_RTOL * lhs_norm * float(np.max(np.abs(generators)))
+    if not error <= bound:  # NaN fails too
+        raise SingularMatrixError(
+            "Toeplitz generators fail the residual check: "
+            f"||lhs [x y] - [e_0 e_m-1]||_inf = {error:.3g} > {bound:.3g}"
+        )
+    spectra = _factor_spectra(generators, n)
+    generators -= [_gohberg_semencul_solve(spectra, r) for r in residual]
+    return _factor_spectra(generators, n)
+
+
+def _generator_residual(
+    column: np.ndarray, row: np.ndarray, generators: np.ndarray, n: int
+) -> np.ndarray:
+    """Rows ``lhs x - e_0`` and ``lhs y - e_{m-1}``, from an FFT product with
+    the length-n circulant that embeds lhs.  It runs in long double:
+    a float64 residual is as inexact as the generators and refines nothing
+    (where long double is float64, the refinement gains nothing)."""
+    m = len(column)
+    embedding = np.zeros(n, dtype=np.longdouble)
+    embedding[:m] = column
+    embedding[n - m + 1 :] = row[:0:-1]
+    spectrum = np.fft.rfft(embedding) * np.fft.rfft(generators.astype(np.longdouble), n)
+    product = np.fft.irfft(spectrum, n)[:, :m]
+    product[0, 0] -= 1.0
+    product[1, -1] -= 1.0
+    return product.astype(float)
+
+
+def _factor_spectra(generators: np.ndarray, n: int) -> tuple:
+    """``(lower, upper)``: rows of ``lower`` are the length-n FFTs of x and
+    Z y over x_0, rows of ``upper`` the conjugated FFTs of J y and Z J x
+    (conjugation turns the circular convolution into the correlation that
+    an upper triangular Toeplitz product is)."""
+    x, y = generators
+    m = len(x)
+    lower = np.zeros((2, m))
+    lower[0] = x
+    lower[1, 1:] = y[:-1]
+    upper = np.zeros((2, m))
+    upper[0] = y[::-1]
+    upper[1, 1:] = x[:0:-1]
+    return np.fft.rfft(lower, n) / x[0], np.conj(np.fft.rfft(upper, n))
+
+
+def _gohberg_semencul_solve(spectra: tuple, b: np.ndarray) -> np.ndarray:
+    """``lhs^-1 b = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)] b`` in six real
+    FFTs: one of b, two inverse and two forward for the two upper
+    triangular products, and one inverse for the difference."""
+    lower, upper = spectra
+    n = 2 * (lower.shape[1] - 1)
+    m = len(b)
+    products = np.fft.rfft(np.fft.irfft(upper * np.fft.rfft(b, n), n)[:, :m], n)
+    return np.fft.irfft(lower[0] * products[0] - lower[1] * products[1], n)[:m]
 
 
 def step(system: SteppingSystem, u_k: np.ndarray, t_k: float) -> np.ndarray:
@@ -168,6 +312,8 @@ def step(system: SteppingSystem, u_k: np.ndarray, t_k: float) -> np.ndarray:
     half level t_k + tau/2: ``2 y - u_k`` with ``lhs y = u_k + (tau/2) f``."""
     half = system.tau / 2.0
     f = np.asarray(system.problem.source(system.x_interior, t_k + half), dtype=float)
+    if system.spectra is not None:
+        return 2.0 * _gohberg_semencul_solve(system.spectra, u_k + half * f) - u_k
     lu, piv = system.lu
     y, info = dgetrs(lu, piv, u_k + half * f, overwrite_b=True)
     if info != 0:  # only an illegal argument sets it; internal invariant
@@ -176,9 +322,10 @@ def step(system: SteppingSystem, u_k: np.ndarray, t_k: float) -> np.ndarray:
 
 
 def _require_finite(u: np.ndarray, t: float) -> None:
-    """``2 y - u`` keeps every NaN or inf of ``u``, and the dense factors
-    spread one from the right-hand side, so checking the final level
-    covers the whole run."""
+    """``2 y - u`` keeps every NaN or inf of ``u``, and both solvers spread
+    one from the right-hand side to all of ``y`` (the dense path through
+    its triangular substitutions, the Toeplitz path through its FFTs, which
+    mix every entry), so checking the final level covers the whole run."""
     if not np.all(np.isfinite(u)):
         raise DomainError(
             f"solution is not finite at t={t!r}; the source or the initial "

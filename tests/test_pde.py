@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_solve
 
+import rieszfd.cli
+import rieszfd.harness
 import rieszfd.pde
 from rieszfd import (
     AdvectionDiffusionProblem,
     DomainError,
     NumericsError,
+    SingularMatrixError,
     SizeLimitError,
     assemble_system,
     example42_problem,
@@ -18,6 +21,8 @@ from rieszfd import (
     solve,
     step,
 )
+
+CROSSOVER = rieszfd.pde._TOEPLITZ_MIN_M
 
 
 def _zero_problem(alpha, T=1.0, K=2.0):
@@ -102,10 +107,25 @@ class TestAssembly:
         def no_assembly(*args):
             raise AssertionError("assembly started despite the size guard")
 
+        # 3 m**2 8 bytes exceed 1 MiB from M = 211 on; M = 400 is dense
+        assert 211 < 400 < CROSSOVER
         monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: 1 << 20)
         monkeypatch.setattr(rieszfd.pde, "riesz_matrix", no_assembly)
         with pytest.raises(SizeLimitError):
-            assemble_system(example42_problem(1.5), 1000, 10)
+            assemble_system(example42_problem(1.5), 400, 10)
+
+    def test_toeplitz_path_needs_no_dense_memory(self, monkeypatch):
+        def no_dense(*args, **kwargs):
+            raise AssertionError("the Toeplitz path used the dense assembly")
+
+        monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(rieszfd.pde, "riesz_matrix", no_dense)
+        monkeypatch.setattr(rieszfd.pde, "lu_factor", no_dense)
+        problem = example42_problem(1.5)
+        system = assemble_system(problem, CROSSOVER, 10)
+        assert system.lu is system.lhs is system.B is None
+        u = step(system, problem.initial(system.x_interior), 0.0)
+        assert u.shape == (CROSSOVER - 1,) and np.all(np.isfinite(u))
 
     def test_size_guard_counts_three_arrays(self, monkeypatch):
         needed = 3 * 9 * 9 * 8
@@ -146,10 +166,11 @@ class TestStep:
             assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_reads_only_the_factors(self):
-        system = assemble_system(example42_problem(1.6), 32, 10)
-        bare = dataclasses.replace(system, lhs=None, B=None)
-        u = system.problem.initial(system.x_interior)
-        np.testing.assert_array_equal(step(bare, u, 0.3), step(system, u, 0.3))
+        for M, unread in ((32, ("lhs", "B")), (CROSSOVER, ("column", "row"))):
+            system = assemble_system(example42_problem(1.6), M, 10)
+            bare = dataclasses.replace(system, **dict.fromkeys(unread))
+            u = system.problem.initial(system.x_interior)
+            np.testing.assert_array_equal(step(bare, u, 0.3), step(system, u, 0.3))
 
     def test_zero_stays_zero(self):
         system = assemble_system(_zero_problem(1.5), 16, 4)
@@ -178,6 +199,70 @@ class TestStep:
         u = step(system, problem.exact(x, 0.0), 0.0)
         defect = np.max(np.abs(u - problem.exact(x, system.tau)))
         assert defect <= 10.0 * 1.238098e-4
+
+
+def _dense_system(monkeypatch, problem, M, N):
+    with monkeypatch.context() as patch:
+        patch.setattr(rieszfd.pde, "_TOEPLITZ_MIN_M", M + 1)
+        return assemble_system(problem, M, N)
+
+
+class TestToeplitzPath:
+    @pytest.mark.parametrize("M", (CROSSOVER, 1000, 2000))
+    def test_matches_dense_lu_step_for_step(self, monkeypatch, M):
+        # observed max |step difference| / max |u|: 3.3e-15 (alpha 1.2) to
+        # 3.5e-13 (M = 2000, alpha 2); the dense solves' own roundoff
+        # dominates it
+        N = 50
+        for alpha in (1.2, 1.5, 1.8, 2.0):
+            for K in (0.0, 2.0):
+                problem = dataclasses.replace(_sine_problem(alpha), K=K)
+                system = assemble_system(problem, M, N)
+                dense = _dense_system(monkeypatch, problem, M, N)
+                assert system.lhs is None and dense.spectra is None
+                assert np.array_equal(system.column, dense.lhs[:, 0])
+                assert np.array_equal(system.row, dense.lhs[0])
+                tau, x = system.tau, system.x_interior
+                inputs = np.empty((N, M - 1))
+                outputs = np.empty((N, M - 1))
+                u = problem.initial(x)
+                for k in range(N):
+                    inputs[k] = u
+                    u = outputs[k] = step(system, u, k * tau)
+                # the dense steps from the same inputs, batched
+                f = np.array([problem.source(x, (k + 0.5) * tau) for k in range(N)])
+                ref = 2.0 * lu_solve(dense.lu, (inputs + (tau / 2.0) * f).T).T - inputs
+                assert np.max(np.abs(outputs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_holds_only_linear_memory(self):
+        system = assemble_system(example42_problem(1.5), 3000, 300)
+        held = [system.column, system.row, *system.spectra]
+        assert sum(a.nbytes for a in held) < 64 * 3000 * 8
+
+    def test_perturbed_generators_are_refused(self, monkeypatch):
+        solve_toeplitz = rieszfd.pde.solve_toeplitz
+
+        def perturbed(*args):
+            return solve_toeplitz(*args) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(rieszfd.pde, "solve_toeplitz", perturbed)
+        with pytest.raises(SingularMatrixError):
+            assemble_system(example42_problem(1.5), CROSSOVER, 10)
+        argv = ["solve", "--alpha", "1.5", "--M", str(CROSSOVER), "--N", "2"]
+        assert rieszfd.cli.run(argv) == 1
+
+    def test_non_finite_source_is_an_error(self, monkeypatch, capsys):
+        def nan_problem(alpha):
+            return dataclasses.replace(
+                _zero_problem(alpha), source=lambda x, t: np.full_like(x, np.nan)
+            )
+
+        with pytest.raises(DomainError):
+            solve(nan_problem(1.5), CROSSOVER, 3)
+        monkeypatch.setattr(rieszfd.harness, "example42_problem", nan_problem)
+        argv = ["solve", "--alpha", "1.5", "--M", str(CROSSOVER), "--N", "3"]
+        assert rieszfd.cli.run(argv) == 1
+        assert capsys.readouterr().out == ""
 
 
 def _reference_solve(problem, M, N, keep):

@@ -1,7 +1,7 @@
 """Property tests over random inputs: cross-method weight agreement, the
-left/right reflection identity, the Crank-Nicolson identity ``lhs + B = 2I``
-and a non-increasing energy norm without a source.  Derandomized, so every
-run draws the same examples."""
+Riesz operator against its dense matrix, the Crank-Nicolson identity
+``lhs + B = 2I`` and a non-increasing energy norm without a source.
+Derandomized, so every run draws the same examples."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -15,8 +15,8 @@ from rieszfd import (
     grid_norm,
     kappa_polynomial,
     kappa_weights,
-    left_apply,
-    right_apply,
+    riesz_apply,
+    riesz_matrix,
     step,
 )
 from rieszfd.coeffs import _grows
@@ -47,12 +47,15 @@ def dirichlet_functions(draw):
 
 @PROPERTY
 @given(u=dirichlet_functions(), p=orders, alpha=alphas)
-def test_right_apply_mirrors_left_apply(u, p, alpha):
+def test_riesz_apply_matches_riesz_matrix(u, p, alpha):
+    # np.convolve against the dense Toeplitz matrix product, entry by
+    # entry within a few roundoffs of the summed term magnitudes
+    assume(not _grows(kappa_polynomial(p, alpha)))
     grid = GridSpec1D(0.0, 1.0, len(u) - 1)
-    table = kappa_weights(p, alpha, grid.M)
-    right = right_apply(u, grid, table)
-    left_of_mirror = left_apply(u[::-1], grid, table)[::-1]
-    np.testing.assert_allclose(right, left_of_mirror, rtol=1e-13, atol=1e-13)
+    interior = u[1 : grid.M]
+    matrix = riesz_matrix(alpha, p, grid)
+    error = np.abs(riesz_apply(u, grid, alpha, p)[1 : grid.M] - matrix @ interior)
+    assert np.all(error <= 1e-13 * (np.abs(matrix) @ np.abs(interior)))
 
 
 @PROPERTY
