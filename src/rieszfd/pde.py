@@ -341,9 +341,21 @@ def solve(
     ``keep="all"`` retains every time level (for error surfaces) in one
     (N+1) x (M+1) array, filled in place; ``keep="final"`` retains only
     t = T to bound memory.
+
+    Raises SizeLimitError, before assembling anything, when the
+    ``keep="all"`` array would need more than the machine's physical
+    memory.
     """
     if keep not in ("all", "final"):
         raise DomainError(f"keep must be 'all' or 'final', got {keep!r}")
+    if keep == "all":
+        needed = (N + 1) * (M + 1) * 8
+        available = _physical_memory_bytes()
+        if needed > available:
+            raise SizeLimitError(
+                f"keeping all {N + 1} levels at M={M} needs about {needed} bytes, "
+                f"more than the {available} bytes of physical memory"
+            )
     system = assemble_system(problem, M, N)
     grid = system.grid
     tau = system.tau

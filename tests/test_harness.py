@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import threading
+import time
 from math import gamma
 
 import numpy as np
@@ -119,6 +121,12 @@ class TestExample42Problem:
         check(first)
         first *= 0.75  # in place: the cache must hold its own copy of the nodes
         check(first)
+        check(first.reshape(-1, 1))  # same bytes, another shape
+        check(np.array([-0.0, 0.0, 0.25, 1.0]))
+        check(np.array([0.0, -0.0, 0.25, 1.0]))
+        strided = np.zeros((len(first), 2))
+        strided[:, 0] = first
+        check(strided[:, 0])  # first's values as a non-contiguous view
 
     def test_initial_and_boundaries(self):
         problem = example42_problem(1.4)
@@ -212,6 +220,54 @@ class TestConvergenceStudy:
             rieszfd.harness._solver_error(1.5, 10, 20)
         argv = ["solve", "--alpha", "1.5", "--M", "10", "--N", "20"]
         assert rieszfd.cli.run(argv + ["--out", str(tmp_path / "u.csv")]) == 1
+
+
+def _reference_solver_error(alpha, M, N):
+    """Verbatim copy of ``_solver_error`` before it passed the interior
+    nodes along and reduced with ``ndarray.max``; the reference for it."""
+    problem = rieszfd.harness.example42_problem(alpha)
+    system = rieszfd.harness.assemble_system(problem, M, N)
+    x = system.grid.nodes()
+    tau = system.tau
+    u = np.asarray(problem.initial(x), dtype=float)[1:M]
+    worst = 0.0
+    for k in range(N):
+        u = rieszfd.harness.step(system, u, k * tau)
+        exact = problem.exact(x[1:M], (k + 1) * tau)
+        worst = max(worst, float(np.max(np.abs(u - exact))))
+    return worst
+
+
+class TestSolverError:
+    @pytest.mark.parametrize("alpha, M, N", [(1.4, 40, 200), (1.6, 1000, 10)])
+    def test_matches_reference_loop(self, alpha, M, N):
+        # a dense cell and a Toeplitz cell
+        error = rieszfd.harness._solver_error(alpha, M, N)
+        assert error == _reference_solver_error(alpha, M, N)
+
+    def test_cells_run_one_at_a_time(self, monkeypatch):
+        real = rieszfd.harness._solver_error
+        lock = threading.Lock()
+        running = [0]
+        most = [0]
+
+        def counted(*args):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(0.01)  # widen the window for an overlapping cell
+                return real(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(rieszfd.harness, "_solver_error", counted)
+        report = convergence_study(
+            "spatial_table3", alphas=[1.5], resolutions=[1 / 10, 1 / 20, 1 / 40]
+        )
+        assert len(report.rows) == 3
+        assert most[0] == 1
 
 
 class TestErrorSurface:

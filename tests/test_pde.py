@@ -135,6 +135,34 @@ class TestAssembly:
         with pytest.raises(SizeLimitError):
             assemble_system(example42_problem(1.5), 10, 5)
 
+    def test_snapshot_guard_refuses_before_assembly(self, monkeypatch, capsys):
+        class AssemblyStarted(Exception):
+            pass
+
+        def no_assembly(*args):
+            raise AssemblyStarted
+
+        # keep="all" at M = 600, N = 10**7 needs (N+1)(M+1) 8 bytes, 44.8 GiB
+        needed = (10**7 + 1) * 601 * 8
+        monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: needed - 1)
+        monkeypatch.setattr(rieszfd.pde, "assemble_system", no_assembly)
+        problem = example42_problem(1.5)
+        with pytest.raises(SizeLimitError):
+            solve(problem, 600, 10**7, keep="all")
+        with pytest.raises(AssemblyStarted):  # the guard is for keep="all" only
+            solve(problem, 600, 10**7, keep="final")
+        monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: needed)
+        with pytest.raises(AssemblyStarted):
+            solve(problem, 600, 10**7, keep="all")
+
+        monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: needed - 1)
+        size = ["--alpha", "1.5", "--M", "600", "--N", str(10**7)]
+        for argv in (["solve", *size, "--keep", "all"], ["surface", *size]):
+            assert rieszfd.cli.run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 def _explicit_matrix_step(system, u, t):
     """The explicit-matrix step ``lhs^-1 (B u + tau f)``, kept as the

@@ -1,7 +1,9 @@
 """Property tests over random inputs: cross-method weight agreement, the
-Riesz operator against its dense matrix, the Crank-Nicolson identity
-``lhs + B = 2I`` and a non-increasing energy norm without a source.
-Derandomized, so every run draws the same examples."""
+Riesz operator against its dense matrix, its alpha -> 2 limit, the
+Crank-Nicolson identity ``lhs + B = 2I`` and a non-increasing energy norm
+without a source.  Derandomized, so every run draws the same examples."""
+
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -56,6 +58,24 @@ def test_riesz_apply_matches_riesz_matrix(u, p, alpha):
     matrix = riesz_matrix(alpha, p, grid)
     error = np.abs(riesz_apply(u, grid, alpha, p)[1 : grid.M] - matrix @ interior)
     assert np.all(error <= 1e-13 * (np.abs(matrix) @ np.abs(interior)))
+
+
+# Largest ratio of the two sides of the alpha -> 2 bound below, measured
+# on M = 4 .. 64 and 25 log-spaced delta in [1e-9, 1e-3]: 1.105 at M = 4,
+# falling with M to 1.049 at M = 64, and flat in delta
+_LIMIT_C = 1.2
+
+
+@PROPERTY
+@given(M=st.integers(4, 64), exponent=st.floats(-9.0, -3.0))
+def test_riesz_matrix_approaches_its_alpha_2_limit(M, exponent):
+    # h**-alpha moves by delta |ln h| relative, the weights by O(delta)
+    delta = 10.0**exponent
+    grid = GridSpec1D(0.0, 1.0, M)
+    limit = riesz_matrix(2.0, 2, grid)
+    gap = np.max(np.abs(riesz_matrix(2.0 - delta, 2, grid) - limit))
+    scale = delta * (1.0 + abs(math.log(grid.h))) * np.max(np.abs(limit))
+    assert gap <= _LIMIT_C * scale
 
 
 @PROPERTY
