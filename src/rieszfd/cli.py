@@ -10,10 +10,13 @@ output file included), 2 on a usage error.  Diagnostics go to stderr; data
 goes to the output path or stdout.  Numeric output uses 17 significant
 digits and LF line endings so repeated runs are byte-identical.
 
-``solve`` and ``surface`` stream their CSV one time level at a time, so
-``--keep all`` holds the (N+1) x (M+1) float solution array but never a
-string per cell.  JSON output never carries NaN or infinity: a non-finite
-value is a numerical-domain error.
+``solve`` and ``surface`` stream their CSV in blocks of rows, one write
+each, so ``--keep all`` holds the (N+1) x (M+1) float solution array but
+never a string per cell.  Their value cells, and the CSVs of ``coeffs``
+and ``spectrum --out``, are formatted by the vectorized ``_g17`` module,
+whose bytes equal ``"%.17g" % v``: a value whose digits its fast path
+cannot settle goes through ``"%.17g" % v`` itself.  JSON output never
+carries NaN or infinity: a non-finite value is a numerical-domain error.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import _g17
 from . import coeffs as _coeffs
 from . import harness as _harness
 from .errors import NumericsError
@@ -72,16 +76,36 @@ def _write_json(payload, path: str | None) -> None:
 
 
 def _write_levels(out, header: list[str], sol, columns) -> None:
-    """Write ``sol`` as long-format CSV, one time level at a time: a row
-    ``t,x,*columns(x, t, u)`` per node, where ``columns`` returns one array
-    per remaining column given the nodes, the level's time and its values."""
+    """Write ``sol`` as long-format CSV: a row ``t,x,*columns(x, t, u)`` per
+    node and time level, where ``columns`` returns one array per remaining
+    column given the nodes, the level's time and its values.  The ``t`` and
+    ``x`` cells are formatted once; the rest go out in blocks of at most
+    ``_g17.BLOCK_ROWS`` rows, one ``write`` each, which may split a level."""
     out.write(",".join(header) + "\n")
     x = sol.grid.nodes()
-    xs = [_fmt(v) for v in x.tolist()]
-    for t, u in zip(sol.times, sol.snapshots):
-        cols = columns(x, t, u)
-        row = _fmt(t) + ",%s" + ",%.17g" * len(cols) + "\n"
-        out.write("".join([row % cells for cells in zip(xs, *[c.tolist() for c in cols])]))
+    m = len(x)
+    ts = _g17.padded([_fmt(t) + "," for t in sol.times.tolist()])
+    xs = _g17.padded([_fmt(v) + "," for v in x.tolist()])
+    wt = ts.shape[1]
+    size = min(_g17.BLOCK_ROWS, m * len(ts))
+    rows = _g17.Rows(size, len(header) - 2, wt + xs.shape[1])
+    values = np.empty((size, len(header) - 2))
+    n = 0  # rows filled in the block
+    for t_cell, t, u in zip(ts, sol.times, sol.snapshots):
+        level = np.column_stack(columns(x, t, u))
+        j = 0
+        while j < m:
+            take = min(m - j, size - n)
+            values[n : n + take] = level[j : j + take]
+            rows.prefix[n : n + take, :wt] = t_cell
+            rows.prefix[n : n + take, wt:] = xs[j : j + take]
+            n += take
+            j += take
+            if n == size:
+                out.write(rows.text(values))
+                n = 0
+    if n:
+        out.write(rows.text(values[:n]))
 
 
 def _float_list(text: str) -> list[float]:
@@ -241,7 +265,7 @@ def _cmd_spectrum(args) -> None:
         fs = generating_symbol(args.alpha, xs)
         with _open_out(args.out) as out:
             out.write("x,f_alpha_x\n")
-            out.write("".join(["%.17g,%.17g\n" % row for row in zip(xs.tolist(), fs.tolist())]))
+            _g17.write_rows(out, np.column_stack([xs, fs]))
     record = {"alpha": args.alpha, "M": args.M, "min_eig": lo, "max_eig": hi}
     _write_json(record, None)
 

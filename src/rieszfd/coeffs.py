@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _g17
 from .errors import DomainError, SeriesError, UnsupportedOrderError
 
 __all__ = [
@@ -78,7 +79,9 @@ class CoefficientTable:
     def write_csv(self, stream) -> None:
         """Write the table as ``ell,value`` rows, 17 significant digits."""
         stream.write("ell,value\n")
-        stream.write("".join(["%d,%.17g\n" % row for row in enumerate(self.values.tolist())]))
+        # "%.17g" of a float index below 10**17 is "%d" of the index
+        ell = np.arange(len(self.values), dtype=np.float64)
+        _g17.write_rows(stream, np.column_stack([ell, self.values]))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,8 @@ class TableError(NumericsError):
 
 
 class SizeLimitError(NumericsError):
-    """A dense-linear-algebra size limit was exceeded."""
+    """A size limit was exceeded: memory for a dense or a kept-levels array,
+    or the quadratic time of the Toeplitz setup."""
 
 
 class SingularMatrixError(NumericsError):

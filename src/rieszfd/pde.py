@@ -15,7 +15,8 @@ by the number of intervals M:
 
 * below ``_TOEPLITZ_MIN_M`` (500), a dense LU: O(M**3) setup, O(M**2)
   memory and an O(M**2) triangular solve pair per step;
-* from ``_TOEPLITZ_MIN_M`` on, the Gohberg-Semencul formula
+* from ``_TOEPLITZ_MIN_M`` to ``_TOEPLITZ_MAX_M`` (10**5, above which
+  ``assemble_system`` refuses), the Gohberg-Semencul formula
   ``lhs^-1 = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)]`` with the generators
   ``x = lhs^-1 e_0`` and ``y = lhs^-1 e_{m-1}`` (Levinson recursion,
   O(M**2) setup), O(M) memory, and six real FFTs per step.
@@ -56,6 +57,11 @@ _ASSEMBLY_PEAK_ARRAYS = 3
 # as M**2, the FFTs as M log M).  The Toeplitz setup is the cheaper one at
 # every M (13 vs 5 ms at M = 500).
 _TOEPLITZ_MIN_M = 500
+
+# Largest M on the Toeplitz path.  Its Levinson setup is O(M**2) in time:
+# 0.62 s at M = 10**4 and 2.03 s at 2 * 10**4 on a 2-vCPU x86 machine,
+# which extrapolates to about 50 s at 10**5 and over an hour at 10**6.
+_TOEPLITZ_MAX_M = 100_000
 
 # Largest accepted ||lhs [x y] - [e_0 e_{m-1}]||_inf relative to
 # ||lhs||_inf max|[x y]| for the Levinson generators x and y
@@ -160,14 +166,19 @@ def assemble_system(
     below ``_TOEPLITZ_MIN_M`` and as Toeplitz generators from there on.
 
     Raises SizeLimitError, before allocating, when the dense assembly
-    would need more than the machine's physical memory, and
-    SingularMatrixError when the Toeplitz generators fail their residual
-    check.
+    would need more than the machine's physical memory, and before any
+    quadratic work when M exceeds ``_TOEPLITZ_MAX_M``; SingularMatrixError
+    when the Toeplitz generators fail their residual check.
     """
     if M < 4:
         raise DomainError(f"solver requires M >= 4, got M={M}")
     if N < 1:
         raise DomainError(f"solver requires N >= 1, got N={N}")
+    if M > _TOEPLITZ_MAX_M:
+        raise SizeLimitError(
+            f"M={M} exceeds {_TOEPLITZ_MAX_M}: the Toeplitz setup (Levinson "
+            "recursion) is quadratic in M, about 50 s at M=100000"
+        )
     a, b = problem.domain
     grid = GridSpec1D(a, b, M)
     tau = problem.T / N

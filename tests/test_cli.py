@@ -2,18 +2,20 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rieszfd.cli
 from rieszfd.cli import run
 from rieszfd.coeffs import gl_weights, kappa_weights, lubich_weights, wsgd_weights
 from rieszfd.harness import error_surface, example42_problem
-from rieszfd.operators import GridSpec1D
+from rieszfd.operators import GridSpec1D, generating_symbol
 from rieszfd.pde import solve
 
 
@@ -275,6 +277,21 @@ class TestSpectrum:
         assert lines[0] == "x,f_alpha_x"
         assert len(lines) == 1 + 1024
 
+    @pytest.mark.parametrize("samples", [1024, 7])
+    @pytest.mark.parametrize("alpha", [1.5, 1.9])
+    def test_csv_matches_per_row_writer(self, tmp_path, capsys, alpha, samples):
+        path = tmp_path / "symbol.csv"
+        argv = ["spectrum", "--alpha", str(alpha), "--symbol-samples", str(samples),
+                "--out", str(path)]
+        assert _run_capture(capsys, argv)[0] == 0
+        # verbatim copy of the original per-row spectrum writer
+        xs = np.linspace(-math.pi, math.pi, samples)
+        fs = generating_symbol(alpha, xs)
+        expected = io.StringIO()
+        expected.write("x,f_alpha_x\n")
+        expected.write("".join(["%.17g,%.17g\n" % row for row in zip(xs.tolist(), fs.tolist())]))
+        assert path.read_bytes() == expected.getvalue().encode("ascii")
+
 
 class TestConvergence:
     def test_table1_row(self, capsys):
@@ -333,8 +350,17 @@ class TestByteIdentity:
             ["surface", "--alpha", "1.7", "--M", "25", "--N", "11"],
             lambda: _reference_surface(1.7, 25, 11),
         ),
+        # Toeplitz path; 601 x 8 rows fill four CSV blocks and part of a fifth
+        (
+            ["solve", "--alpha", "1.5", "--M", "600", "--N", "7", "--keep", "all"],
+            lambda: _reference_solve(example42_problem(1.5), 600, 7, "all"),
+        ),
+        (
+            ["surface", "--alpha", "1.9", "--M", "600", "--N", "7"],
+            lambda: _reference_surface(1.9, 600, 7),
+        ),
     ]
-    IDS = ["solve-all", "solve-final", "solve-zero", "surface"]
+    IDS = ["solve-all", "solve-final", "solve-zero", "surface", "solve-blocks", "surface-blocks"]
 
     @pytest.mark.parametrize("argv,reference", CASES, ids=IDS)
     def test_stdout(self, capsys, argv, reference):

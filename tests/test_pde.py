@@ -163,6 +163,30 @@ class TestAssembly:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_toeplitz_limit_refuses_before_setup(self, monkeypatch, capsys):
+        class SetupStarted(Exception):
+            pass
+
+        def no_setup(*args):
+            raise SetupStarted
+
+        # the Levinson setup is quadratic in M: it is never run at the limit
+        limit = rieszfd.pde._TOEPLITZ_MAX_M
+        assert limit == 10**5
+        monkeypatch.setattr(rieszfd.pde, "solve_toeplitz", no_setup)
+        problem = example42_problem(1.5)
+        with pytest.raises(SizeLimitError, match="quadratic"):
+            assemble_system(problem, limit + 1, 1)
+        with pytest.raises(SetupStarted):
+            assemble_system(problem, limit, 1)
+        for argv in (["solve", "--alpha", "1.5", "--M", str(limit + 1), "--N", "1"],
+                     ["surface", "--alpha", "1.5", "--M", str(10**6), "--N", "1"]):
+            assert rieszfd.cli.run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "quadratic" in captured.err
+
 
 def _explicit_matrix_step(system, u, t):
     """The explicit-matrix step ``lhs^-1 (B u + tau f)``, kept as the
