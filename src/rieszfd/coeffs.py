@@ -219,14 +219,18 @@ def series_fractional_power(a: np.ndarray, alpha: float, count: int) -> np.ndarr
     if a[0] == 0.0:
         raise SeriesError("leading series coefficient is zero")
     d = len(a) - 1
-    c = np.zeros(count + 1)
-    c[0] = a[0] ** alpha
+    # Python floats round exactly as float64 scalars do, at half the cost
+    # per operation; a0**alpha stays a numpy power (NaN, not complex, for
+    # a0 < 0)
+    c = [float(a[0] ** alpha)]
+    a = a.tolist()
+    weight = [k * (alpha + 1.0) for k in range(d + 1)]
     for ell in range(1, count + 1):
         s = 0.0
         for k in range(1, min(ell, d) + 1):
-            s += (k * (alpha + 1.0) - ell) * a[k] * c[ell - k]
-        c[ell] = s / (ell * a[0])
-    return c
+            s += (weight[k] - ell) * a[k] * c[ell - k]
+        c.append(s / (ell * a[0]))
+    return np.array(c)
 
 
 def _kappa_convolution(a: np.ndarray, alpha: float, count: int) -> np.ndarray:

@@ -46,6 +46,7 @@ class SizeLimitError(NumericsError):
 
 
 class SingularMatrixError(NumericsError):
-    """A matrix factorization failed or its Toeplitz generators failed
-    their residual check; for the Crank-Nicolson system this indicates an
-    internal invariant violation rather than bad input."""
+    """A matrix inversion or the Toeplitz generator recursion broke down,
+    or the result failed its residual check; for the Crank-Nicolson
+    system this indicates an internal invariant violation rather than bad
+    input."""

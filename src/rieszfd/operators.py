@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, toeplitz
 
 from .coeffs import CoefficientTable, _grows, kappa_polynomial, kappa_weights
 from .errors import DomainError, SizeLimitError, TableError
@@ -123,6 +122,14 @@ def point_riesz_derivative(u: np.ndarray, grid: GridSpec1D, alpha: float, p: int
     return riesz_constant(alpha) * grid.h ** (-alpha) * (left + right)
 
 
+def _toeplitz(column: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The matrix with entries ``column[i - j]`` on and below the diagonal
+    and ``row[j - i]`` above it (``row[0]`` is not read): row i is the
+    reversed length-len(row) window of ``[row[:0:-1], column]`` at i."""
+    values = np.concatenate((row[:0:-1], column))
+    return np.lib.stride_tricks.sliding_window_view(values, len(row))[:, ::-1].copy()
+
+
 def assemble_galpha(alpha: float, p: int, M: int) -> np.ndarray:
     """Lower-Hessenberg Toeplitz matrix with entry (i, j) = kappa_{i-j+1}
     over the M-1 interior nodes (first superdiagonal kappa_0)."""
@@ -133,7 +140,7 @@ def assemble_galpha(alpha: float, p: int, M: int) -> np.ndarray:
     first_row = np.zeros(M - 1)
     first_row[0] = k[1]
     first_row[1] = k[0]
-    return toeplitz(first_col, first_row)
+    return _toeplitz(first_col, first_row)
 
 
 def _riesz_column(alpha: float, p: int, grid: GridSpec1D) -> np.ndarray:
@@ -158,7 +165,8 @@ def riesz_matrix(alpha: float, p: int, grid: GridSpec1D) -> np.ndarray:
     classical second difference exactly.  Only the result is an m x m
     array; it is expanded from :func:`_riesz_column`.
     """
-    return toeplitz(_riesz_column(alpha, p, grid))
+    column = _riesz_column(alpha, p, grid)
+    return _toeplitz(column, column)
 
 
 def generating_symbol(alpha: float, x):
@@ -196,5 +204,5 @@ def spectral_bounds(alpha: float, p: int, M: int) -> tuple[float, float]:
     if M > 512:
         raise SizeLimitError(f"dense eigensolve limited to M <= 512, got M={M}")
     g = assemble_galpha(alpha, p, M)
-    eigs = eigh(g + g.T, eigvals_only=True)
+    eigs = np.linalg.eigvalsh(g + g.T)
     return float(eigs[0]), float(eigs[-1])

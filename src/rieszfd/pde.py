@@ -2,37 +2,41 @@
 equation ``u_t + K u_x = K_alpha d^alpha u / d|x|^alpha + f`` with
 homogeneous Dirichlet boundaries.
 
-The implicit matrix ``lhs`` is time-independent, so it is factorized once
-and the factorization is reused across every time step.  Because the
-explicit matrix is ``B = 2I - lhs``, a step needs only one solve with
-``lhs`` and no matrix-vector product:
+The implicit matrix ``lhs`` is time-independent, so it is inverted once
+and the inverse is reused across every time step.  Because the explicit
+matrix is ``B = 2I - lhs``, a step needs only one solve with ``lhs`` and
+no product with ``B``:
 ``u+ = 2 y - u`` with ``lhs y = u + (tau/2) f``.  The scheme is
 unconditionally stable and second-order accurate in both the time step
 and the mesh size.
 
-``lhs`` is Toeplitz, and the factorization takes one of two paths, chosen
-by the number of intervals M:
+``lhs`` is Toeplitz, and its inverse takes one of two forms, chosen by
+the number of intervals M:
 
-* below ``_TOEPLITZ_MIN_M`` (500), a dense LU: O(M**3) setup, O(M**2)
-  memory and an O(M**2) triangular solve pair per step;
+* below ``_TOEPLITZ_MIN_M`` (500), the explicit dense inverse: O(M**3)
+  setup, O(M**2) memory and one matrix-vector product per step;
 * from ``_TOEPLITZ_MIN_M`` to ``_TOEPLITZ_MAX_M`` (10**5, above which
   ``assemble_system`` refuses), the Gohberg-Semencul formula
   ``lhs^-1 = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)]`` with the generators
-  ``x = lhs^-1 e_0`` and ``y = lhs^-1 e_{m-1}`` (Levinson recursion,
-  O(M**2) setup), O(M) memory, and six real FFTs per step.
+  ``x = lhs^-1 e_0`` and ``y = lhs^-1 e_{m-1}`` (Levinson-Trench
+  recursion, O(M**2) setup), O(M) memory, and six real FFTs per step.
   L(v) and U(v) are the lower and upper triangular Toeplitz matrices with
   first column and first row v, J reverses and Z shifts down by one.
+
+Both paths check their setup with a residual and raise
+SingularMatrixError when it fails.  The module needs only numpy.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, solve_toeplitz
-from scipy.linalg.lapack import dgetrs
+import numpy.fft  # noqa: F401  numpy 2 would load it on first use, mid-solve
+from numpy.linalg import LinAlgError
 
 from .errors import DomainError, SingularMatrixError, SizeLimitError
 from .operators import GridSpec1D, _riesz_column, riesz_matrix
@@ -47,25 +51,30 @@ __all__ = [
     "grid_norm",
 ]
 
-# m x m float64 arrays alive at once on the dense path: lhs, B and the LU
-# copy of lhs
+# m x m float64 arrays a dense system holds: lhs, B and the inverse.  While
+# np.linalg.inv runs, before B exists, lhs, the result and LAPACK's copies
+# of lhs and of the identity make four (8 MB at m = 498, the largest dense m)
 _ASSEMBLY_PEAK_ARRAYS = 3
 
 # Smallest M on the Toeplitz path.  Measured per step with the example42
-# source on a 2-vCPU x86 machine, dense vs Toeplitz: 90 vs 134 us at
-# M = 420, 156 vs 136 us at M = 500, 218 vs 178 us at M = 580 (dense grows
-# as M**2, the FFTs as M log M).  The Toeplitz setup is the cheaper one at
-# every M (13 vs 5 ms at M = 500).
+# source on a 2-vCPU x86 machine, dense (LU solves) vs Toeplitz: 90 vs
+# 134 us at M = 420, 156 vs 136 us at M = 500, 218 vs 178 us at M = 580
+# (dense grows as M**2, the FFTs as M log M).  The Toeplitz setup is the
+# cheaper one at every M (13 vs 5 ms at M = 500).
 _TOEPLITZ_MIN_M = 500
 
-# Largest M on the Toeplitz path.  Its Levinson setup is O(M**2) in time:
-# 0.62 s at M = 10**4 and 2.03 s at 2 * 10**4 on a 2-vCPU x86 machine,
-# which extrapolates to about 50 s at 10**5 and over an hour at 10**6.
+# Largest M on the Toeplitz path.  Its setup is O(M**2) in time: 0.13 s
+# at M = 10**4, 1.2 s at 2 * 10**4 and 23 s at 10**5 on a 2-vCPU x86
+# machine, which extrapolates to about 40 minutes at 10**6.
 _TOEPLITZ_MAX_M = 100_000
 
 # Largest accepted ||lhs [x y] - [e_0 e_{m-1}]||_inf relative to
 # ||lhs||_inf max|[x y]| for the Levinson generators x and y
 _GENERATOR_RTOL = 1e-10
+
+# Largest accepted ||lhs (inv p) - p||_inf relative to
+# ||lhs||_inf max|inv p| for the dense inverse inv and a probe vector p
+_INVERSE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -123,27 +132,27 @@ class SolutionGrid:
 
 @dataclass(frozen=True)
 class SteppingSystem:
-    """One-time factorization of the implicit Crank-Nicolson system.
+    """One-time inversion of the implicit Crank-Nicolson system.
 
     ``lhs = I + (tau/2)(K C - K_alpha R)`` and
     ``B = I - (tau/2)(K C - K_alpha R)``, where C is the central
     difference matrix and R the Riesz operator matrix; lhs + B = 2I.
     Both are m x m Toeplitz matrices (m = M - 1).
 
-    Dense path (M < ``_TOEPLITZ_MIN_M``): ``lu`` holds the LU factors,
-    ``lhs`` and ``B`` the dense matrices, and the Toeplitz fields are None.
-    Assembly holds three m x m arrays at its peak.
+    Dense path (M < ``_TOEPLITZ_MIN_M``): ``inverse`` holds
+    ``np.linalg.inv(lhs)``, ``lhs`` and ``B`` the dense matrices, and the
+    Toeplitz fields are None.  The system holds three m x m arrays.
 
-    Toeplitz path (M >= ``_TOEPLITZ_MIN_M``): ``lu``, ``lhs`` and ``B`` are
-    None; ``column`` and ``row`` hold the first column and row of lhs, and
-    ``spectra`` the FFT spectra of the Gohberg-Semencul factors (see the
-    module docstring), so everything held is O(M).
+    Toeplitz path (M >= ``_TOEPLITZ_MIN_M``): ``inverse``, ``lhs`` and
+    ``B`` are None; ``column`` and ``row`` hold the first column and row of
+    lhs, and ``spectra`` the FFT spectra of the Gohberg-Semencul factors
+    (see the module docstring), so everything held is O(M).
 
-    :func:`step` reads only ``lu`` or ``spectra``; the rest is kept for
-    checks.
+    :func:`step` reads only ``inverse`` or ``spectra``; the rest is kept
+    for checks.
     """
 
-    lu: Optional[tuple]
+    inverse: Optional[np.ndarray]
     lhs: Optional[np.ndarray]
     B: Optional[np.ndarray]
     grid: GridSpec1D
@@ -162,13 +171,13 @@ def _physical_memory_bytes() -> int:
 def assemble_system(
     problem: AdvectionDiffusionProblem, M: int, N: int
 ) -> SteppingSystem:
-    """Build and factorize the Crank-Nicolson stepping system, densely
-    below ``_TOEPLITZ_MIN_M`` and as Toeplitz generators from there on.
+    """Build and invert the Crank-Nicolson stepping system, densely below
+    ``_TOEPLITZ_MIN_M`` and as Toeplitz generators from there on.
 
     Raises SizeLimitError, before allocating, when the dense assembly
     would need more than the machine's physical memory, and before any
     quadratic work when M exceeds ``_TOEPLITZ_MAX_M``; SingularMatrixError
-    when the Toeplitz generators fail their residual check.
+    when the inverse or the Toeplitz generators fail their residual check.
     """
     if M < 4:
         raise DomainError(f"solver requires M >= 4, got M={M}")
@@ -177,7 +186,7 @@ def assemble_system(
     if M > _TOEPLITZ_MAX_M:
         raise SizeLimitError(
             f"M={M} exceeds {_TOEPLITZ_MAX_M}: the Toeplitz setup (Levinson "
-            "recursion) is quadratic in M, about 50 s at M=100000"
+            "recursion) is quadratic in M, about 25 s at M=100000"
         )
     a, b = problem.domain
     grid = GridSpec1D(a, b, M)
@@ -209,16 +218,40 @@ def assemble_system(
     half_a.flat[m::stride] += problem.K * (-1.0 / (2.0 * h))
     half_a *= tau / 2.0
 
-    B = np.negative(half_a)
     lhs = half_a
     lhs.flat[::stride] += 1.0
+    inverse = _dense_inverse(lhs)
+    # B is made after the inverse, which keeps it out of the inversion's peak;
     # 2 - lhs_ii is exact for 1 <= lhs_ii < 2**53, so lhs + B = 2I bit for bit
+    B = np.negative(lhs)
     B.flat[::stride] = 2.0 - lhs.flat[::stride]
+    return SteppingSystem(inverse, lhs, B, grid, tau, problem, x_interior)
+
+
+def _inv(lhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv``, under a name that tests replace."""
+    return np.linalg.inv(lhs)
+
+
+def _dense_inverse(lhs: np.ndarray) -> np.ndarray:
+    """``lhs^-1``, checked in O(m**2) by the residual of one probe solve:
+    ``||lhs (inv p) - p||_inf <= _INVERSE_RTOL ||lhs||_inf max|inv p|``
+    with p all ones, the dense counterpart of the generator check."""
     try:
-        lu = lu_factor(lhs)
-    except LinAlgError as exc:  # unreachable for valid alpha; internal invariant
-        raise SingularMatrixError(f"stepping matrix factorization failed: {exc}")
-    return SteppingSystem(lu, lhs, B, grid, tau, problem, x_interior)
+        inverse = _inv(lhs)
+    except LinAlgError as exc:  # lhs has a positive definite symmetric part
+        raise SingularMatrixError(f"stepping matrix inversion failed: {exc}")
+    probe = np.ones(len(lhs))
+    solution = inverse @ probe
+    error = float(np.max(np.abs(lhs @ solution - probe)))
+    lhs_norm = float(np.max(np.sum(np.abs(lhs), axis=1)))
+    bound = _INVERSE_RTOL * lhs_norm * float(np.max(np.abs(solution)))
+    if not error <= bound < math.inf:  # NaN fails too
+        raise SingularMatrixError(
+            "stepping matrix inverse fails the residual check: "
+            f"||lhs (inv p) - p||_inf = {error:.3g} > {bound:.3g}"
+        )
+    return inverse
 
 
 def _lhs_column_row(
@@ -244,19 +277,14 @@ def _gohberg_semencul_spectra(column: np.ndarray, row: np.ndarray) -> tuple:
     """Spectra of the Gohberg-Semencul factors of the Toeplitz matrix with
     this first column and row, for :func:`_gohberg_semencul_solve`.
 
-    The generators x and y come from the Levinson recursion, are checked by
-    their residual, and get one step of iterative refinement with that
-    residual.  The formula amplifies generator errors: at M = 2000 and
-    alpha = 2, Levinson's generators (6e-13 relative error) gave a step
-    2e-12 off, the refined ones 7e-15.
+    The generators x and y come from the Levinson-Trench recursion, are
+    checked by their residual, and get one step of iterative refinement
+    with that residual.  The formula amplifies generator errors: at
+    M = 2000 and alpha = 2, Levinson generators with 6e-13 relative error
+    gave a step 2e-12 off, the refined ones 7e-15.
     """
     m = len(column)
-    unit = np.zeros((m, 2))
-    unit[0, 0] = unit[-1, 1] = 1.0
-    try:
-        generators = solve_toeplitz((column, row), unit).T
-    except LinAlgError as exc:  # lhs has a positive definite symmetric part
-        raise SingularMatrixError(f"Toeplitz generator solve failed: {exc}")
+    generators = _levinson_generators(column, row)
     # n >= 2m keeps every product's first m entries free of circular wrap
     n = 1 << (2 * m - 1).bit_length()
     residual = _generator_residual(column, row, generators, n)
@@ -271,6 +299,61 @@ def _gohberg_semencul_spectra(column: np.ndarray, row: np.ndarray) -> tuple:
     spectra = _factor_spectra(generators, n)
     generators -= [_gohberg_semencul_solve(spectra, r) for r in residual]
     return _factor_spectra(generators, n)
+
+
+def _levinson_generators(column: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Rows ``x = T^-1 e_0`` and ``y = T^-1 e_{m-1}`` for the Toeplitz
+    matrix T with this first column and row, by the Levinson-Trench
+    recursion (Golub & Van Loan, Matrix Computations, section 4.7) in
+    O(m**2) time and O(m) memory.
+
+    For the leading k x k block T_k, ``T_k f = e_0`` and ``T_k b = e_{k-1}``
+    grow to order k + 1 as ``f' = s ([f; 0] - e_f [0; b])`` and
+    ``b' = s ([0; b] - e_b [f; 0])``, where ``e_f = T[k, :k] f``,
+    ``e_b = T[0, 1:k+1] b`` and ``s = 1 / (1 - e_f e_b)``.  The vectors are
+    kept without the common factor s (so a step updates them with two
+    multiply-subtracts and no vector scaling) and the running product of
+    the factors, which is x_0, scales them once at the end.  ``b`` is kept
+    right-aligned, so ``[0; b]`` and ``[f; 0]`` are the same-length slices
+    of two buffers.
+
+    Raises SingularMatrixError on a breakdown: a zero or non-finite pivot
+    ``T[0, 0]`` or ``1 - e_f e_b`` (a singular leading block), or a
+    non-finite generator.
+    """
+    m = len(column)
+    f = np.zeros(m)
+    b = np.zeros(m)
+    f[0] = b[-1] = 1.0
+    reversed_column = column[::-1].copy()
+    dot = np.dot
+    scale = 1.0
+    pivot = float(column[0])
+    k = 1
+    # a vector that overflows is refused below, after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        while pivot != 0.0 and math.isfinite(pivot):  # NaN fails too
+            scale /= pivot
+            if k == m:
+                generators = np.stack([f, b])
+                generators *= scale
+                if not np.all(np.isfinite(generators)):
+                    raise SingularMatrixError("Toeplitz generator recursion overflowed")
+                return generators
+            # f[k] = b[m - 1 - k] = 0, so these are the length-k dot products
+            fk = f[: k + 1]
+            bk = b[m - 1 - k :]
+            e_f = scale * float(dot(reversed_column[m - 1 - k :], fk))
+            e_b = scale * float(dot(row[: k + 1], bk))
+            pivot = 1.0 - e_f * e_b
+            if math.isfinite(pivot):
+                shifted = bk * e_f
+                bk -= fk * e_b
+                fk -= shifted
+            k += 1
+    raise SingularMatrixError(
+        f"Toeplitz generator recursion broke down at order {k}: pivot {pivot!r}"
+    )
 
 
 def _generator_residual(
@@ -325,18 +408,14 @@ def step(system: SteppingSystem, u_k: np.ndarray, t_k: float) -> np.ndarray:
     f = np.asarray(system.problem.source(system.x_interior, t_k + half), dtype=float)
     if system.spectra is not None:
         return 2.0 * _gohberg_semencul_solve(system.spectra, u_k + half * f) - u_k
-    lu, piv = system.lu
-    y, info = dgetrs(lu, piv, u_k + half * f, overwrite_b=True)
-    if info != 0:  # only an illegal argument sets it; internal invariant
-        raise SingularMatrixError(f"LAPACK getrs failed with info={info}")
-    return 2.0 * y - u_k
+    return 2.0 * (system.inverse @ (u_k + half * f)) - u_k
 
 
 def _require_finite(u: np.ndarray, t: float) -> None:
     """``2 y - u`` keeps every NaN or inf of ``u``, and both solvers spread
     one from the right-hand side to all of ``y`` (the dense path through
-    its triangular substitutions, the Toeplitz path through its FFTs, which
-    mix every entry), so checking the final level covers the whole run."""
+    its product with the full inverse, the Toeplitz path through its FFTs,
+    which mix every entry), so checking the final level covers the whole run."""
     if not np.all(np.isfinite(u)):
         raise DomainError(
             f"solution is not finite at t={t!r}; the source or the initial "

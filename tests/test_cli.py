@@ -25,6 +25,22 @@ def _run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _assert_identical(actual, expected):
+    """``actual == expected`` exactly, for str or bytes.  A mismatch reports
+    only the first differing line: pytest's own explanation diffs the two
+    texts with difflib, which takes minutes on multi-megabyte outputs."""
+    if actual == expected:
+        return
+    got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    for number, (line, reference) in enumerate(zip(got, want), 1):
+        if line != reference:
+            pytest.fail(f"first difference on line {number}: {line!r} != {reference!r}")
+    pytest.fail(
+        f"one text is a prefix of the other: {len(got)} vs {len(want)} lines, "
+        f"{len(actual)} vs {len(expected)} characters"
+    )
+
+
 # Reference writer: a verbatim copy of the original per-cell CSV loop, one
 # formatted string per cell, joined into one text.  The streaming writer in
 # rieszfd.cli must reproduce it byte for byte.
@@ -189,7 +205,7 @@ class TestCoeffs:
         expected.write("ell,value\n")
         for ell, value in enumerate(make_table(300).values):
             expected.write(f"{ell},{value:.17g}\n")
-        assert out == expected.getvalue()
+        _assert_identical(out, expected.getvalue())
 
     def test_overflowing_table_is_exit_1(self, tmp_path, capsys):
         # the recursion overflows from index 768 on; the CSV writer used to
@@ -290,7 +306,7 @@ class TestSpectrum:
         expected = io.StringIO()
         expected.write("x,f_alpha_x\n")
         expected.write("".join(["%.17g,%.17g\n" % row for row in zip(xs.tolist(), fs.tolist())]))
-        assert path.read_bytes() == expected.getvalue().encode("ascii")
+        _assert_identical(path.read_bytes(), expected.getvalue().encode("ascii"))
 
 
 class TestConvergence:
@@ -367,13 +383,13 @@ class TestByteIdentity:
         expected = reference()
         code, out, _ = _run_capture(capsys, argv)
         assert code == 0
-        assert out == expected
+        _assert_identical(out, expected)
 
     @pytest.mark.parametrize("argv,reference", CASES, ids=IDS)
     def test_out_file(self, tmp_path, argv, reference):
         path = tmp_path / "out.csv"
         assert run(argv + ["--out", str(path)]) == 0
-        assert path.read_bytes() == reference().encode("ascii")
+        _assert_identical(path.read_bytes(), reference().encode("ascii"))
 
 
 class TestOutputErrors:
@@ -421,3 +437,25 @@ class TestOutputErrors:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test-only dependency: no subcommand may import it
+    script = (
+        "import sys\n"
+        "import rieszfd.cli\n"
+        "for argv in (['convergence', '--table', '3'], ['solve', '--alpha', '1.5', '--M', '600',"
+        " '--N', '5'], ['deriv', '--alpha', '1.5'], ['coeffs', '--alpha', '1.5'],"
+        " ['spectrum', '--alpha', '1.5']):\n"
+        "    assert rieszfd.cli.run(argv + ['--out', argv[0] + '.out']) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rieszfd.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"  # spectrum prints its extremes first
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f"{name}.out" for name in ("convergence", "solve", "deriv", "coeffs", "spectrum")
+    )

@@ -143,7 +143,41 @@ class TestKappaPolynomial:
         assert abs(np.sum(kappa_polynomial(p, alpha))) < 1e-14
 
 
+def _numpy_scalar_series_power(a, alpha, count):
+    """Verbatim copy of the numpy-scalar recursion that
+    ``series_fractional_power`` ran before it moved to Python floats."""
+    a = np.asarray(a, dtype=float)
+    if a[0] == 0.0:
+        raise SeriesError("leading series coefficient is zero")
+    d = len(a) - 1
+    c = np.zeros(count + 1)
+    c[0] = a[0] ** alpha
+    for ell in range(1, count + 1):
+        s = 0.0
+        for k in range(1, min(ell, d) + 1):
+            s += (k * (alpha + 1.0) - ell) * a[k] * c[ell - k]
+        c[ell] = s / (ell * a[0])
+    return c
+
+
 class TestSeriesFractionalPower:
+    @pytest.mark.parametrize("p", (2, 3, 4))
+    @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8, 1.99))
+    def test_matches_numpy_scalar_recursion_bit_for_bit(self, p, alpha):
+        poly = kappa_polynomial(p, alpha)
+        with np.errstate(over="ignore", invalid="ignore"):  # the growing cells overflow
+            expected = _numpy_scalar_series_power(poly, alpha, 3000)
+        c = series_fractional_power(poly, alpha, 3000)
+        assert np.array_equal(c, expected, equal_nan=True)
+
+    def test_matches_numpy_scalar_recursion_past_overflow(self):
+        poly = kappa_polynomial(4, 1.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _numpy_scalar_series_power(poly, 1.2, 20000)
+        c = series_fractional_power(poly, 1.2, 20000)
+        assert not np.all(np.isfinite(expected))
+        assert np.array_equal(c, expected, equal_nan=True)
+
     def test_p2_alpha_15_prefix(self):
         poly = kappa_polynomial(2, 1.5)
         c = series_fractional_power(poly, 1.5, 2)

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_toeplitz
 
 import rieszfd.cli
 import rieszfd.harness
@@ -73,7 +73,7 @@ class TestAssembly:
         system = assemble_system(example42_problem(1.6), 10, 5)
         e1 = np.zeros(9)
         e1[0] = 1.0
-        x = lu_solve(system.lu, e1)
+        x = system.inverse @ e1
         assert np.max(np.abs(system.lhs @ x - e1)) <= 1e-12
 
     def test_integer_order_is_classical_stencil(self):
@@ -120,12 +120,38 @@ class TestAssembly:
 
         monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: 1 << 20)
         monkeypatch.setattr(rieszfd.pde, "riesz_matrix", no_dense)
-        monkeypatch.setattr(rieszfd.pde, "lu_factor", no_dense)
+        monkeypatch.setattr(rieszfd.pde, "_inv", no_dense)
         problem = example42_problem(1.5)
         system = assemble_system(problem, CROSSOVER, 10)
-        assert system.lu is system.lhs is system.B is None
+        assert system.inverse is system.lhs is system.B is None
         u = step(system, problem.initial(system.x_interior), 0.0)
         assert u.shape == (CROSSOVER - 1,) and np.all(np.isfinite(u))
+
+    def test_perturbed_inverse_is_refused(self, monkeypatch, capsys):
+        inv = rieszfd.pde._inv
+
+        def perturbed(lhs):
+            return inv(lhs) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(rieszfd.pde, "_inv", perturbed)
+        with pytest.raises(SingularMatrixError, match="residual"):
+            assemble_system(example42_problem(1.5), 40, 10)
+        assert rieszfd.cli.run(["solve", "--alpha", "1.5", "--M", "40", "--N", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_non_finite_inverse_is_refused(self, monkeypatch):
+        inv = rieszfd.pde._inv
+        for bad in (np.nan, np.inf):
+            def corrupted(lhs, bad=bad):
+                out = inv(lhs)
+                out[3, 5] = bad
+                return out
+
+            monkeypatch.setattr(rieszfd.pde, "_inv", corrupted)
+            with pytest.raises(SingularMatrixError):
+                assemble_system(example42_problem(1.5), 40, 10)
 
     def test_size_guard_counts_three_arrays(self, monkeypatch):
         needed = 3 * 9 * 9 * 8
@@ -173,7 +199,7 @@ class TestAssembly:
         # the Levinson setup is quadratic in M: it is never run at the limit
         limit = rieszfd.pde._TOEPLITZ_MAX_M
         assert limit == 10**5
-        monkeypatch.setattr(rieszfd.pde, "solve_toeplitz", no_setup)
+        monkeypatch.setattr(rieszfd.pde, "_levinson_generators", no_setup)
         problem = example42_problem(1.5)
         with pytest.raises(SizeLimitError, match="quadratic"):
             assemble_system(problem, limit + 1, 1)
@@ -190,9 +216,10 @@ class TestAssembly:
 
 def _explicit_matrix_step(system, u, t):
     """The explicit-matrix step ``lhs^-1 (B u + tau f)``, kept as the
-    reference for :func:`step`."""
+    reference for :func:`step`; the solve factorizes ``lhs`` itself, so it
+    shares nothing with the inverse under test."""
     f = system.problem.source(system.x_interior, t + system.tau / 2.0)
-    return lu_solve(system.lu, system.B @ u + system.tau * f)
+    return lu_solve(lu_factor(system.lhs), system.B @ u + system.tau * f)
 
 
 def _sine_problem(alpha):
@@ -283,8 +310,43 @@ class TestToeplitzPath:
                     u = outputs[k] = step(system, u, k * tau)
                 # the dense steps from the same inputs, batched
                 f = np.array([problem.source(x, (k + 0.5) * tau) for k in range(N)])
-                ref = 2.0 * lu_solve(dense.lu, (inputs + (tau / 2.0) * f).T).T - inputs
+                ref = 2.0 * lu_solve(lu_factor(dense.lhs), (inputs + (tau / 2.0) * f).T).T - inputs
                 assert np.max(np.abs(outputs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("M", (CROSSOVER, 1000, 3000))
+    @pytest.mark.parametrize("alpha", (1.2, 1.8, 2.0))
+    def test_generators_match_scipy_solve_toeplitz(self, M, alpha):
+        # observed max relative difference: 8.4e-13 (M = 3000, alpha 2,
+        # N = 50), before the refinement step
+        problem = _sine_problem(alpha)
+        system = assemble_system(problem, M, 50)
+        column, row = system.column, system.row
+        unit = np.zeros((M - 1, 2))
+        unit[0, 0] = unit[-1, 1] = 1.0
+        reference = solve_toeplitz((column, row), unit).T
+        generators = rieszfd.pde._levinson_generators(column, row)
+        assert generators.shape == (2, M - 1)
+        assert np.max(np.abs(generators - reference)) <= 1e-11 * np.max(np.abs(reference))
+
+    def test_levinson_breakdown_is_refused(self):
+        levinson = rieszfd.pde._levinson_generators
+        ones = np.ones(4)
+        with pytest.raises(SingularMatrixError, match="order 1"):
+            levinson(np.array([0.0, 1.0, 0.5]), np.array([0.0, 2.0, 0.1]))
+        # all-ones: the leading 2 x 2 block is singular
+        with pytest.raises(SingularMatrixError, match="order 2"):
+            levinson(ones, ones)
+        with pytest.raises(SingularMatrixError):
+            levinson(np.array([1.0, np.nan, 0.0]), np.array([1.0, 0.0, 0.0]))
+        # a tiny pivot makes the next one infinite, or the 1 x 1 inverse
+        with pytest.raises(SingularMatrixError, match="order 2"):
+            levinson(np.array([1e-300, 1.0, 1.0]), np.array([1e-300, 1.0, 1.0]))
+        with pytest.raises(SingularMatrixError, match="overflowed"):
+            levinson(np.array([5e-324]), np.array([5e-324]))
+        x, y = levinson(np.array([4.0, 1.0, 0.5]), np.array([4.0, -1.0, 0.25]))
+        T = np.array([[4.0, -1.0, 0.25], [1.0, 4.0, -1.0], [0.5, 1.0, 4.0]])
+        np.testing.assert_allclose(T @ x, [1.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(T @ y, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_holds_only_linear_memory(self):
         system = assemble_system(example42_problem(1.5), 3000, 300)
@@ -292,12 +354,12 @@ class TestToeplitzPath:
         assert sum(a.nbytes for a in held) < 64 * 3000 * 8
 
     def test_perturbed_generators_are_refused(self, monkeypatch):
-        solve_toeplitz = rieszfd.pde.solve_toeplitz
+        levinson = rieszfd.pde._levinson_generators
 
         def perturbed(*args):
-            return solve_toeplitz(*args) * (1.0 + 1e-6)
+            return levinson(*args) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(rieszfd.pde, "solve_toeplitz", perturbed)
+        monkeypatch.setattr(rieszfd.pde, "_levinson_generators", perturbed)
         with pytest.raises(SingularMatrixError):
             assemble_system(example42_problem(1.5), CROSSOVER, 10)
         argv = ["solve", "--alpha", "1.5", "--M", str(CROSSOVER), "--N", "2"]
