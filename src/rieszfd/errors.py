@@ -41,12 +41,11 @@ class TableError(NumericsError):
 
 
 class SizeLimitError(NumericsError):
-    """A size limit was exceeded: memory for a dense or a kept-levels array,
-    or the quadratic time of the Toeplitz setup."""
+    """A size limit was exceeded: memory for a kept-levels array, or the
+    quadratic time of the Toeplitz setup."""
 
 
 class SingularMatrixError(NumericsError):
-    """A matrix inversion or the Toeplitz generator recursion broke down,
-    or the result failed its residual check; for the Crank-Nicolson
-    system this indicates an internal invariant violation rather than bad
-    input."""
+    """The Toeplitz generator recursion broke down, or its result failed
+    its residual check; for the Crank-Nicolson system this indicates an
+    internal invariant violation rather than bad input."""

@@ -10,21 +10,23 @@ no product with ``B``:
 unconditionally stable and second-order accurate in both the time step
 and the mesh size.
 
-``lhs`` is Toeplitz, and its inverse takes one of two forms, chosen by
-the number of intervals M:
+``lhs`` is Toeplitz, and one setup serves every M: the Levinson-Trench
+recursion gives the generators ``x = lhs^-1 e_0`` and
+``y = lhs^-1 e_{m-1}`` in O(M**2) time and O(M) memory, a residual check
+accepts them, and one step of iterative refinement polishes them.  They
+determine the inverse by the Gohberg-Semencul formula
+``lhs^-1 = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)]``, where L(v) and U(v)
+are the lower and upper triangular Toeplitz matrices with first column
+and first row v, J reverses and Z shifts down by one.  The number of
+intervals M picks one of two step kernels:
 
-* below ``_TOEPLITZ_MIN_M`` (500), the explicit dense inverse: O(M**3)
-  setup, O(M**2) memory and one matrix-vector product per step;
+* below ``_TOEPLITZ_MIN_M`` (500), the formula is expanded to the dense
+  inverse (O(M**2) memory) and a step is one matrix-vector product;
 * from ``_TOEPLITZ_MIN_M`` to ``_TOEPLITZ_MAX_M`` (10**5, above which
-  ``assemble_system`` refuses), the Gohberg-Semencul formula
-  ``lhs^-1 = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)]`` with the generators
-  ``x = lhs^-1 e_0`` and ``y = lhs^-1 e_{m-1}`` (Levinson-Trench
-  recursion, O(M**2) setup), O(M) memory, and six real FFTs per step.
-  L(v) and U(v) are the lower and upper triangular Toeplitz matrices with
-  first column and first row v, J reverses and Z shifts down by one.
+  ``assemble_system`` refuses), a step applies the formula in six real
+  FFTs with O(M) memory.
 
-Both paths check their setup with a residual and raise
-SingularMatrixError when it fails.  The module needs only numpy.
+A failed setup raises SingularMatrixError.  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 would load it on first use, mid-solve
-from numpy.linalg import LinAlgError
 
 from .errors import DomainError, SingularMatrixError, SizeLimitError
 from .operators import GridSpec1D, _riesz_column, riesz_matrix
@@ -51,16 +52,13 @@ __all__ = [
     "grid_norm",
 ]
 
-# m x m float64 arrays a dense system holds: lhs, B and the inverse.  While
-# np.linalg.inv runs, before B exists, lhs, the result and LAPACK's copies
-# of lhs and of the identity make four (8 MB at m = 498, the largest dense m)
-_ASSEMBLY_PEAK_ARRAYS = 3
-
-# Smallest M on the Toeplitz path.  Measured per step with the example42
-# source on a 2-vCPU x86 machine, dense (LU solves) vs Toeplitz: 90 vs
-# 134 us at M = 420, 156 vs 136 us at M = 500, 218 vs 178 us at M = 580
-# (dense grows as M**2, the FFTs as M log M).  The Toeplitz setup is the
-# cheaper one at every M (13 vs 5 ms at M = 500).
+# Smallest M on the Toeplitz path.  The paths share the setup and differ in
+# the step.  Per step with the example42 source on a 2-vCPU x86 machine
+# (medians of 15 paired blocks of 200 steps, three runs), inverse matvec vs
+# FFTs: 55-71 vs 119-145 us at M = 420, 106-117 vs 134-143 us at M = 500 and
+# 170-187 vs 202-226 us at M = 580; from M = 600 to 850 they are within the
+# noise.  The dense path also costs twice the setup (18 vs 8 ms at M = 500)
+# and O(M**2) memory, so the crossover stays at 500.
 _TOEPLITZ_MIN_M = 500
 
 # Largest M on the Toeplitz path.  Its setup is O(M**2) in time: 0.13 s
@@ -71,10 +69,6 @@ _TOEPLITZ_MAX_M = 100_000
 # Largest accepted ||lhs [x y] - [e_0 e_{m-1}]||_inf relative to
 # ||lhs||_inf max|[x y]| for the Levinson generators x and y
 _GENERATOR_RTOL = 1e-10
-
-# Largest accepted ||lhs (inv p) - p||_inf relative to
-# ||lhs||_inf max|inv p| for the dense inverse inv and a probe vector p
-_INVERSE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -137,16 +131,17 @@ class SteppingSystem:
     ``lhs = I + (tau/2)(K C - K_alpha R)`` and
     ``B = I - (tau/2)(K C - K_alpha R)``, where C is the central
     difference matrix and R the Riesz operator matrix; lhs + B = 2I.
-    Both are m x m Toeplitz matrices (m = M - 1).
+    Both are m x m Toeplitz matrices (m = M - 1).  ``column`` and ``row``
+    hold the first column and row of lhs on both paths.
 
-    Dense path (M < ``_TOEPLITZ_MIN_M``): ``inverse`` holds
-    ``np.linalg.inv(lhs)``, ``lhs`` and ``B`` the dense matrices, and the
-    Toeplitz fields are None.  The system holds three m x m arrays.
+    Dense path (M < ``_TOEPLITZ_MIN_M``): ``inverse`` holds lhs^-1
+    expanded from the Gohberg-Semencul generators (see the module
+    docstring), ``lhs`` and ``B`` the dense matrices, and ``spectra`` is
+    None.  The system holds three m x m arrays.
 
     Toeplitz path (M >= ``_TOEPLITZ_MIN_M``): ``inverse``, ``lhs`` and
-    ``B`` are None; ``column`` and ``row`` hold the first column and row of
-    lhs, and ``spectra`` the FFT spectra of the Gohberg-Semencul factors
-    (see the module docstring), so everything held is O(M).
+    ``B`` are None, and ``spectra`` holds the FFT spectra of the
+    Gohberg-Semencul factors, so everything held is O(M).
 
     :func:`step` reads only ``inverse`` or ``spectra``; the rest is kept
     for checks.
@@ -171,13 +166,14 @@ def _physical_memory_bytes() -> int:
 def assemble_system(
     problem: AdvectionDiffusionProblem, M: int, N: int
 ) -> SteppingSystem:
-    """Build and invert the Crank-Nicolson stepping system, densely below
-    ``_TOEPLITZ_MIN_M`` and as Toeplitz generators from there on.
+    """Build and invert the Crank-Nicolson stepping system: checked and
+    refined Levinson-Trench generators at every M, expanded to the dense
+    inverse below ``_TOEPLITZ_MIN_M`` and turned into FFT spectra from
+    there on.
 
-    Raises SizeLimitError, before allocating, when the dense assembly
-    would need more than the machine's physical memory, and before any
-    quadratic work when M exceeds ``_TOEPLITZ_MAX_M``; SingularMatrixError
-    when the inverse or the Toeplitz generators fail their residual check.
+    Raises SizeLimitError before any quadratic work when M exceeds
+    ``_TOEPLITZ_MAX_M``, and SingularMatrixError when the generator
+    recursion breaks down or the generators fail their residual check.
     """
     if M < 4:
         raise DomainError(f"solver requires M >= 4, got M={M}")
@@ -192,24 +188,28 @@ def assemble_system(
     grid = GridSpec1D(a, b, M)
     tau = problem.T / N
     x_interior = grid.nodes()[1:M]
+    column, row = _lhs_column_row(problem, grid, tau)
+    generators, residual = _checked_generators(column, row)
+    # one step of iterative refinement with the residual: the formula
+    # amplifies generator errors (at M = 2000 and alpha = 2, Levinson
+    # generators with 6e-13 relative error gave a step 2e-12 off, the
+    # refined ones 7e-15)
+    spectra = _factor_spectra(generators)
+    generators -= [_gohberg_semencul_solve(spectra, r) for r in residual]
     if M >= _TOEPLITZ_MIN_M:
-        column, row = _lhs_column_row(problem, grid, tau)
-        spectra = _gohberg_semencul_spectra(column, row)
+        # made while the first spectra are held: freeing those first would
+        # leave the top of the heap free, and glibc would then trim and
+        # re-fault every step's temporaries (25k minor faults instead of
+        # 900 in a 300-step solve at M = 3000)
+        spectra = _factor_spectra(generators)
         return SteppingSystem(
             None, None, None, grid, tau, problem, x_interior, column, row, spectra
         )
-
-    m = M - 1
-    needed = _ASSEMBLY_PEAK_ARRAYS * m * m * 8
-    available = _physical_memory_bytes()
-    if needed > available:
-        raise SizeLimitError(
-            f"dense assembly at M={M} needs about {needed} bytes, more than "
-            f"the {available} bytes of physical memory"
-        )
+    inverse = _trench_inverse(generators)
 
     # half_a = (tau/2)(K C - K_alpha R) is built in R's buffer, with the
     # same rounding as forming it from dense matrices; C has two bands
+    m = M - 1
     h = grid.h
     stride = m + 1  # flat step along one diagonal
     half_a = riesz_matrix(problem.alpha, 2, grid)
@@ -220,38 +220,10 @@ def assemble_system(
 
     lhs = half_a
     lhs.flat[::stride] += 1.0
-    inverse = _dense_inverse(lhs)
-    # B is made after the inverse, which keeps it out of the inversion's peak;
     # 2 - lhs_ii is exact for 1 <= lhs_ii < 2**53, so lhs + B = 2I bit for bit
     B = np.negative(lhs)
     B.flat[::stride] = 2.0 - lhs.flat[::stride]
-    return SteppingSystem(inverse, lhs, B, grid, tau, problem, x_interior)
-
-
-def _inv(lhs: np.ndarray) -> np.ndarray:
-    """``np.linalg.inv``, under a name that tests replace."""
-    return np.linalg.inv(lhs)
-
-
-def _dense_inverse(lhs: np.ndarray) -> np.ndarray:
-    """``lhs^-1``, checked in O(m**2) by the residual of one probe solve:
-    ``||lhs (inv p) - p||_inf <= _INVERSE_RTOL ||lhs||_inf max|inv p|``
-    with p all ones, the dense counterpart of the generator check."""
-    try:
-        inverse = _inv(lhs)
-    except LinAlgError as exc:  # lhs has a positive definite symmetric part
-        raise SingularMatrixError(f"stepping matrix inversion failed: {exc}")
-    probe = np.ones(len(lhs))
-    solution = inverse @ probe
-    error = float(np.max(np.abs(lhs @ solution - probe)))
-    lhs_norm = float(np.max(np.sum(np.abs(lhs), axis=1)))
-    bound = _INVERSE_RTOL * lhs_norm * float(np.max(np.abs(solution)))
-    if not error <= bound < math.inf:  # NaN fails too
-        raise SingularMatrixError(
-            "stepping matrix inverse fails the residual check: "
-            f"||lhs (inv p) - p||_inf = {error:.3g} > {bound:.3g}"
-        )
-    return inverse
+    return SteppingSystem(inverse, lhs, B, grid, tau, problem, x_interior, column, row)
 
 
 def _lhs_column_row(
@@ -273,32 +245,25 @@ def _lhs_column_row(
     return column, row
 
 
-def _gohberg_semencul_spectra(column: np.ndarray, row: np.ndarray) -> tuple:
-    """Spectra of the Gohberg-Semencul factors of the Toeplitz matrix with
-    this first column and row, for :func:`_gohberg_semencul_solve`.
-
-    The generators x and y come from the Levinson-Trench recursion, are
-    checked by their residual, and get one step of iterative refinement
-    with that residual.  The formula amplifies generator errors: at
-    M = 2000 and alpha = 2, Levinson generators with 6e-13 relative error
-    gave a step 2e-12 off, the refined ones 7e-15.
-    """
-    m = len(column)
+def _checked_generators(
+    column: np.ndarray, row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``x = T^-1 e_0`` and ``y = T^-1 e_{m-1}`` for the Toeplitz
+    matrix T with this first column and row, from the Levinson-Trench
+    recursion, and their residual rows ``T [x y] - [e_0 e_{m-1}]``, whose
+    max norm must not exceed ``_GENERATOR_RTOL ||T||_inf max|[x y]|``."""
     generators = _levinson_generators(column, row)
-    # n >= 2m keeps every product's first m entries free of circular wrap
-    n = 1 << (2 * m - 1).bit_length()
-    residual = _generator_residual(column, row, generators, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails below
+        residual = _generator_residual(column, row, generators)
     error = float(np.max(np.abs(residual)))
     lhs_norm = float(np.sum(np.abs(column)) + np.sum(np.abs(row[1:])))
     bound = _GENERATOR_RTOL * lhs_norm * float(np.max(np.abs(generators)))
-    if not error <= bound:  # NaN fails too
+    if not error <= bound < math.inf:  # NaN fails too
         raise SingularMatrixError(
             "Toeplitz generators fail the residual check: "
             f"||lhs [x y] - [e_0 e_m-1]||_inf = {error:.3g} > {bound:.3g}"
         )
-    spectra = _factor_spectra(generators, n)
-    generators -= [_gohberg_semencul_solve(spectra, r) for r in residual]
-    return _factor_spectra(generators, n)
+    return generators, residual
 
 
 def _levinson_generators(column: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -357,13 +322,14 @@ def _levinson_generators(column: np.ndarray, row: np.ndarray) -> np.ndarray:
 
 
 def _generator_residual(
-    column: np.ndarray, row: np.ndarray, generators: np.ndarray, n: int
+    column: np.ndarray, row: np.ndarray, generators: np.ndarray
 ) -> np.ndarray:
     """Rows ``lhs x - e_0`` and ``lhs y - e_{m-1}``, from an FFT product with
     the length-n circulant that embeds lhs.  It runs in long double:
     a float64 residual is as inexact as the generators and refines nothing
     (where long double is float64, the refinement gains nothing)."""
     m = len(column)
+    n = 1 << (2 * m - 1).bit_length()  # n >= 2m: no circular wrap
     embedding = np.zeros(n, dtype=np.longdouble)
     embedding[:m] = column
     embedding[n - m + 1 :] = row[:0:-1]
@@ -374,11 +340,10 @@ def _generator_residual(
     return product.astype(float)
 
 
-def _factor_spectra(generators: np.ndarray, n: int) -> tuple:
-    """``(lower, upper)``: rows of ``lower`` are the length-n FFTs of x and
-    Z y over x_0, rows of ``upper`` the conjugated FFTs of J y and Z J x
-    (conjugation turns the circular convolution into the correlation that
-    an upper triangular Toeplitz product is)."""
+def _factors(generators: np.ndarray) -> tuple:
+    """``(lower, upper)``: rows of ``lower`` are x and Z y, the first
+    columns of the lower triangular factors, and rows of ``upper`` are J y
+    and Z J x, the first rows of the upper triangular ones."""
     x, y = generators
     m = len(x)
     lower = np.zeros((2, m))
@@ -387,7 +352,36 @@ def _factor_spectra(generators: np.ndarray, n: int) -> tuple:
     upper = np.zeros((2, m))
     upper[0] = y[::-1]
     upper[1, 1:] = x[:0:-1]
-    return np.fft.rfft(lower, n) / x[0], np.conj(np.fft.rfft(upper, n))
+    return lower, upper
+
+
+def _factor_spectra(generators: np.ndarray) -> tuple:
+    """``(lower, upper)``: rows of ``lower`` are the FFTs of x and Z y over
+    x_0, rows of ``upper`` the conjugated FFTs of J y and Z J x
+    (conjugation turns the circular convolution into the correlation that
+    an upper triangular Toeplitz product is)."""
+    lower, upper = _factors(generators)
+    # n >= 2m keeps every product's first m entries free of circular wrap
+    n = 1 << (2 * lower.shape[1] - 1).bit_length()
+    return np.fft.rfft(lower, n) / lower[0, 0], np.conj(np.fft.rfft(upper, n))
+
+
+def _trench_inverse(generators: np.ndarray) -> np.ndarray:
+    """``lhs^-1`` as a dense array, expanded from the generators in O(m**2).
+
+    Entry (i, j) of L(a) U(b) is the sum of ``a[i-k] b[j-k]`` over
+    k <= min(i, j), so ``x_0 lhs^-1`` is the cumulative sum along each
+    diagonal of ``outer(x, J y) - outer(Z y, Z J x)``: row i + 1 is row i
+    shifted right plus row i + 1 of that difference.  Here x and Z y are
+    divided by x_0 first.
+    """
+    lower, upper = _factors(generators)
+    lower /= generators[0, 0]
+    inverse = np.outer(lower[0], upper[0])
+    inverse -= np.outer(lower[1], upper[1])
+    for i in range(1, len(inverse)):
+        inverse[i, 1:] += inverse[i - 1, :-1]
+    return inverse
 
 
 def _gohberg_semencul_solve(spectra: tuple, b: np.ndarray) -> np.ndarray:
