@@ -64,6 +64,35 @@ class TestProblemValidation:
             )
 
 
+def _assert_refused(capsys, M):
+    """The residual check refuses the setup, and the CLI reports it as one
+    error line with nothing on stdout."""
+    with pytest.raises(SingularMatrixError, match="residual"):
+        assemble_system(example42_problem(1.5), M, 10)
+    assert rieszfd.cli.run(["solve", "--alpha", "1.5", "--M", str(M), "--N", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _perturbed_levinson():
+    """``_levinson_generators`` with its result scaled by ``1 + 1e-6``."""
+    levinson = rieszfd.pde._levinson_generators
+    return lambda *args: levinson(*args) * (1.0 + 1e-6)
+
+
+def _corrupted_levinson(bad):
+    """``_levinson_generators`` with generator entry ``[1, 5]`` set to ``bad``."""
+    levinson = rieszfd.pde._levinson_generators
+
+    def corrupted(*args):
+        generators = levinson(*args)
+        generators[1, 5] = bad
+        return generators
+
+    return corrupted
+
+
 class TestAssembly:
     def test_lhs_plus_b_is_twice_identity(self):
         system = assemble_system(example42_problem(1.6), 10, 5)
@@ -128,6 +157,16 @@ class TestAssembly:
         assert np.max(np.abs(inverse - reference)) <= 1e-12 * np.max(np.abs(reference))
         residual = np.max(np.sum(np.abs(system.lhs @ inverse - np.eye(M - 1)), axis=1))
         assert residual <= 1e-10
+
+    def test_perturbed_inverse_is_refused(self, monkeypatch, capsys):
+        # below the crossover the inverse is expanded from the generators
+        monkeypatch.setattr(rieszfd.pde, "_levinson_generators", _perturbed_levinson())
+        _assert_refused(capsys, 40)
+
+    def test_non_finite_inverse_is_refused(self, monkeypatch, capsys):
+        for bad in (np.nan, np.inf):
+            monkeypatch.setattr(rieszfd.pde, "_levinson_generators", _corrupted_levinson(bad))
+            _assert_refused(capsys, 40)
 
     def test_snapshot_guard_refuses_before_assembly(self, monkeypatch, capsys):
         class AssemblyStarted(Exception):
@@ -321,35 +360,14 @@ class TestToeplitzPath:
         held = [system.column, system.row, *system.spectra]
         assert sum(a.nbytes for a in held) < 64 * 3000 * 8
 
-    def _assert_refused(self, capsys, M):
-        with pytest.raises(SingularMatrixError, match="residual"):
-            assemble_system(example42_problem(1.5), M, 10)
-        assert rieszfd.cli.run(["solve", "--alpha", "1.5", "--M", str(M), "--N", "2"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
     def test_perturbed_generators_are_refused(self, monkeypatch, capsys):
-        levinson = rieszfd.pde._levinson_generators
-
-        def perturbed(*args):
-            return levinson(*args) * (1.0 + 1e-6)
-
-        monkeypatch.setattr(rieszfd.pde, "_levinson_generators", perturbed)
-        for M in (40, CROSSOVER):  # both step kernels share the setup
-            self._assert_refused(capsys, M)
+        monkeypatch.setattr(rieszfd.pde, "_levinson_generators", _perturbed_levinson())
+        _assert_refused(capsys, CROSSOVER)
 
     def test_non_finite_generators_are_refused(self, monkeypatch, capsys):
-        levinson = rieszfd.pde._levinson_generators
         for bad in (np.nan, np.inf):
-            def corrupted(*args, bad=bad):
-                generators = levinson(*args)
-                generators[1, 5] = bad
-                return generators
-
-            monkeypatch.setattr(rieszfd.pde, "_levinson_generators", corrupted)
-            for M in (40, CROSSOVER):
-                self._assert_refused(capsys, M)
+            monkeypatch.setattr(rieszfd.pde, "_levinson_generators", _corrupted_levinson(bad))
+            _assert_refused(capsys, CROSSOVER)
 
     def test_non_finite_source_is_an_error(self, monkeypatch, capsys):
         def nan_problem(alpha):
