@@ -3,6 +3,16 @@ derivative, an unconditionally stable Crank-Nicolson solver for the 1D
 Riesz fractional advection-diffusion equation, and a convergence
 verification harness."""
 
+import numpy as _np
+
+# glibc (mallopt(3)) raises its mmap threshold to the size of a freed
+# mmapped block and its trim threshold to twice that: freeing this untouched
+# 4 MiB array lifts the trim threshold from 128 KiB to 8 MiB.  Without the
+# raise, the temporaries each solver step and CSV block frees at the top of
+# the heap are trimmed and faulted in again on the next one.  No ctypes, no
+# import cost, and a no-op under other allocators.
+_np.empty(1 << 19)
+
 from .coeffs import (
     CoefficientTable,
     Family,

@@ -25,7 +25,8 @@ the first digit is byte 6, byte 7 is a decimal-point slot and the other
 31 is the separator.  So the text of a cell is at most three runs of
 non-zero bytes, and text is made by dropping the 0 bytes with one boolean
 compaction.  Every word is built from bytes, so the layout does not
-depend on byte order.
+depend on byte order.  A block's temporaries are plain numpy expressions:
+``import rieszfd`` raises glibc's trim threshold, so their pages stay mapped.
 """
 
 from __future__ import annotations
@@ -45,12 +46,11 @@ _TIE = 1e-9
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 
 
-def _split(v, big=None, small=None):
-    """v = big + small, each with at most 26 significant bits; ``big`` and
-    ``small`` are optional output arrays."""
-    t = np.multiply(v, _SPLIT, out=small)
-    big = np.subtract(t, np.subtract(t, v, out=big), out=big)
-    return big, np.subtract(v, big, out=t)
+def _split(v):
+    """v = big + small, each with at most 26 significant bits."""
+    t = v * _SPLIT
+    big = t - (t - v)
+    return big, v - big
 
 
 def _powers() -> np.ndarray:
@@ -145,29 +145,16 @@ def _tables() -> _Tables:
     return _Tables(*_frames(), *_digit_tables(), _powers())
 
 
-def _scaled(a, a1, a2, i, power, s):
+def _scaled(a, a1, a2, i, power):
     """floor(a 10**(16 - X)) as int64 and its fractional part, for table
-    rows i = X - _XMIN; a = a1 + a2 is the Veltkamp split of a.  The
-    results and temporaries are arrays of the :class:`_Scratch` ``s``."""
-    # every index is in range by construction; mode="clip" lets np.take
-    # write straight into out (mode="raise" buffers it)
-    hi, lo, h1, h2 = (np.take(row, i, out=out, mode="clip")
-                      for row, out in zip(power, (s.hi, s.lo, s.h1, s.h2)))
-    p = np.multiply(a, hi, out=s.p)
-    # rest = ((a1 h1 - p) + a1 h2 + a2 h1) + a2 h2 + a lo, in this order
-    rest = np.multiply(a1, h1, out=s.rest)
-    rest -= p
-    rest += np.multiply(a1, h2, out=s.term)
-    rest += np.multiply(a2, h1, out=s.term)
-    rest += np.multiply(a2, h2, out=s.term)
-    rest += np.multiply(a, lo, out=s.term)
-    whole = np.floor(rest, out=s.term)
-    rest -= whole
+    rows i = X - _XMIN; a = a1 + a2 is the Veltkamp split of a."""
+    hi, lo, h1, h2 = (row[i] for row in power)
+    p = a * hi
+    err = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2
+    rest = err + a * lo
+    whole = np.floor(rest)
     # p >= 2**53 is an integer whenever the result is in [10**16, 10**17)
-    np.copyto(s.digits, p, casting="unsafe")
-    np.copyto(s.whole, whole, casting="unsafe")
-    s.digits += s.whole
-    return s.digits, rest
+    return p.astype(np.int64) + whole.astype(np.int64), rest - whole
 
 
 def padded(strings: list[str], width: int | None = None) -> np.ndarray:
@@ -178,108 +165,52 @@ def padded(strings: list[str], width: int | None = None) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(strings), width)
 
 
-class _Scratch:
-    """The temporaries of :func:`_format_cells` for values of one shape,
-    made once and reused by every block.  Fresh temporaries would all be
-    freed at the end of each block; glibc then trims the top of its heap
-    and faults the pages back in on the next one (87k minor faults and
-    +0.15 s for 1,002,001 rows of three values on a 2-vCPU x86 machine)."""
-
-    _ARRAYS = (
-        (np.float64, ("a", "a1", "a2", "hi", "lo", "h1", "h2", "p", "term", "rest")),
-        (np.int64, ("digits", "whole", "lead", "high", "q0", "q2", "point", "index")),
-        (np.intp, ("i",)),
-        (np.uint64, ("word", "flags")),
-        (np.bool_, ("mask", "mask2", "zero", "fast")),
-    )
-
-    def __init__(self, shape) -> None:
-        for dtype, names in self._ARRAYS:
-            for name in names:
-                setattr(self, name, np.empty(shape, dtype))
-
-    def head(self, n: int) -> _Scratch:
-        """The same arrays cut to their first n rows."""
-        if n == len(self.a):
-            return self
-        part = object.__new__(_Scratch)
-        part.__dict__.update((name, array[:n]) for name, array in vars(self).items())
-        return part
-
-
-def _format_cells(values: np.ndarray, out: np.ndarray, scratch: _Scratch) -> None:
+def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
     """Write ``"%.17g" % v`` for each float64 v of ``values`` into the
     cells ``out`` (uint64, shape ``values.shape + (4,)``), leaving their
-    separator bytes 0.  The temporaries are the arrays of ``scratch``."""
+    separator bytes 0."""
     tab = _tables()
-    s = scratch.head(len(values))
-    mask = s.mask
-    a = np.abs(values, out=s.a)
-    zero = np.equal(a, 0.0, out=s.zero)
-    fast = np.greater_equal(a, _MIN, out=s.fast)  # NaN fails
-    fast &= np.less(a, _MAX, out=mask)
-    np.copyto(a, 1.0, where=np.logical_not(fast, out=mask))
-    log = np.log10(a, out=s.term)
-    log -= _XMIN
-    i = s.i
-    np.copyto(i, log, casting="unsafe")  # floor: the sum is positive
-    a1, a2 = _split(a, s.a1, s.a2)
-    whole, frac = _scaled(a, a1, a2, i, tab.power, s)
-    off = np.less(whole, 10**16, out=mask)
-    off |= np.greater_equal(whole, 10**17, out=s.mask2)  # log10 was one off
+    a = np.abs(values)
+    zero = a == 0
+    fast = (a >= _MIN) & (a < _MAX)  # NaN fails
+    a[~fast] = 1.0
+    i = (np.log10(a) - _XMIN).astype(np.intp)  # floor: the sum is positive
+    a1, a2 = _split(a)
+    whole, frac = _scaled(a, a1, a2, i, tab.power)
+    off = (whole < 10**16) | (whole >= 10**17)  # log10 was one off
     if off.any():
         redo = np.nonzero(off)
         i[redo] += np.where(whole[redo] < 10**16, -1, 1)
-        whole[redo], frac[redo] = _scaled(
-            a[redo], a1[redo], a2[redo], i[redo], tab.power, _Scratch(len(redo[0]))
-        )
+        whole[redo], frac[redo] = _scaled(a[redo], a1[redo], a2[redo], i[redo], tab.power)
         fast[redo] &= (whole[redo] >= 10**16) & (whole[redo] < 10**17)
-    exact = np.logical_or(fast, zero, out=fast)
-    tie = np.subtract(frac, 0.5, out=a)
-    exact &= np.greater(np.abs(tie, out=tie), _TIE, out=mask)
-    digits = whole
-    digits += np.greater(frac, 0.5, out=mask)
-    np.copyto(digits, 0, where=zero)  # "0", or "-0" with the sign
-    carry = np.equal(digits, 10**17, out=mask)  # rounds to 1 at the next X
+    exact = (fast | zero) & (np.abs(frac - 0.5) > _TIE)
+    digits = whole + (frac > 0.5)
+    digits[zero] = 0  # "0", or "-0" with the sign
+    carry = digits == 10**17  # rounds to 1 at the next X
     if carry.any():
         digits[carry] = 10**16
         i[carry] += 1
 
-    # digits = lead 10**16 + q0 10**12 + q1 10**8 + q2 10**4 + q3, in place
-    index = s.index
-    lead = np.floor_divide(digits, 10**16, out=s.lead)
-    digits -= np.multiply(lead, 10**16, out=index)
-    high = np.floor_divide(digits, 10**8, out=s.high)
-    low = digits
-    low -= np.multiply(high, 10**8, out=index)
-    q0 = np.floor_divide(high, 10**4, out=s.q0)
-    q1 = high
-    q1 -= np.multiply(q0, 10**4, out=index)
-    q2 = np.floor_divide(low, 10**4, out=s.q2)
-    q3 = low
-    q3 -= np.multiply(q2, 10**4, out=index)
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    q0 = high // 10**4
+    q1 = high - q0 * 10**4
+    q2 = low // 10**4
+    q3 = low - q2 * 10**4
     zeros = tab.trailing[q1] + (q1 == 0) * tab.trailing[q0]
     zeros = tab.trailing[q2] + (q2 == 0) * zeros
     significant = 17 - (tab.trailing[q3] + (q3 == 0) * zeros)
-    point = np.take(tab.point, i, out=s.point, mode="clip")
+    point = tab.point[i]
     dotted = significant > point
 
-    word, flags = s.word, s.flags
-    np.multiply(i, 10, out=index)
-    index += lead
-    np.take(tab.head, index, out=word, mode="clip")
-    word |= np.multiply(_MINUS, np.signbit(values, out=mask), out=flags)
-    word |= np.multiply(_DOT, dotted & (point == 1), out=flags)
-    out[..., 0] = word
-    kept = np.take(tab.keep, i, out=index, mode="clip")
-    np.maximum(kept, significant, out=kept)
-    kept -= 1
-    for k, (left, right) in enumerate(((q0, q1), (q2, q3))):
-        np.take(tab.quads[0], left, out=word, mode="clip")
-        word |= np.take(tab.quads[1], right, out=flags, mode="clip")
-        np.take(tab.mask[k], kept, out=flags, mode="clip")
-        np.bitwise_and(word, flags, out=out[..., 1 + k])
-    out[..., 3] = np.take(tab.last, i, out=word, mode="clip")
+    sign = _MINUS * np.signbit(values)
+    out[..., 0] = tab.head[i * 10 + lead] | sign | _DOT * (dotted & (point == 1))
+    kept = np.maximum(significant, tab.keep[i]) - 1
+    np.bitwise_and(tab.quads[0][q0] | tab.quads[1][q1], tab.mask[0][kept], out=out[..., 1])
+    np.bitwise_and(tab.quads[0][q2] | tab.quads[1][q3], tab.mask[1][kept], out=out[..., 2])
+    out[..., 3] = tab.last[i]
     # fixed notation from 10 up: digits 1..X move one byte left, into the
     # point slot, and the point follows them
     shifted = dotted & (point > 1)
@@ -291,15 +222,15 @@ def _format_cells(values: np.ndarray, out: np.ndarray, scratch: _Scratch) -> Non
             text[rows + (slice(7, 6 + k),)] = text[rows + (slice(8, 7 + k),)]
             text[rows + (6 + k,)] = ord(".")
 
-    slow = np.nonzero(np.logical_not(exact, out=mask))
+    slow = np.nonzero(~exact)
     if slow[0].size:
         out[slow] = _words(padded(["%.17g" % v for v in values[slow].tolist()], _CELL))
 
 
 class Rows:
-    """Reusable buffers for CSV blocks of up to ``size`` rows.  A row is
-    the caller's 0-padded ASCII ``prefix`` row followed by ``columns``
-    ``%.17g`` values, comma-separated and LF-terminated."""
+    """The byte buffer of CSV blocks of up to ``size`` rows, refilled by
+    each block.  A row is the caller's 0-padded ASCII ``prefix`` row
+    followed by ``columns`` ``%.17g`` values, comma-separated, LF-ended."""
 
     def __init__(self, size: int, columns: int, prefix_width: int = 0) -> None:
         words = -(-prefix_width // 8)
@@ -308,17 +239,15 @@ class Rows:
         self._cells = self._buf.view(np.uint64)[:, words:].reshape(size, columns, 4)
         self._seps = np.full(columns, _COMMA)
         self._seps[-1] = _NEWLINE
-        self._scratch = _Scratch((size, columns))
-        self._nonzero = np.empty(self._buf.shape, np.bool_)
 
     def text(self, values: np.ndarray) -> str:
         """The rows for the ``(n, columns)`` float64 ``values`` after the
         first n prefix rows."""
         n = len(values)
-        _format_cells(values, self._cells[:n], self._scratch)
+        _format_cells(values, self._cells[:n])
         self._cells[:n, :, 3] |= self._seps
         block = self._buf[:n]
-        return block[np.not_equal(block, 0, out=self._nonzero[:n])].tobytes().decode("ascii")
+        return block[block != 0].tobytes().decode("ascii")
 
 
 def write_rows(out, values: np.ndarray) -> None:

@@ -6,7 +6,7 @@ of the built-in benchmark function), ``solve`` (Crank-Nicolson solver),
 (reference-table studies), and ``surface`` (space-time error surface).
 
 Exit codes: 0 on success, 1 on a numerical-domain error (an unwritable
-output file included), 2 on a usage error.  Diagnostics go to stderr; data
+output file or a refused allocation included), 2 on a usage error.  Diagnostics go to stderr; data
 goes to the output path or stdout.  Numeric output uses 17 significant
 digits and LF line endings so repeated runs are byte-identical.
 
@@ -324,6 +324,9 @@ def run(argv: list[str]) -> int:
         _DISPATCH[args.subcommand](args)
     except NumericsError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation refused'}\n")
         return 1
     return 0
 

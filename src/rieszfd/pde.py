@@ -189,18 +189,8 @@ def assemble_system(
     tau = problem.T / N
     x_interior = grid.nodes()[1:M]
     column, row = _lhs_column_row(problem, grid, tau)
-    generators, residual = _checked_generators(column, row)
-    # one step of iterative refinement with the residual: the formula
-    # amplifies generator errors (at M = 2000 and alpha = 2, Levinson
-    # generators with 6e-13 relative error gave a step 2e-12 off, the
-    # refined ones 7e-15)
-    spectra = _factor_spectra(generators)
-    generators -= [_gohberg_semencul_solve(spectra, r) for r in residual]
+    generators = _checked_generators(column, row)
     if M >= _TOEPLITZ_MIN_M:
-        # made while the first spectra are held: freeing those first would
-        # leave the top of the heap free, and glibc would then trim and
-        # re-fault every step's temporaries (25k minor faults instead of
-        # 900 in a 300-step solve at M = 3000)
         spectra = _factor_spectra(generators)
         return SteppingSystem(
             None, None, None, grid, tau, problem, x_interior, column, row, spectra
@@ -245,13 +235,12 @@ def _lhs_column_row(
     return column, row
 
 
-def _checked_generators(
-    column: np.ndarray, row: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _checked_generators(column: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Rows ``x = T^-1 e_0`` and ``y = T^-1 e_{m-1}`` for the Toeplitz
     matrix T with this first column and row, from the Levinson-Trench
-    recursion, and their residual rows ``T [x y] - [e_0 e_{m-1}]``, whose
-    max norm must not exceed ``_GENERATOR_RTOL ||T||_inf max|[x y]|``."""
+    recursion.  Their residual rows ``T [x y] - [e_0 e_{m-1}]`` must not
+    exceed ``_GENERATOR_RTOL ||T||_inf max|[x y]|`` in max norm, and one
+    step of iterative refinement with them polishes the result."""
     generators = _levinson_generators(column, row)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails below
         residual = _generator_residual(column, row, generators)
@@ -263,7 +252,12 @@ def _checked_generators(
             "Toeplitz generators fail the residual check: "
             f"||lhs [x y] - [e_0 e_m-1]||_inf = {error:.3g} > {bound:.3g}"
         )
-    return generators, residual
+    # the formula amplifies generator errors: at M = 2000 and alpha = 2,
+    # Levinson generators with 6e-13 relative error gave a step 2e-12 off,
+    # the refined ones 7e-15
+    spectra = _factor_spectra(generators)
+    generators -= [_gohberg_semencul_solve(spectra, r) for r in residual]
+    return generators
 
 
 def _levinson_generators(column: np.ndarray, row: np.ndarray) -> np.ndarray:

@@ -427,6 +427,26 @@ class TestOutputErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 2.24 GiB"), "Unable to allocate 2.24 GiB"),
+            (MemoryError(), "allocation refused"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_refused_allocation_is_exit_1(self, capsys, monkeypatch, exc, message):
+        # numpy raises MemoryError when the machine refuses an array, as in
+        # `coeffs --family gl --count 300000000` under `ulimit -v 1500000`
+        def refuse(args):
+            raise exc
+
+        monkeypatch.setitem(rieszfd.cli._DISPATCH, "coeffs", refuse)
+        code, out, err = _run_capture(capsys, ["coeffs", "--alpha", "1.5"])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: out of memory: {message}\n"
+
     def test_growing_weights_derivative_is_exit_1(self, capsys):
         # the weights at M = 100 are still finite, so without the growth
         # check this printed a 1.1e14 "derivative" and exited 0
