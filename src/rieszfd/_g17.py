@@ -25,8 +25,9 @@ the first digit is byte 6, byte 7 is a decimal-point slot and the other
 31 is the separator.  So the text of a cell is at most three runs of
 non-zero bytes, and text is made by dropping the 0 bytes with one boolean
 compaction.  Every word is built from bytes, so the layout does not
-depend on byte order.  A block's temporaries are plain numpy expressions:
-``import rieszfd`` raises glibc's trim threshold, so their pages stay mapped.
+depend on byte order.  ``write_rows`` writes rows of cells after optional
+caller-made prefixes, from plain numpy temporaries: ``import rieszfd``
+raises glibc's trim threshold, so their pages stay mapped.
 """
 
 from __future__ import annotations
@@ -227,33 +228,21 @@ def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
         out[slow] = _words(padded(["%.17g" % v for v in values[slow].tolist()], _CELL))
 
 
-class Rows:
-    """The byte buffer of CSV blocks of up to ``size`` rows, refilled by
-    each block.  A row is the caller's 0-padded ASCII ``prefix`` row
-    followed by ``columns`` ``%.17g`` values, comma-separated, LF-ended."""
-
-    def __init__(self, size: int, columns: int, prefix_width: int = 0) -> None:
-        words = -(-prefix_width // 8)
-        self._buf = np.zeros((size, 8 * words + _CELL * columns), np.uint8)
-        self.prefix = self._buf[:, :prefix_width]
-        self._cells = self._buf.view(np.uint64)[:, words:].reshape(size, columns, 4)
-        self._seps = np.full(columns, _COMMA)
-        self._seps[-1] = _NEWLINE
-
-    def text(self, values: np.ndarray) -> str:
-        """The rows for the ``(n, columns)`` float64 ``values`` after the
-        first n prefix rows."""
-        n = len(values)
-        _format_cells(values, self._cells[:n])
-        self._cells[:n, :, 3] |= self._seps
-        block = self._buf[:n]
-        return block[block != 0].tobytes().decode("ascii")
-
-
-def write_rows(out, values: np.ndarray) -> None:
+def write_rows(out, values: np.ndarray, prefix: np.ndarray | None = None) -> None:
     """Write the ``(n, k)`` float64 ``values`` to the text stream ``out``
-    as rows of k comma-separated ``%.17g`` values, one ``write`` per block
-    of ``BLOCK_ROWS`` rows."""
-    rows = Rows(min(len(values), BLOCK_ROWS), values.shape[1])
-    for start in range(0, len(values), BLOCK_ROWS):
-        out.write(rows.text(values[start : start + BLOCK_ROWS]))
+    as LF-ended rows of k comma-separated ``%.17g`` values, each after its
+    row of the optional ``(n, w)`` uint8 ``prefix`` (0-padded ASCII), from
+    one buffer in one ``write`` per block of at most ``BLOCK_ROWS`` rows."""
+    n, k = values.shape
+    prefix = np.zeros((n, 0), np.uint8) if prefix is None else prefix
+    words = -(-prefix.shape[1] // 8)
+    buf = np.zeros((min(n, BLOCK_ROWS), 8 * words + _CELL * k), np.uint8)
+    cells = buf.view(np.uint64)[:, words:].reshape(len(buf), k, 4)
+    seps = np.array([_COMMA] * (k - 1) + [_NEWLINE])
+    for start in range(0, n, BLOCK_ROWS):
+        rows = min(n - start, BLOCK_ROWS)
+        buf[:rows, : prefix.shape[1]] = prefix[start : start + rows]
+        _format_cells(values[start : start + rows], cells[:rows])
+        cells[:rows, :, 3] |= seps
+        block = buf[:rows]
+        out.write(block[block != 0].tobytes().decode("ascii"))

@@ -6,17 +6,19 @@ of the built-in benchmark function), ``solve`` (Crank-Nicolson solver),
 (reference-table studies), and ``surface`` (space-time error surface).
 
 Exit codes: 0 on success, 1 on a numerical-domain error (an unwritable
-output file or a refused allocation included), 2 on a usage error.  Diagnostics go to stderr; data
-goes to the output path or stdout.  Numeric output uses 17 significant
-digits and LF line endings so repeated runs are byte-identical.
+output file, a closed stdout pipe or a refused allocation included), 2 on
+a usage error.  Diagnostics go to stderr; data goes to the output path or
+stdout.  Numeric output uses 17 significant digits and LF line endings so
+repeated runs are byte-identical.
 
 ``solve`` and ``surface`` stream their CSV in blocks of rows, one write
-each, so ``--keep all`` holds the (N+1) x (M+1) float solution array but
-never a string per cell.  Their value cells, and the CSVs of ``coeffs``
-and ``spectrum --out``, are formatted by the vectorized ``_g17`` module,
-whose bytes equal ``"%.17g" % v``: a value whose digits its fast path
-cannot settle goes through ``"%.17g" % v`` itself.  JSON output never
-carries NaN or infinity: a non-finite value is a numerical-domain error.
+each, from groups of whole time levels, so ``--keep all`` holds the
+(N+1) x (M+1) float solution array but never a string per cell.
+Their value cells, and the CSVs of ``coeffs`` and ``spectrum --out``, are
+formatted by the vectorized ``_g17`` module, whose bytes equal
+``"%.17g" % v``: a value whose digits its fast path cannot settle goes
+through ``"%.17g" % v`` itself.  JSON output never carries NaN or
+infinity: a non-finite value is a numerical-domain error.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -54,16 +57,22 @@ def _fmt(x: float) -> str:
 
 @contextmanager
 def _open_out(path: str | None):
-    """Yield stdout, or ``path`` opened for LF-terminated text; any OSError
-    while opening or writing it becomes a NumericsError."""
-    if path is None:
-        yield sys.stdout
-        return
+    """Yield stdout, flushed at the end, or ``path`` opened for LF-ended
+    text; an OSError on either becomes a NumericsError."""
     try:
-        with open(path, "w", newline="\n") as handle:
-            yield handle
+        if path is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", newline="\n") as handle:
+                yield handle
     except OSError as exc:
-        raise NumericsError(f"cannot write output file {path!r}: {exc}") from exc
+        if path is None and isinstance(exc, BrokenPipeError):
+            # the reader has gone: what is still buffered goes to devnull at exit
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        target = "stdout" if path is None else f"output file {path!r}"
+        raise NumericsError(f"cannot write {target}: {exc}") from exc
 
 
 def _write_json(payload, path: str | None) -> None:
@@ -79,33 +88,21 @@ def _write_levels(out, header: list[str], sol, columns) -> None:
     """Write ``sol`` as long-format CSV: a row ``t,x,*columns(x, t, u)`` per
     node and time level, where ``columns`` returns one array per remaining
     column given the nodes, the level's time and its values.  The ``t`` and
-    ``x`` cells are formatted once; the rest go out in blocks of at most
-    ``_g17.BLOCK_ROWS`` rows, one ``write`` each, which may split a level."""
+    ``x`` cells are formatted once; a ``_g17.write_rows`` call takes whole
+    levels, about eight blocks' worth, so its partial last block costs little."""
     out.write(",".join(header) + "\n")
     x = sol.grid.nodes()
-    m = len(x)
     ts = _g17.padded([_fmt(t) + "," for t in sol.times.tolist()])
     xs = _g17.padded([_fmt(v) + "," for v in x.tolist()])
     wt = ts.shape[1]
-    size = min(_g17.BLOCK_ROWS, m * len(ts))
-    rows = _g17.Rows(size, len(header) - 2, wt + xs.shape[1])
-    values = np.empty((size, len(header) - 2))
-    n = 0  # rows filled in the block
-    for t_cell, t, u in zip(ts, sol.times, sol.snapshots):
-        level = np.column_stack(columns(x, t, u))
-        j = 0
-        while j < m:
-            take = min(m - j, size - n)
-            values[n : n + take] = level[j : j + take]
-            rows.prefix[n : n + take, :wt] = t_cell
-            rows.prefix[n : n + take, wt:] = xs[j : j + take]
-            n += take
-            j += take
-            if n == size:
-                out.write(rows.text(values))
-                n = 0
-    if n:
-        out.write(rows.text(values[:n]))
+    per = min(len(ts), max(1, 8 * _g17.BLOCK_ROWS // len(x)))  # levels per call
+    prefix = np.zeros((per, len(x), wt + xs.shape[1]), np.uint8)
+    prefix[:, :, wt:] = xs
+    for k in range(0, len(ts), per):
+        levels = zip(sol.times[k : k + per], sol.snapshots[k : k + per])
+        values = np.vstack([np.column_stack(columns(x, t, u)) for t, u in levels])
+        prefix[: len(values) // len(x), :, :wt] = ts[k : k + per, None]
+        _g17.write_rows(out, values, prefix[: len(values) // len(x)].reshape(len(values), -1))
 
 
 def _float_list(text: str) -> list[float]:

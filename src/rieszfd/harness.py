@@ -284,7 +284,7 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
 def _resolution_to_m(h: float) -> int:
     m = round(1.0 / h)
     if abs(m * h - 1.0) > 1e-9:
-        raise DomainError(f"mesh size {h} is not the reciprocal of an integer")
+        raise DomainError(f"resolution {h} is not the reciprocal of an integer")
     return m
 
 
@@ -339,11 +339,10 @@ def convergence_study(
     def cell_error(alpha: float, res: float) -> float:
         if kind == "operator_table1":
             return _operator_error(alpha, res)
+        n = _resolution_to_m(res)
         if kind == "temporal_table2":
-            n = round(1.0 / res)
             return _solver_error(alpha, 1000, n)
-        m = _resolution_to_m(res)
-        return _solver_error(alpha, m, 2000)
+        return _solver_error(alpha, n, 2000)
 
     cells = [(a, r) for a in alphas for r in resolutions]
     # one worker, as steps hold the GIL; the executor stays while perfbench's tests patch it

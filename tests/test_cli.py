@@ -366,7 +366,7 @@ class TestByteIdentity:
             ["surface", "--alpha", "1.7", "--M", "25", "--N", "11"],
             lambda: _reference_surface(1.7, 25, 11),
         ),
-        # Toeplitz path; 601 x 8 rows fill four CSV blocks and part of a fifth
+        # Toeplitz path; 8 levels of 601 rows, one call of five CSV blocks
         (
             ["solve", "--alpha", "1.5", "--M", "600", "--N", "7", "--keep", "all"],
             lambda: _reference_solve(example42_problem(1.5), 600, 7, "all"),
@@ -375,8 +375,24 @@ class TestByteIdentity:
             ["surface", "--alpha", "1.9", "--M", "600", "--N", "7"],
             lambda: _reference_surface(1.9, 600, 7),
         ),
+        # levels of 1101 rows, longer than a block, so blocks end inside levels
+        (
+            ["solve", "--alpha", "1.5", "--M", "1100", "--N", "2", "--keep", "all"],
+            lambda: _reference_solve(example42_problem(1.5), 1100, 2, "all"),
+        ),
+        # 101 levels of 101 rows go out in calls of 81 and 20 levels
+        (
+            ["surface", "--alpha", "1.3", "--M", "100", "--N", "100"],
+            lambda: _reference_surface(1.3, 100, 100),
+        ),
+        # levels of 8201 rows, more than eight blocks: one call each
+        (
+            ["solve", "--alpha", "1.5", "--M", "8200", "--N", "1", "--keep", "all"],
+            lambda: _reference_solve(example42_problem(1.5), 8200, 1, "all"),
+        ),
     ]
-    IDS = ["solve-all", "solve-final", "solve-zero", "surface", "solve-blocks", "surface-blocks"]
+    IDS = ["solve-all", "solve-final", "solve-zero", "surface", "solve-blocks", "surface-blocks",
+           "solve-long-levels", "surface-level-groups", "solve-wide-levels"]
 
     @pytest.mark.parametrize("argv,reference", CASES, ids=IDS)
     def test_stdout(self, capsys, argv, reference):
@@ -390,6 +406,21 @@ class TestByteIdentity:
         path = tmp_path / "out.csv"
         assert run(argv + ["--out", str(path)]) == 0
         _assert_identical(path.read_bytes(), reference().encode("ascii"))
+
+
+def test_short_levels_share_blocks():
+    # a write_rows call per level made `solve --M 10 --N 50000 --keep all` 5x slower
+    class Recorder(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    out = Recorder()
+    sol = solve(example42_problem(1.3), 100, 25, keep="all")
+    rieszfd.cli._write_levels(out, ["t", "x", "u"], sol, lambda x, t, u: (u,))
+    assert out.writes == 1 + 3  # the header, then 26 levels of 101 rows in three blocks
 
 
 class TestOutputErrors:
@@ -417,6 +448,23 @@ class TestOutputErrors:
         )
         assert code == 1
         assert err.startswith("error: cannot write output file")
+
+    def test_closed_stdout_pipe_is_exit_1(self):
+        # the reader stops after the header, like `| head -1`
+        src = str(Path(rieszfd.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["solve", "--alpha", "1.5", "--M", "1000", "--N", "200", "--keep", "all"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "rieszfd.cli", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+        ) as proc:
+            assert proc.stdout.readline() == b"t,x,u_numeric,u_exact,error\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        # one line: no traceback, and no "Exception ignored" from the exit flush
+        assert err.startswith("error: cannot write stdout: ")
+        assert err.count("\n") == 1, err
 
     def test_nan_derivative_is_exit_1(self, capsys):
         code, out, err = _run_capture(

@@ -118,7 +118,15 @@ def test_rows_span_blocks(rows):
             return super().write(text)
 
     values = np.random.default_rng(rows).standard_normal((rows, 3)) * 10.0 ** np.arange(-6, 3, 3)
+    expected = ["%.17g,%.17g,%.17g\n" % tuple(row) for row in values.tolist()]
     out = Recorder()
     _g17.write_rows(out, values)
-    assert out.getvalue() == "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in values.tolist())
+    assert out.getvalue() == "".join(expected)
+    assert out.writes == -(-rows // _g17.BLOCK_ROWS)
+    # row prefixes of varying length, 0-padded to a width that is not a
+    # multiple of 8: each block must take its own prefix rows
+    prefixes = [f"{i},{'p' * (i % 7)}," for i in range(rows)]
+    out = Recorder()
+    _g17.write_rows(out, values, _g17.padded(prefixes))
+    assert out.getvalue() == "".join(map(str.__add__, prefixes, expected))
     assert out.writes == -(-rows // _g17.BLOCK_ROWS)

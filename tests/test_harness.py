@@ -204,6 +204,12 @@ class TestConvergenceStudy:
         with pytest.raises(DomainError):
             convergence_study("operator_table1", alphas=[1.5], resolutions=[0.3])
 
+    @pytest.mark.parametrize("kind", ["temporal_table2", "spatial_table3"])
+    def test_bad_solver_resolution(self, kind):
+        # rounding would run tau = 0.3 as 1/3 and label its row 0.3
+        with pytest.raises(DomainError, match="reciprocal of an integer"):
+            convergence_study(kind, alphas=[1.5], resolutions=[0.3, 0.15])
+
     def test_non_finite_source_is_an_error(self, monkeypatch, tmp_path):
         real = rieszfd.harness.example42_problem
 
