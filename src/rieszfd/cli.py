@@ -6,8 +6,8 @@ of the built-in benchmark function), ``solve`` (Crank-Nicolson solver),
 (reference-table studies), and ``surface`` (space-time error surface).
 
 Exit codes: 0 on success, 1 on a numerical-domain error (an unwritable
-output file, a closed stdout pipe or a refused allocation included), 2 on
-a usage error.  Diagnostics go to stderr; data goes to the output path or
+output file, a closed stdout or stdout pipe, or a refused allocation
+included), 2 on a usage error.  Diagnostics go to stderr; data goes to the output path or
 stdout.  Numeric output uses 17 significant digits and LF line endings so
 repeated runs are byte-identical.
 
@@ -58,7 +58,10 @@ def _fmt(x: float) -> str:
 @contextmanager
 def _open_out(path: str | None):
     """Yield stdout, flushed at the end, or ``path`` opened for LF-ended
-    text; an OSError on either becomes a NumericsError."""
+    text; an OSError on either becomes a NumericsError, and so does a
+    closed stdout (``sys.stdout`` is None when file descriptor 1 was)."""
+    if path is None and sys.stdout is None:
+        raise NumericsError("cannot write stdout: it is closed")
     try:
         if path is None:
             yield sys.stdout

@@ -466,6 +466,19 @@ class TestOutputErrors:
         assert err.startswith("error: cannot write stdout: ")
         assert err.count("\n") == 1, err
 
+    def test_closed_stdout_is_exit_1(self):
+        # with file descriptor 1 closed, Python starts with sys.stdout None
+        src = str(Path(rieszfd.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["coeffs", "--alpha", "1.5", "--count", "4"]
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "rieszfd.cli", *argv],
+            stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write stdout: it is closed\n"
+
     def test_nan_derivative_is_exit_1(self, capsys):
         code, out, err = _run_capture(
             capsys, ["deriv", "--alpha", "1.2", "--p", "4", "--M", "2000"]

@@ -11,6 +11,7 @@ import pytest
 
 import rieszfd.cli
 import rieszfd.harness
+import rieszfd.pde
 from rieszfd import (
     DomainError,
     NumericsError,
@@ -210,6 +211,18 @@ class TestConvergenceStudy:
         with pytest.raises(DomainError, match="reciprocal of an integer"):
             convergence_study(kind, alphas=[1.5], resolutions=[0.3, 0.15])
 
+    def test_bad_resolution_is_refused_before_any_cell(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return 1.0
+
+        monkeypatch.setattr(rieszfd.harness, "_solver_error", counted)
+        with pytest.raises(DomainError, match="reciprocal of an integer"):
+            convergence_study("spatial_table3", alphas=[1.5], resolutions=[0.1, 0.05, 0.3])
+        assert calls == []
+
     def test_non_finite_source_is_an_error(self, monkeypatch, tmp_path):
         real = rieszfd.harness.example42_problem
 
@@ -244,12 +257,50 @@ def _reference_solver_error(alpha, M, N):
     return worst
 
 
+def _block_lengths(M, N):
+    """Levels per block that ``pde._march`` yields for M intervals."""
+    rows = max(1, rieszfd.pde._BLOCK_BYTES // (8 * (M - 1)))
+    return [min(rows, N - k) for k in range(0, N, rows)]
+
+
+# dense and Toeplitz cells whose levels fill several blocks with a partial
+# last one, fewer levels than one block, and blocks of one level
+_SOLVER_ERROR_CASES = [
+    (1.4, 40, 200),
+    (1.6, 1000, 10),
+    (1.2, 10, 1000),
+    (1.5, 20, 7),
+    (1.8, 5000, 3),
+]
+
+
 class TestSolverError:
-    @pytest.mark.parametrize("alpha, M, N", [(1.4, 40, 200), (1.6, 1000, 10)])
+    @pytest.mark.parametrize("alpha, M, N", _SOLVER_ERROR_CASES)
     def test_matches_reference_loop(self, alpha, M, N):
-        # a dense cell and a Toeplitz cell
         error = rieszfd.harness._solver_error(alpha, M, N)
         assert error == _reference_solver_error(alpha, M, N)
+
+    def test_reference_cases_cover_every_block_shape(self):
+        shapes = [_block_lengths(M, N) for _, M, N in _SOLVER_ERROR_CASES]
+        assert any(len(b) > 1 and b[-1] < b[0] for b in shapes)  # several, last partial
+        assert any(
+            len(b) == 1 and 8 * (M - 1) * N < rieszfd.pde._BLOCK_BYTES
+            for b, (_, M, N) in zip(shapes, _SOLVER_ERROR_CASES)
+        )  # below one block
+        assert any(len(b) > 1 and set(b) == {1} for b in shapes)  # one level each
+
+    def test_non_finite_block_is_an_error(self, monkeypatch):
+        # NaN from the first level on: every block's error is NaN
+        real = rieszfd.harness.example42_problem
+
+        def nan_problem(alpha):
+            problem = real(alpha)
+            return dataclasses.replace(problem, source=lambda x, t: np.full_like(x, np.nan))
+
+        monkeypatch.setattr(rieszfd.harness, "example42_problem", nan_problem)
+        assert len(_block_lengths(40, 300)) > 1
+        with pytest.raises(DomainError, match="not finite"):
+            rieszfd.harness._solver_error(1.5, 40, 300)
 
     def test_cells_run_one_at_a_time(self, monkeypatch):
         real = rieszfd.harness._solver_error

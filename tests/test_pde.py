@@ -427,6 +427,23 @@ class TestSolve:
         assert np.array_equal(sol.snapshots, snapshots)
         assert sol.snapshots.shape == (N + 1 if keep == "all" else 1, M + 1)
 
+    @pytest.mark.parametrize("keep", ("all", "final"))
+    @pytest.mark.parametrize("M, N", [(40, 250), (600, 20)])  # dense and Toeplitz
+    def test_matches_step_loop_over_several_blocks(self, M, N, keep):
+        problem = example42_problem(1.7)
+        rows = max(1, rieszfd.pde._BLOCK_BYTES // (8 * (M - 1)))
+        assert N > 2 * rows and N % rows != 0  # full blocks and a partial last one
+        system = assemble_system(problem, M, N)
+        u = problem.initial(system.grid.nodes())[1:M]
+        levels = [u]
+        for k in range(N):
+            u = step(system, u, k * system.tau)
+            levels.append(u)
+        expected = np.zeros((N + 1, M + 1))
+        expected[:, 1:M] = levels
+        sol = solve(problem, M, N, keep=keep)
+        assert np.array_equal(sol.snapshots, expected if keep == "all" else expected[-1:])
+
     def test_zero_problem(self):
         sol = solve(_zero_problem(1.3), 16, 8)
         np.testing.assert_array_equal(sol.snapshots, 0.0)
