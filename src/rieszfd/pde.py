@@ -10,11 +10,12 @@ no product with ``B``:
 unconditionally stable and second-order accurate in both the time step
 and the mesh size.
 
-``lhs`` is Toeplitz, and one setup serves every M: the Levinson-Trench
-recursion gives the generators ``x = lhs^-1 e_0`` and
-``y = lhs^-1 e_{m-1}`` in O(M**2) time and O(M) memory, a residual check
-accepts them, and one step of iterative refinement polishes them.  They
-determine the inverse by the Gohberg-Semencul formula
+``lhs`` is Toeplitz, so its first column and row, formed in O(M), define
+it, and one setup serves every M: the Levinson-Trench recursion gives
+the generators ``x = lhs^-1 e_0`` and ``y = lhs^-1 e_{m-1}`` in O(M**2)
+time and O(M) memory, a residual check accepts them, and one step of
+iterative refinement polishes them.  They determine the inverse by the
+Gohberg-Semencul formula
 ``lhs^-1 = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)]``, where L(v) and U(v)
 are the lower and upper triangular Toeplitz matrices with first column
 and first row v, J reverses and Z shifts down by one.  The number of
@@ -45,7 +46,8 @@ import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 would load it on first use, mid-solve
 
 from .errors import DomainError, SingularMatrixError, SizeLimitError
-from .operators import GridSpec1D, _riesz_column, riesz_matrix
+from .operators import GridSpec1D, _riesz_column, _toeplitz
+from .operators import riesz_matrix  # noqa: F401  unused; kept while perfbench's tests pin it
 
 __all__ = [
     "AdvectionDiffusionProblem",
@@ -146,8 +148,9 @@ class SteppingSystem:
 
     Dense path (M < ``_TOEPLITZ_MIN_M``): ``inverse`` holds lhs^-1
     expanded from the Gohberg-Semencul generators (see the module
-    docstring), ``lhs`` and ``B`` the dense matrices, and ``spectra`` is
-    None.  The system holds three m x m arrays.
+    docstring), ``lhs`` and ``B`` the dense matrices expanded from
+    ``column`` and ``row``, and ``spectra`` is None.  The system holds
+    three m x m arrays.
 
     Toeplitz path (M >= ``_TOEPLITZ_MIN_M``): ``inverse``, ``lhs`` and
     ``B`` are None, and ``spectra`` holds the FFT spectra of the
@@ -206,32 +209,18 @@ def assemble_system(
             None, None, None, grid, tau, problem, x_interior, column, row, spectra
         )
     inverse = _trench_inverse(generators)
-
-    # half_a = (tau/2)(K C - K_alpha R) is built in R's buffer, with the
-    # same rounding as forming it from dense matrices; C has two bands
-    m = M - 1
-    h = grid.h
-    stride = m + 1  # flat step along one diagonal
-    half_a = riesz_matrix(problem.alpha, 2, grid)
-    np.multiply(half_a, -problem.K_alpha, out=half_a)
-    half_a.flat[1::stride] += problem.K * (1.0 / (2.0 * h))
-    half_a.flat[m::stride] += problem.K * (-1.0 / (2.0 * h))
-    half_a *= tau / 2.0
-
-    lhs = half_a
-    lhs.flat[::stride] += 1.0
+    lhs = _toeplitz(column, row)
     # 2 - lhs_ii is exact for 1 <= lhs_ii < 2**53, so lhs + B = 2I bit for bit
     B = np.negative(lhs)
-    B.flat[::stride] = 2.0 - lhs.flat[::stride]
+    np.fill_diagonal(B, 2.0 - column[0])
     return SteppingSystem(inverse, lhs, B, grid, tau, problem, x_interior, column, row)
 
 
 def _lhs_column_row(
     problem: AdvectionDiffusionProblem, grid: GridSpec1D, tau: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First column and first row of lhs in O(M), each entry formed by the
-    same operations in the same order as in the dense assembly, so both
-    are bit-equal to ``lhs[:, 0]`` and ``lhs[0]``."""
+    """First column and first row of lhs in O(M); they define the matrix
+    on both paths."""
     h = grid.h
     column = _riesz_column(problem.alpha, 2, grid)
     np.multiply(column, -problem.K_alpha, out=column)
@@ -409,25 +398,19 @@ def step(system: SteppingSystem, u_k: np.ndarray, t_k: float) -> np.ndarray:
     return 2.0 * (system.inverse @ (u_k + half * f)) - u_k
 
 
-def _require_finite(u: np.ndarray, t: float) -> None:
-    """``2 y - u`` keeps every NaN or inf of ``u``, and both solvers spread
-    one from the right-hand side to all of ``y`` (the dense path through
-    its product with the full inverse, the Toeplitz path through its FFTs,
-    which mix every entry), so checking the final level covers the whole run."""
-    if not np.all(np.isfinite(u)):
-        raise DomainError(
-            f"solution is not finite at t={t!r}; the source or the initial "
-            "data produced NaN or inf"
-        )
-
-
 def _march(system: SteppingSystem, u: np.ndarray, N: int):
     """Advance the interior values ``u`` (level 0) through N levels with
     :func:`step` and yield ``(k, block)``, where row i of ``block`` holds
     level k + i.  Every block but the last is full and holds at most
     ``_BLOCK_BYTES`` (at least one level).  ``block`` is a view of one
     buffer that the next block overwrites; the last block yielded stays
-    intact."""
+    intact.
+
+    Raises DomainError, before the last block, when level N is not finite.
+    ``2 y - u`` keeps every NaN or inf of ``u``, and both solvers spread
+    one from the right-hand side to all of ``y`` (the dense path through
+    its product with the full inverse, the Toeplitz path through its FFTs,
+    which mix every entry), so checking level N covers the whole run."""
     tau = system.tau
     buffer = np.empty((max(1, min(N, _BLOCK_BYTES // (8 * len(u)))), len(u)))
     rows = len(buffer)
@@ -435,6 +418,11 @@ def _march(system: SteppingSystem, u: np.ndarray, N: int):
         u = step(system, u, k * tau)
         i = k % rows
         buffer[i] = u
+        if k == N - 1 and not np.all(np.isfinite(u)):
+            raise DomainError(
+                f"solution is not finite at t={N * tau!r}; the source or the "
+                "initial data produced NaN or inf"
+            )
         if i == rows - 1 or k == N - 1:
             yield k + 1 - i, buffer[: i + 1]
 
@@ -474,7 +462,6 @@ def solve(
     for k, block in _march(system, u, N):
         if keep == "all":
             interior[k : k + len(block)] = block
-    _require_finite(block[-1], N * tau)
     interior[-1] = block[-1]
     return SolutionGrid(grid, tau, N, tau * levels, snapshots)
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import threading
 import time
+import tracemalloc
 from math import gamma
 
 import numpy as np
@@ -219,8 +220,14 @@ class TestConvergenceStudy:
             return 1.0
 
         monkeypatch.setattr(rieszfd.harness, "_solver_error", counted)
+        monkeypatch.setattr(rieszfd.harness, "_operator_error", counted)
         with pytest.raises(DomainError, match="reciprocal of an integer"):
             convergence_study("spatial_table3", alphas=[1.5], resolutions=[0.1, 0.05, 0.3])
+        # degenerate ones raised ZeroDivisionError, ValueError or a misleading M
+        for kind in ("operator_table1", "temporal_table2", "spatial_table3"):
+            for bad in (0.0, math.nan, math.inf, -0.1):
+                with pytest.raises(DomainError, match="finite and > 0"):
+                    convergence_study(kind, alphas=[1.5], resolutions=[0.1, bad])
         assert calls == []
 
     def test_non_finite_source_is_an_error(self, monkeypatch, tmp_path):
@@ -335,3 +342,27 @@ class TestErrorSurface:
         np.testing.assert_array_equal(surface[:, -1], 0.0)
         np.testing.assert_array_equal(surface[0], 0.0)
         assert 0.0 < surface.max() < 1e-3
+
+    def test_overwrites_the_solution_in_place(self):
+        for alpha, M, N in ((1.5, 40, 5000), (1.7, 600, 700)):  # dense and Toeplitz
+            tracemalloc.start()
+            try:
+                surface = error_surface(alpha, M, N)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the old loop held two (N+1) x (M+1) arrays: a 2.0x peak
+            assert peak < 1.3 * surface.nbytes
+            assert np.array_equal(surface, _reference_error_surface(alpha, M, N))
+
+
+def _reference_error_surface(alpha, M, N):
+    """Verbatim copy of ``error_surface`` before it wrote over the
+    solution, with a second (N+1) x (M+1) array."""
+    problem = example42_problem(alpha)
+    sol = rieszfd.harness.solve(problem, M, N, keep="all")
+    x = sol.grid.nodes()
+    surface = np.empty((N + 1, M + 1))
+    for k, t in enumerate(sol.times):
+        surface[k] = np.abs(sol.snapshots[k] - problem.exact(x, t))
+    return surface

@@ -12,12 +12,14 @@ import rieszfd.pde
 from rieszfd import (
     AdvectionDiffusionProblem,
     DomainError,
+    GridSpec1D,
     NumericsError,
     SingularMatrixError,
     SizeLimitError,
     assemble_system,
     example42_problem,
     grid_norm,
+    riesz_matrix,
     solve,
     step,
 )
@@ -93,7 +95,40 @@ def _corrupted_levinson(bad):
     return corrupted
 
 
+def _reference_dense_assembly(problem, M, N):
+    """Verbatim copy of the dense assembly of ``lhs`` and ``B`` from
+    ``riesz_matrix`` and strided diagonal edits, which ``assemble_system``
+    used below the crossover; the reference for the matrices it now
+    expands from the first column and row."""
+    grid = GridSpec1D(*problem.domain, M)
+    tau = problem.T / N
+    m = M - 1
+    h = grid.h
+    stride = m + 1  # flat step along one diagonal
+    half_a = riesz_matrix(problem.alpha, 2, grid)
+    np.multiply(half_a, -problem.K_alpha, out=half_a)
+    half_a.flat[1::stride] += problem.K * (1.0 / (2.0 * h))
+    half_a.flat[m::stride] += problem.K * (-1.0 / (2.0 * h))
+    half_a *= tau / 2.0
+
+    lhs = half_a
+    lhs.flat[::stride] += 1.0
+    B = np.negative(lhs)
+    B.flat[::stride] = 2.0 - lhs.flat[::stride]
+    return lhs, B
+
+
 class TestAssembly:
+    @pytest.mark.parametrize("M", (4, 5, 160, 499))
+    @pytest.mark.parametrize("alpha", (1.01, 1.5, 1.99, 2.0))
+    def test_lhs_and_b_match_dense_assembly(self, alpha, M):
+        for K in (0.0, 2.0, 7.3):
+            problem = dataclasses.replace(_sine_problem(alpha), K=K)
+            system = assemble_system(problem, M, 50)
+            lhs, B = _reference_dense_assembly(problem, M, 50)
+            assert np.array_equal(system.lhs, lhs)
+            assert np.array_equal(system.B, B)
+
     def test_lhs_plus_b_is_twice_identity(self):
         system = assemble_system(example42_problem(1.6), 10, 5)
         np.testing.assert_array_equal(system.lhs + system.B, 2.0 * np.eye(9))
@@ -137,6 +172,7 @@ class TestAssembly:
             raise AssertionError("the Toeplitz path used the dense assembly")
 
         monkeypatch.setattr(rieszfd.pde, "riesz_matrix", no_dense)
+        monkeypatch.setattr(rieszfd.pde, "_toeplitz", no_dense)
         problem = example42_problem(1.5)
         system = assemble_system(problem, CROSSOVER, 10)
         assert system.inverse is system.lhs is system.B is None
@@ -306,8 +342,9 @@ class TestToeplitzPath:
                 system = assemble_system(problem, M, N)
                 dense = _dense_system(monkeypatch, problem, M, N)
                 assert system.lhs is None and dense.spectra is None
-                assert np.array_equal(system.column, dense.lhs[:, 0])
-                assert np.array_equal(system.row, dense.lhs[0])
+                lhs, _ = _reference_dense_assembly(problem, M, N)
+                assert np.array_equal(system.column, lhs[:, 0])
+                assert np.array_equal(system.row, lhs[0])
                 tau, x = system.tau, system.x_interior
                 inputs = np.empty((N, M - 1))
                 outputs = np.empty((N, M - 1))
