@@ -262,11 +262,11 @@ def _cmd_spectrum(args) -> None:
     lo, hi = spectral_bounds(args.alpha, args.p, args.M)
     if args.out is not None:
         xs = np.linspace(-math.pi, math.pi, args.symbol_samples)
-        fs = generating_symbol(args.alpha, xs)
+        fs = generating_symbol(args.alpha, xs, args.p)
         with _open_out(args.out) as out:
             out.write("x,f_alpha_x\n")
             _g17.write_rows(out, np.column_stack([xs, fs]))
-    record = {"alpha": args.alpha, "M": args.M, "min_eig": lo, "max_eig": hi}
+    record = {"alpha": args.alpha, "p": args.p, "M": args.M, "min_eig": lo, "max_eig": hi}
     _write_json(record, None)
 
 

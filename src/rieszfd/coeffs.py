@@ -278,17 +278,25 @@ def _grows(a: np.ndarray) -> bool:
     return bool(roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-9)
 
 
+def _decaying_polynomial(p: int, alpha: float) -> np.ndarray:
+    """``kappa_polynomial(p, alpha)``, refused when its weights grow: no
+    operator can use them, nor can unit-circle samples represent them."""
+    a = kappa_polynomial(p, alpha)
+    if _grows(a):
+        raise DomainError(
+            f"kappa weights for p={p}, alpha={alpha} grow geometrically: the "
+            "generating polynomial has a root inside the closed unit disk"
+        )
+    return a
+
+
 def _kappa_fft(
     a: np.ndarray, alpha: float, count: int, samples: int | None
 ) -> np.ndarray:
     """Kappa weights via inverse FFT of unit-circle samples of the
-    generating function.
-
-    Only valid when the generating polynomial has no root inside the
-    closed unit disk other than z = 1: otherwise the weights grow
-    geometrically and are not the Fourier coefficients of the boundary
-    values.  Aliasing decays like the coefficient tail, so the sample
-    count must comfortably exceed the requested truncation.
+    generating function; ``a`` must come from :func:`_decaying_polynomial`.
+    Aliasing decays like the coefficient tail, so the sample count must
+    comfortably exceed the requested truncation.
     """
     if samples is None:
         samples = max(4096, 4 * count)
@@ -296,20 +304,19 @@ def _kappa_fft(
         raise DomainError(
             f"fft extraction needs at least 2*count={2 * count} samples, got {samples}"
         )
-    if _grows(a):
-        raise DomainError(
-            "fft extraction unavailable: the generating polynomial has a root "
-            "inside the closed unit disk, so the weights grow geometrically "
-            "and cannot be recovered from unit-circle samples; use "
-            "method='recursion' or method='convolution'"
-        )
     z = np.exp(-2j * np.pi * np.arange(samples) / samples)
+    return np.fft.ifft(_circle_power(a, alpha, z)).real[: count + 1]
+
+
+def _circle_power(a: np.ndarray, alpha: float, z: np.ndarray) -> np.ndarray:
+    """``W(z)**alpha`` for ``W(z) = sum a_k z**k`` at points z of the unit
+    circle, on the principal branch; W has an exact root at z = 1."""
     w = np.polynomial.polynomial.polyval(z, a)
-    w[0] = 0.0  # z = 1 is an exact root; define 0**alpha = 0
-    vals = np.zeros(samples, dtype=complex)
+    w[z == 1.0] = 0.0  # define 0**alpha = 0
+    vals = np.zeros(w.shape, dtype=complex)
     nz = w != 0.0
-    vals[nz] = np.exp(alpha * np.log(w[nz]))  # principal branch
-    return np.fft.ifft(vals).real[: count + 1]
+    vals[nz] = np.exp(alpha * np.log(w[nz]))
+    return vals
 
 
 def kappa_weights(
@@ -335,7 +342,7 @@ def kappa_weights(
         elif method == "convolution":
             values = _kappa_convolution(a, alpha, count)
         elif method == "fft":
-            values = _kappa_fft(a, alpha, count, samples)
+            values = _kappa_fft(_decaying_polynomial(p, alpha), alpha, count, samples)
         else:
             raise DomainError(
                 f"unknown method {method!r}; expected recursion, convolution or fft"

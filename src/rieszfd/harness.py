@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SizeLimitError
 from .operators import GridSpec1D, point_riesz_derivative
 from .pde import (
     AdvectionDiffusionProblem,
@@ -284,6 +284,8 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
 def _resolution_to_m(h: float) -> int:
     if not 0.0 < h < math.inf:  # NaN fails too
         raise DomainError(f"resolution must be finite and > 0, got {h}")
+    if 1.0 / h == math.inf:
+        raise SizeLimitError(f"resolution {h} is too small: its reciprocal overflows")
     m = round(1.0 / h)
     if abs(m * h - 1.0) > 1e-9:
         raise DomainError(f"resolution {h} is not the reciprocal of an integer")

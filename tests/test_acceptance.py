@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dgemm
 
 from rieszfd import (
     AdvectionDiffusionProblem,
@@ -192,8 +193,11 @@ def test_criterion_7_unconditional_stability():
         U = rng.standard_normal((199, 50))
         norms = np.sqrt(h * np.sum(U * U, axis=0))
         lu = lu_factor(system.lhs)
+        # the product goes through scipy's BLAS too: alternating numpy's and
+        # scipy's threaded BLAS pools made this loop about 16 times slower
+        B = np.asfortranarray(system.B)
         for _ in range(500):
-            U = lu_solve(lu, system.B @ U)
+            U = lu_solve(lu, dgemm(1.0, B, U))
             new = np.sqrt(h * np.sum(U * U, axis=0))
             worst = max(worst, float(np.max(new - norms)))
             assert np.all(new <= norms + 1e-12)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import rieszfd.cli
+import rieszfd.operators
 from rieszfd.cli import run
 from rieszfd.coeffs import gl_weights, kappa_weights, lubich_weights, wsgd_weights
 from rieszfd.harness import error_surface, example42_problem
@@ -252,6 +253,18 @@ class TestDeriv:
         payload = json.loads(out)
         assert "exact" not in payload
 
+    def test_grid_above_the_cap_is_exit_1(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("weights computed for a refused grid")
+
+        monkeypatch.setattr(rieszfd.operators, "kappa_weights", refuse)
+        for M in ("1000001", "1" + "0" * 300):
+            code, out, err = _run_capture(capsys, ["deriv", "--alpha", "1.5", "--M", M])
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: grid M=") and "exceeds the cap" in err
+            assert err.count("\n") == 1
+
 
 class TestSolve:
     def test_final_snapshot_rows(self, tmp_path):
@@ -280,33 +293,41 @@ class TestSolve:
 
 class TestSpectrum:
     def test_record_and_csv(self, tmp_path, capsys):
-        out = tmp_path / "symbol.csv"
-        code, stdout, _ = _run_capture(
-            capsys,
-            ["spectrum", "--alpha", "1.5", "--M", "16", "--out", str(out)],
-        )
-        assert code == 0
-        record = json.loads(stdout)
-        assert record["max_eig"] <= 1e-10
-        assert record["min_eig"] < record["max_eig"]
-        lines = out.read_text().splitlines()
-        assert lines[0] == "x,f_alpha_x"
-        assert len(lines) == 1 + 1024
+        for p in (2, 3):
+            out = tmp_path / f"symbol{p}.csv"
+            code, stdout, _ = _run_capture(
+                capsys,
+                ["spectrum", "--alpha", "1.5", "--p", str(p), "--M", "16", "--out", str(out)],
+            )
+            assert code == 0
+            record = json.loads(stdout)
+            assert sorted(record) == ["M", "alpha", "max_eig", "min_eig", "p"]
+            assert record["p"] == p
+            assert record["max_eig"] <= 1e-10
+            assert record["min_eig"] < record["max_eig"]
+            lines = out.read_text().splitlines()
+            assert lines[0] == "x,f_alpha_x"
+            assert len(lines) == 1 + 1024
 
     @pytest.mark.parametrize("samples", [1024, 7])
     @pytest.mark.parametrize("alpha", [1.5, 1.9])
     def test_csv_matches_per_row_writer(self, tmp_path, capsys, alpha, samples):
-        path = tmp_path / "symbol.csv"
-        argv = ["spectrum", "--alpha", str(alpha), "--symbol-samples", str(samples),
-                "--out", str(path)]
-        assert _run_capture(capsys, argv)[0] == 0
-        # verbatim copy of the original per-row spectrum writer
-        xs = np.linspace(-math.pi, math.pi, samples)
-        fs = generating_symbol(alpha, xs)
-        expected = io.StringIO()
-        expected.write("x,f_alpha_x\n")
-        expected.write("".join(["%.17g,%.17g\n" % row for row in zip(xs.tolist(), fs.tolist())]))
-        _assert_identical(path.read_bytes(), expected.getvalue().encode("ascii"))
+        orders = (2, 3, 4) if alpha > 1.71 else (2, 3)  # p = 4 weights grow at alpha 1.5
+        written = set()
+        for p in orders:
+            path = tmp_path / f"symbol{p}.csv"
+            argv = ["spectrum", "--alpha", str(alpha), "--p", str(p),
+                    "--symbol-samples", str(samples), "--out", str(path)]
+            assert _run_capture(capsys, argv)[0] == 0
+            # verbatim copy of the original per-row spectrum writer
+            xs = np.linspace(-math.pi, math.pi, samples)
+            fs = generating_symbol(alpha, xs, p)
+            expected = io.StringIO()
+            expected.write("x,f_alpha_x\n")
+            expected.write("".join(["%.17g,%.17g\n" % row for row in zip(xs.tolist(), fs.tolist())]))
+            _assert_identical(path.read_bytes(), expected.getvalue().encode("ascii"))
+            written.add(path.read_bytes())
+        assert len(written) == len(orders)  # each file is its own order's symbol
 
 
 class TestConvergence:

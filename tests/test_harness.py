@@ -12,11 +12,13 @@ import pytest
 
 import rieszfd.cli
 import rieszfd.harness
+import rieszfd.operators
 import rieszfd.pde
 from rieszfd import (
     DomainError,
     NumericsError,
     GridSpec1D,
+    SizeLimitError,
     convergence_study,
     error_surface,
     example41_exact,
@@ -229,6 +231,17 @@ class TestConvergenceStudy:
                 with pytest.raises(DomainError, match="finite and > 0"):
                     convergence_study(kind, alphas=[1.5], resolutions=[0.1, bad])
         assert calls == []
+
+    def test_grid_above_the_cap_is_refused(self, monkeypatch):
+        # 1e-300 ended in a bare numpy ValueError and 1e-9 (M = 10**9) was
+        # killed for its memory; 1e-320's reciprocal overflows to inf
+        def refuse(*args):
+            raise AssertionError("weights computed for a refused grid")
+
+        monkeypatch.setattr(rieszfd.operators, "kappa_weights", refuse)
+        for bad in (1e-320, 1e-300, 1e-9, 1 / 1000002):
+            with pytest.raises(SizeLimitError):
+                convergence_study("operator_table1", alphas=[1.5], resolutions=[bad])
 
     def test_non_finite_source_is_an_error(self, monkeypatch, tmp_path):
         real = rieszfd.harness.example42_problem

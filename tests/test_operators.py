@@ -42,6 +42,10 @@ class TestGridSpec:
             GridSpec1D(1.0, 0.0, 10)
         with pytest.raises(DomainError):
             GridSpec1D(0.0, 1.0, 3)
+        assert GridSpec1D(0.0, 1.0, 10**6).M == 10**6
+        for M in (10**6 + 1, 10**9, 10**300):
+            with pytest.raises(SizeLimitError, match="exceeds the cap"):
+                GridSpec1D(0.0, 1.0, M)
 
     def test_gridfunction_length_check(self):
         grid = GridSpec1D(0.0, 1.0, 10)
@@ -261,10 +265,41 @@ class TestMatrix:
         assert riesz_constant(1.5) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
 
 
+# smallest alpha from which the order-p symbol is nonpositive; below it
+# (down to where the weights start to grow: p = 3 from 1.36, p = 4 from
+# 1.71) its maximum and the largest eigenvalue are positive
+_NONPOSITIVE_FROM = {2: 1.0, 3: 1.43, 4: 1.81}
+
+
+def _closed_form_symbol(alpha, x):
+    # the p = 2 symbol in factored magnitude/phase form: an evaluation that
+    # shares no step with the unit-circle samples of W**alpha
+    x = np.abs(np.asarray(x, dtype=float))
+    c = (alpha - 2.0) / (3.0 * alpha - 2.0)
+    lead = (3.0 * alpha - 2.0) / (2.0 * alpha)
+    sin_half = 2.0 * np.sin(x / 2.0)
+    # the arctan denominator is strictly positive on (1,2) x [0,pi], so the
+    # principal branch is always the right one
+    theta = -np.arctan(
+        (alpha - 2.0) * np.sin(x) / ((3.0 * alpha - 2.0) - (alpha - 2.0) * np.cos(x))
+    )
+    bracket = (1.0 - c * np.cos(x)) ** 2 + (c * np.sin(x)) ** 2
+    magnitude = sin_half**alpha * lead**alpha * bracket ** (alpha / 2.0)
+    phase = 2.0 * np.cos(alpha * (theta + (x - np.pi) / 2.0) - x)
+    out = magnitude * phase
+    out = np.where(sin_half == 0.0, 0.0, out)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
 class TestGeneratingSymbol:
     def test_zero_at_origin(self):
         for alpha in (1.1, 1.5, 1.9):
             assert generating_symbol(alpha, 0.0) == 0.0
+        for p, alpha in ((2, 1.5), (3, 1.4), (3, 1.8), (4, 1.75), (4, 1.9)):
+            f = generating_symbol(alpha, np.array([-0.0, 0.0]), p)
+            assert f.tolist() == [0.0, 0.0] and not np.signbit(f).any()
 
     def test_value_at_pi(self):
         assert generating_symbol(1.5, math.pi) == pytest.approx(
@@ -276,28 +311,43 @@ class TestGeneratingSymbol:
         np.testing.assert_allclose(
             generating_symbol(1.4, xs), generating_symbol(1.4, -xs), rtol=1e-14
         )
+        for p, alpha in ((3, 1.4), (3, 1.8), (4, 1.75), (4, 1.9)):
+            assert np.array_equal(generating_symbol(alpha, xs, p), generating_symbol(alpha, -xs, p))
 
     @pytest.mark.parametrize("alpha", np.linspace(1.001, 1.999, 33))
     def test_nonpositive(self, alpha):
         xs = np.linspace(-math.pi, math.pi, 10**4)
-        assert np.max(generating_symbol(alpha, xs)) <= 1e-12
+        for p, start in _NONPOSITIVE_FROM.items():
+            if alpha >= start:
+                assert np.max(generating_symbol(alpha, xs, p)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
     def test_direct_unit_circle_oracle(self, alpha):
-        # independent evaluation: 2 Re[e^{-ix} W(e^{ix})^alpha] with the
-        # principal branch, against the factored magnitude/phase form
-        a = kappa_polynomial(2, alpha)
+        # independent evaluation: the p = 2 factored magnitude/phase form,
+        # against 2 Re[e^{-ix} W(e^{ix})^alpha] on the principal branch
         xs = np.linspace(1e-3, math.pi, 200)
-        z = np.exp(1j * xs)
-        w = a[0] + a[1] * z + a[2] * z**2
-        direct = 2.0 * np.real(np.exp(-1j * xs) * np.exp(alpha * np.log(w)))
         np.testing.assert_allclose(
-            generating_symbol(alpha, xs), direct, rtol=1e-10, atol=1e-12
+            generating_symbol(alpha, xs), _closed_form_symbol(alpha, xs), rtol=1e-10, atol=1e-12
         )
+
+    def test_matches_closed_form_to_roundoff(self):
+        # both forms round at the size of their terms, 2 |W|**alpha, which
+        # is up to 26 times the symbol's own maximum near alpha = 1
+        xs = np.linspace(-math.pi, math.pi, 2001)
+        for alpha in np.linspace(1.01, 1.99, 50):
+            w = np.polynomial.polynomial.polyval(np.exp(1j * xs), kappa_polynomial(2, alpha))
+            scale = 2.0 * np.max(np.abs(w)) ** alpha
+            error = np.abs(generating_symbol(alpha, xs, 2) - _closed_form_symbol(alpha, xs))
+            assert np.max(error) <= 1e-14 * scale
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
             generating_symbol(2.0, 1.0)
+
+    @pytest.mark.parametrize("p, alpha", [(3, 1.2), (3, 1.35), (4, 1.5), (4, 1.7)])
+    def test_growing_weights_are_refused(self, p, alpha):
+        with pytest.raises(DomainError, match="grow geometrically"):
+            generating_symbol(alpha, np.linspace(-math.pi, math.pi, 9), p)
 
 
 class TestSpectralBounds:
@@ -308,11 +358,24 @@ class TestSpectralBounds:
 
     @pytest.mark.parametrize("m", (8, 16, 32, 64))
     def test_sandwiched_by_symbol(self, m):
-        lo, hi = spectral_bounds(1.5, 2, m)
         xs = np.linspace(0.0, math.pi, 10**5)
-        f = generating_symbol(1.5, xs)
-        assert lo >= np.min(f) - 1e-10
-        assert hi <= np.max(f) + 1e-10
+        for p, alpha in ((2, 1.5), (3, 1.4), (3, 1.7), (4, 1.75), (4, 1.9)):
+            lo, hi = spectral_bounds(alpha, p, m)
+            f = generating_symbol(alpha, xs, p)
+            assert lo >= np.min(f) - 1e-10
+            assert hi <= np.max(f) + 1e-10
+
+    @pytest.mark.parametrize(
+        "p, alpha",
+        [(3, a) for a in (1.37, 1.39, 1.41, 1.43, 1.45, 1.6, 1.9)]
+        + [(4, a) for a in (1.71, 1.75, 1.79, 1.81, 1.85, 1.95)],
+    )
+    def test_symbol_maximum_has_the_sign_of_the_largest_eigenvalue(self, p, alpha):
+        f = generating_symbol(alpha, np.linspace(0.0, math.pi, 10**5), p)
+        _, hi = spectral_bounds(alpha, p, 200)
+        tol = 1e-12 * (np.max(f) - np.min(f))
+        assert (np.max(f) > tol) == (hi > tol)
+        assert (np.max(f) > tol) == (alpha < _NONPOSITIVE_FROM[p])
 
     def test_integer_order_spectrum(self):
         lo, hi = spectral_bounds(2.0, 2, 8)
