@@ -18,14 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, SizeLimitError
-from .operators import GridSpec1D, point_riesz_derivative
-from .pde import (
-    AdvectionDiffusionProblem,
-    _march,
-    assemble_system,
-    solve,
-    step,  # noqa: F401  unused; kept while perfbench's tests pin harness.step
-)
+from .operators import _MAX_GRID_M, GridSpec1D, point_riesz_derivative
+from .pde import AdvectionDiffusionProblem, _check_all_levels_fit, _march, assemble_system
+from .pde import step  # noqa: F401  unused; kept while perfbench's tests pin harness.step
 
 __all__ = [
     "StudyRow",
@@ -209,28 +204,32 @@ def example41_exact(alpha: float) -> float:
     )
 
 
+def _bump_half_sum(alpha: float, n: int, x: np.ndarray) -> np.ndarray:
+    """Half the sum of the left and right Riemann-Liouville derivatives of
+    order alpha of ``x**n (1-x)**n`` on (0, 1), n >= 2, by the power rule on
+    ``sum_k (-1)**k C(n, k) x**(n+k)``; its Riesz derivative is minus this
+    over ``cos(pi alpha / 2)``."""
+    total = np.zeros_like(x)
+    for k in range(n + 1):
+        scale = (-1) ** k * math.comb(n, k) * (math.factorial(n + k) // 2)
+        power = (n + k) - alpha
+        total += scale / math.gamma((n + k + 1) - alpha) * (x**power + (1.0 - x) ** power)
+    return total
+
+
 def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
     """Manufactured advection-diffusion benchmark on (0, 1) with T = 1,
     K = 2, K_alpha = alpha**2, and exact solution
     ``cos(alpha t**2) x**4 (1-x)**4``.
 
     ``source`` and ``exact`` compute their t-independent space factors
-    once per node array and reuse them while called with equal nodes.
+    once per node array and reuse them while called with equal nodes;
+    ``exact(x, t)`` also takes a sequence t and returns one row per time.
     """
     if not 1.0 < alpha < 2.0:
         raise DomainError(f"benchmark requires alpha in (1, 2), got {alpha}")
     k_alpha = alpha * alpha
     cos_half = math.cos(math.pi * alpha / 2.0)
-    gamma_coeffs = np.array(
-        [
-            12.0 / math.gamma(5.0 - alpha),
-            -240.0 / math.gamma(6.0 - alpha),
-            2160.0 / math.gamma(7.0 - alpha),
-            -10080.0 / math.gamma(8.0 - alpha),
-            20160.0 / math.gamma(9.0 - alpha),
-        ]
-    )
-    powers = np.array([4.0 - alpha, 5.0 - alpha, 6.0 - alpha, 7.0 - alpha, 8.0 - alpha])
 
     def bump(x: np.ndarray) -> np.ndarray:
         return x**4 * (1.0 - x) ** 4
@@ -248,16 +247,15 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
         key = (x.shape, x.tobytes())
         entry = cache[0]
         if entry is None or entry[0] != key:
-            frac = np.zeros_like(x)
-            for coef, power in zip(gamma_coeffs, powers):
-                frac += coef * (x**power + (1.0 - x) ** power)
-            entry = (key, k_alpha * frac, bump(x), bump_dx(x))
+            entry = (key, k_alpha * _bump_half_sum(alpha, 4, x), bump(x), bump_dx(x))
             cache[0] = entry
         return entry
 
-    def exact(x: np.ndarray, t: float) -> np.ndarray:
+    def exact(x: np.ndarray, t: float | Sequence[float]) -> np.ndarray:
         _, _, bump_x, _ = space_factors(np.asarray(x, dtype=float))
-        return math.cos(alpha * t * t) * bump_x
+        if np.ndim(t) == 0:
+            return math.cos(alpha * t * t) * bump_x
+        return np.multiply.outer([math.cos(alpha * s * s) for s in t], bump_x)
 
     def source(x: np.ndarray, t: float) -> np.ndarray:
         _, scaled_frac, bump_x, bump_dx_x = space_factors(np.asarray(x, dtype=float))
@@ -284,8 +282,8 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
 def _resolution_to_m(h: float) -> int:
     if not 0.0 < h < math.inf:  # NaN fails too
         raise DomainError(f"resolution must be finite and > 0, got {h}")
-    if 1.0 / h == math.inf:
-        raise SizeLimitError(f"resolution {h} is too small: its reciprocal overflows")
+    if not 1.0 / h <= _MAX_GRID_M + 0.5:  # an overflow to inf fails too
+        raise SizeLimitError(f"resolution {h} is too small: 1/h exceeds {_MAX_GRID_M}")
     m = round(1.0 / h)
     if abs(m * h - 1.0) > 1e-9:
         raise DomainError(f"resolution {h} is not the reciprocal of an integer")
@@ -302,31 +300,25 @@ def _operator_error(alpha: float, h: float) -> float:
     return abs(numeric - example41_exact(alpha))
 
 
+def _error_blocks(problem: AdvectionDiffusionProblem, M: int, N: int):
+    """Run ``problem``, a manufactured benchmark, and yield ``(k, error)``
+    per block of levels from ``pde._march``: row i of ``error`` holds
+    |U - u_exact| at the interior nodes of level k + i, from one
+    ``problem.exact`` call."""
+    system = assemble_system(problem, M, N)
+    x, tau = system.x_interior, system.tau
+    for k, block in _march(system, np.asarray(problem.initial(x), dtype=float), N):
+        error = problem.exact(x, [j * tau for j in range(k, k + len(block))])
+        np.subtract(block, error, out=error)
+        yield k, np.abs(error, out=error)
+
+
 def _solver_error(alpha: float, M: int, N: int) -> float:
     """Maximum absolute nodal error over every time level of the
     manufactured benchmark (the solution amplitude oscillates in time, so
-    the worst level is generally not the final one).
-
-    Each block of levels from ``pde._march`` is reduced at once against
-    ``outer(cos(alpha t**2), bump)``, the exact solution with
-    ``bump = initial(x)``, in one block-sized temporary.  Its factors are
-    formed by the same operations as in ``problem.exact``, so the error is
-    bit for bit that of a per-level ``max |u - exact(x, t)|``."""
-    problem = example42_problem(alpha)
-    system = assemble_system(problem, M, N)
-    tau = system.tau
-    bump = np.asarray(problem.initial(system.x_interior), dtype=float)
-    worst = 0.0
-    scratch = None
-    for k, block in _march(system, bump, N):
-        if scratch is None:
-            scratch = np.empty_like(block)
-        exact = scratch[: len(block)]
-        times = [j * tau for j in range(k, k + len(block))]
-        np.multiply.outer([math.cos(alpha * t * t) for t in times], bump, out=exact)
-        np.subtract(block, exact, out=exact)
-        worst = max(worst, float(np.abs(exact, out=exact).max()))
-    return worst
+    the worst level is generally not the final one)."""
+    blocks = _error_blocks(example42_problem(alpha), M, N)
+    return max(float(error.max()) for _, error in blocks)
 
 
 def convergence_study(
@@ -390,12 +382,12 @@ def convergence_study(
 
 def error_surface(alpha: float, M: int, N: int) -> np.ndarray:
     """Pointwise absolute error |U - u_exact| of the manufactured
-    benchmark over the full (N+1) x (M+1) space-time grid, written over
-    the solution level by level so that only one such array is held."""
+    benchmark over the full (N+1) x (M+1) space-time grid, filled block by
+    block of levels (level 0 and the boundaries are exact, so zero).  Raises
+    SizeLimitError before assembly if that array exceeds physical memory."""
     problem = example42_problem(alpha)
-    sol = solve(problem, M, N, keep="all")
-    x = sol.grid.nodes()
-    surface = sol.snapshots
-    for k, t in enumerate(sol.times):
-        np.abs(surface[k] - problem.exact(x, t), out=surface[k])
+    _check_all_levels_fit(M, N)
+    surface = np.zeros((N + 1, M + 1))
+    for k, error in _error_blocks(problem, M, N):
+        surface[k : k + len(error), 1:M] = error
     return surface

@@ -176,6 +176,17 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _check_all_levels_fit(M: int, N: int) -> None:
+    """Raise SizeLimitError when an (N+1) x (M+1) float array, every level
+    of a run, would need more than the machine's physical memory."""
+    needed, available = (N + 1) * (M + 1) * 8, _physical_memory_bytes()
+    if needed > available:
+        raise SizeLimitError(
+            f"keeping all {N + 1} levels at M={M} needs about {needed} bytes, "
+            f"more than the {available} bytes of physical memory"
+        )
+
+
 def assemble_system(
     problem: AdvectionDiffusionProblem, M: int, N: int
 ) -> SteppingSystem:
@@ -444,13 +455,7 @@ def solve(
     if keep not in ("all", "final"):
         raise DomainError(f"keep must be 'all' or 'final', got {keep!r}")
     if keep == "all":
-        needed = (N + 1) * (M + 1) * 8
-        available = _physical_memory_bytes()
-        if needed > available:
-            raise SizeLimitError(
-                f"keeping all {N + 1} levels at M={M} needs about {needed} bytes, "
-                f"more than the {available} bytes of physical memory"
-            )
+        _check_all_levels_fit(M, N)
     system = assemble_system(problem, M, N)
     grid = system.grid
     tau = system.tau

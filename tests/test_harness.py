@@ -108,6 +108,25 @@ def _reference_exact(alpha, x, t):
     return math.cos(alpha * t * t) * (x**4 * (1.0 - x) ** 4)
 
 
+def _reference_half_sum_n4(alpha, x):
+    """Verbatim copy of the literal gamma table that ``example42_problem``
+    summed before the power-rule helper replaced it."""
+    gamma_coeffs = np.array(
+        [
+            12.0 / math.gamma(5.0 - alpha),
+            -240.0 / math.gamma(6.0 - alpha),
+            2160.0 / math.gamma(7.0 - alpha),
+            -10080.0 / math.gamma(8.0 - alpha),
+            20160.0 / math.gamma(9.0 - alpha),
+        ]
+    )
+    powers = np.array([4.0 - alpha, 5.0 - alpha, 6.0 - alpha, 7.0 - alpha, 8.0 - alpha])
+    frac = np.zeros_like(x)
+    for coef, power in zip(gamma_coeffs, powers):
+        frac += coef * (x**power + (1.0 - x) ** power)
+    return frac
+
+
 class TestExample42Problem:
     def test_cached_space_factors_are_bit_identical(self):
         alpha = 1.7
@@ -131,6 +150,41 @@ class TestExample42Problem:
         strided = np.zeros((len(first), 2))
         strided[:, 0] = first
         check(strided[:, 0])  # first's values as a non-contiguous view
+
+    def test_power_rule_matches_the_literal_table(self):
+        nodes = [
+            np.linspace(0.0, 1.0, 33)[1:-1],
+            np.linspace(0.0, 1.0, 1001),
+            np.random.default_rng(7).random(257),
+            np.array([-0.0, 0.0, 0.5, 1.0]),
+        ]
+        for alpha in [1.0 + k / 104 for k in range(1, 104)]:
+            for x in nodes:
+                helper = rieszfd.harness._bump_half_sum(alpha, 4, x)
+                assert np.array_equal(helper, _reference_half_sum_n4(alpha, x))
+
+    def test_power_rule_at_n2_matches_example41(self):
+        # at x = 0.5 the Riesz derivative of x**2 (1-x)**2 is example 4.1
+        x = np.array([0.5])
+        for alpha in np.linspace(1.01, 1.99, 99):
+            half_sum = rieszfd.harness._bump_half_sum(alpha, 2, x)[0]
+            riesz = half_sum / -math.cos(math.pi * alpha / 2.0)
+            assert riesz == pytest.approx(example41_exact(alpha), rel=1e-12, abs=0.0)
+
+    def test_exact_over_a_block_of_times(self):
+        alpha = 1.3
+        problem = example42_problem(alpha)
+        x = np.linspace(0.0, 1.0, 41)[1:-1]
+        tau = 1.0 / 300
+        for times in (
+            [j * tau for j in range(17, 60)],
+            [5 * tau],
+            np.arange(3, 9) * tau,
+        ):
+            block = problem.exact(x, times)
+            assert block.shape == (len(times), len(x))
+            stacked = np.stack([problem.exact(x, t) for t in times])
+            assert np.array_equal(block, stacked)
 
     def test_initial_and_boundaries(self):
         problem = example42_problem(1.4)
@@ -242,6 +296,21 @@ class TestConvergenceStudy:
         for bad in (1e-320, 1e-300, 1e-9, 1 / 1000002):
             with pytest.raises(SizeLimitError):
                 convergence_study("operator_table1", alphas=[1.5], resolutions=[bad])
+
+    @pytest.mark.parametrize("kind", ["temporal_table2", "spatial_table3"])
+    def test_step_count_above_the_cap_is_refused_before_any_cell(self, kind, monkeypatch):
+        # 1e-9 asked the solver for 10**9 steps (or intervals), and ran until killed
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return 1.0
+
+        monkeypatch.setattr(rieszfd.harness, "_solver_error", counted)
+        for bad in ([1e-9], [1 / 5, 1e-9]):
+            with pytest.raises(SizeLimitError):
+                convergence_study(kind, alphas=[1.5], resolutions=bad)
+        assert calls == []
 
     def test_non_finite_source_is_an_error(self, monkeypatch, tmp_path):
         real = rieszfd.harness.example42_problem
@@ -369,11 +438,32 @@ class TestErrorSurface:
             assert np.array_equal(surface, _reference_error_surface(alpha, M, N))
 
 
+    def test_refuses_more_than_physical_memory_before_assembly(self, monkeypatch):
+        class AssemblyStarted(Exception):
+            pass
+
+        def no_assembly(*args):
+            raise AssemblyStarted
+
+        # M = 600, N = 10**7 needs (N+1)(M+1) 8 bytes, 44.8 GiB
+        needed = (10**7 + 1) * 601 * 8
+        monkeypatch.setattr(rieszfd.harness, "assemble_system", no_assembly)
+        monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: needed - 1)
+        with pytest.raises(SizeLimitError):
+            error_surface(1.5, 600, 10**7)
+        with pytest.raises(DomainError):  # a bad alpha is reported before the size
+            error_surface(2.5, 600, 10**7)
+        # an array of exactly the physical memory gets to assembly
+        monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: 26 * 41 * 8)
+        with pytest.raises(AssemblyStarted):
+            error_surface(1.5, 40, 25)
+
+
 def _reference_error_surface(alpha, M, N):
     """Verbatim copy of ``error_surface`` before it wrote over the
     solution, with a second (N+1) x (M+1) array."""
     problem = example42_problem(alpha)
-    sol = rieszfd.harness.solve(problem, M, N, keep="all")
+    sol = rieszfd.pde.solve(problem, M, N, keep="all")
     x = sol.grid.nodes()
     surface = np.empty((N + 1, M + 1))
     for k, t in enumerate(sol.times):
