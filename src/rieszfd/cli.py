@@ -11,9 +11,12 @@ included), 2 on a usage error.  Diagnostics go to stderr; data goes to the outpu
 stdout.  Numeric output uses 17 significant digits and LF line endings so
 repeated runs are byte-identical.
 
-``solve`` and ``surface`` stream their CSV in blocks of rows, one write
-each, from groups of whole time levels, so ``--keep all`` holds the
-(N+1) x (M+1) float solution array but never a string per cell.
+``solve --keep all`` and ``surface`` stream their CSV as the stepping
+core produces the levels, in blocks of rows, one write each, from groups
+of whole time levels, so their memory is O(M) whatever N is: neither the
+(N+1) x (M+1) float array nor a string per cell exists.  Both still
+refuse, before assembly, a size whose (N+1) x (M+1) array would exceed
+physical memory.
 Their value cells, and the CSVs of ``coeffs`` and ``spectrum --out``, are
 formatted by the vectorized ``_g17`` module, whose bytes equal
 ``"%.17g" % v``: a value whose digits its fast path cannot settle goes
@@ -43,7 +46,8 @@ from .operators import (
     point_riesz_derivative,
     spectral_bounds,
 )
-from .pde import AdvectionDiffusionProblem, solve as _solve
+from .pde import AdvectionDiffusionProblem, _check_all_levels_fit, _levels
+from .pde import solve as _solve
 
 __all__ = ["run", "main"]
 
@@ -87,25 +91,44 @@ def _write_json(payload, path: str | None) -> None:
         out.write(text)
 
 
-def _write_levels(out, header: list[str], sol, columns) -> None:
-    """Write ``sol`` as long-format CSV: a row ``t,x,*columns(x, t, u)`` per
-    node and time level, where ``columns`` returns one array per remaining
-    column given the nodes, the level's time and its values.  The ``t`` and
-    ``x`` cells are formatted once; a ``_g17.write_rows`` call takes whole
-    levels, about eight blocks' worth, so its partial last block costs little."""
+def _write_levels(
+    out, header: list[str], x: np.ndarray, tau: float, count: int, blocks, columns
+) -> None:
+    """Write ``count`` time levels as long-format CSV: a row
+    ``t,x,*columns(x, t, u)`` per node and level.  ``blocks`` yields
+    ``(k, levels)`` in order of k, row i of ``levels`` holding the interior
+    values of level k + i; ``columns`` returns one array per remaining
+    column given the nodes ``x``, the level's time ``tau * k`` and its
+    values with zero boundary values.  The ``x`` cells are formatted once.
+    Levels are staged until a ``_g17.write_rows`` call has whole levels,
+    about eight blocks' worth, so its partial last block costs little, and
+    memory stays O(M) whatever the number of levels."""
     out.write(",".join(header) + "\n")
-    x = sol.grid.nodes()
-    ts = _g17.padded([_fmt(t) + "," for t in sol.times.tolist()])
     xs = _g17.padded([_fmt(v) + "," for v in x.tolist()])
-    wt = ts.shape[1]
-    per = min(len(ts), max(1, 8 * _g17.BLOCK_ROWS // len(x)))  # levels per call
-    prefix = np.zeros((per, len(x), wt + xs.shape[1]), np.uint8)
-    prefix[:, :, wt:] = xs
-    for k in range(0, len(ts), per):
-        levels = zip(sol.times[k : k + per], sol.snapshots[k : k + per])
-        values = np.vstack([np.column_stack(columns(x, t, u)) for t, u in levels])
-        prefix[: len(values) // len(x), :, :wt] = ts[k : k + per, None]
-        _g17.write_rows(out, values, prefix[: len(values) // len(x)].reshape(len(values), -1))
+    staged = np.zeros((min(count, max(1, 8 * _g17.BLOCK_ROWS // len(x))), len(x)))
+
+    def write(first: int, filled: int) -> None:
+        levels = range(first, first + filled)
+        values = np.vstack([np.column_stack(columns(x, tau * k, u)) for k, u in zip(levels, staged)])
+        ts = _g17.padded([_fmt(tau * k) + "," for k in levels])
+        prefix = np.empty((filled, len(x), ts.shape[1] + xs.shape[1]), np.uint8)
+        prefix[:, :, : ts.shape[1]] = ts[:, None]
+        prefix[:, :, ts.shape[1] :] = xs
+        _g17.write_rows(out, values, prefix.reshape(len(values), -1))
+
+    filled = 0  # levels staged, the last of them level k + done - 1
+    for k, block in blocks:
+        done = 0
+        while done < len(block):
+            take = min(len(staged) - filled, len(block) - done)
+            staged[filled : filled + take, 1:-1] = block[done : done + take]
+            filled += take
+            done += take
+            if filled == len(staged):
+                write(k + done - filled, filled)
+                filled = 0
+    if filled:
+        write(k + done - filled, filled)
 
 
 def _float_list(text: str) -> list[float]:
@@ -243,7 +266,6 @@ def _cmd_solve(args) -> None:
         problem = _harness.example42_problem(args.alpha)
     else:
         problem = _zero_problem(args.alpha)
-    sol = _solve(problem, args.M, args.N, keep=args.keep)
     header = ["t", "x", "u_numeric"]
     if problem.exact is not None:
         header += ["u_exact", "error"]
@@ -254,8 +276,16 @@ def _cmd_solve(args) -> None:
         exact = problem.exact(x, t)
         return u, exact, np.abs(u - exact)
 
+    if args.keep == "final":
+        sol = _solve(problem, args.M, args.N, keep="final")
+        grid, tau, count = sol.grid, sol.tau, 1
+        blocks = [(args.N, sol.snapshots[:, 1:-1])]
+    else:
+        _check_all_levels_fit(args.M, args.N)
+        system, blocks = _levels(problem, args.M, args.N)
+        grid, tau, count = system.grid, system.tau, args.N + 1
     with _open_out(args.out) as out:
-        _write_levels(out, header, sol, columns)
+        _write_levels(out, header, grid.nodes(), tau, count, blocks, columns)
 
 
 def _cmd_spectrum(args) -> None:
@@ -294,13 +324,12 @@ def _cmd_convergence(args) -> None:
 
 def _cmd_surface(args) -> None:
     problem = _harness.example42_problem(args.alpha)
-    sol = _solve(problem, args.M, args.N, keep="all")
-
-    def columns(x, t, u):
-        return (np.abs(u - problem.exact(x, t)),)
-
+    _check_all_levels_fit(args.M, args.N)
+    blocks = _harness._error_blocks(problem, args.M, args.N)
+    x = GridSpec1D(*problem.domain, args.M).nodes()
     with _open_out(args.out) as out:
-        _write_levels(out, ["t", "x", "abs_error"], sol, columns)
+        _write_levels(out, ["t", "x", "abs_error"], x, problem.T / args.N, args.N + 1,
+                      blocks, lambda x, t, u: (u,))
 
 
 _DISPATCH = {

@@ -10,6 +10,7 @@ errors and orders against stored reference values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, SizeLimitError
 from .operators import _MAX_GRID_M, GridSpec1D, point_riesz_derivative
-from .pde import AdvectionDiffusionProblem, _check_all_levels_fit, _march, assemble_system
+from .pde import AdvectionDiffusionProblem, _check_all_levels_fit, _levels
 from .pde import step  # noqa: F401  unused; kept while perfbench's tests pin harness.step
 
 __all__ = [
@@ -237,18 +238,21 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
     def bump_dx(x: np.ndarray) -> np.ndarray:
         return 4.0 * x**3 - 20.0 * x**4 + 36.0 * x**5 - 28.0 * x**6 + 8.0 * x**7
 
-    # one entry (key, k_alpha * frac, bump, bump_dx), keyed on the node
-    # shape and bytes, which compare several times faster than
-    # np.array_equal; the entry is replaced as a whole so a reader on
-    # another thread never sees a mix of two node arrays
-    cache = [None]
+    # the two newest entries (key, k_alpha * frac, bump, bump_dx), keyed on
+    # the node shape and bytes, which compare several times faster than
+    # np.array_equal: the CLI's writer asks for every node between steps
+    # on the interior ones.  The tuple is replaced as a whole, so a reader
+    # on another thread never sees a mix of two node arrays
+    cache = [()]
 
     def space_factors(x: np.ndarray) -> tuple:
         key = (x.shape, x.tobytes())
-        entry = cache[0]
-        if entry is None or entry[0] != key:
-            entry = (key, k_alpha * _bump_half_sum(alpha, 4, x), bump(x), bump_dx(x))
-            cache[0] = entry
+        entries = cache[0]
+        for entry in entries:
+            if entry[0] == key:
+                return entry
+        entry = (key, k_alpha * _bump_half_sum(alpha, 4, x), bump(x), bump_dx(x))
+        cache[0] = (entry, *entries[:1])
         return entry
 
     def exact(x: np.ndarray, t: float | Sequence[float]) -> np.ndarray:
@@ -301,16 +305,19 @@ def _operator_error(alpha: float, h: float) -> float:
 
 
 def _error_blocks(problem: AdvectionDiffusionProblem, M: int, N: int):
-    """Run ``problem``, a manufactured benchmark, and yield ``(k, error)``
-    per block of levels from ``pde._march``: row i of ``error`` holds
-    |U - u_exact| at the interior nodes of level k + i, from one
-    ``problem.exact`` call."""
-    system = assemble_system(problem, M, N)
+    """Assemble ``problem``, a manufactured benchmark, and return an
+    iterator of ``(k, error)`` per block of levels from ``pde._levels``,
+    level 0 first: row i of ``error`` holds |U - u_exact| at the interior
+    nodes of level k + i, from one ``problem.exact`` call."""
+    system, blocks = _levels(problem, M, N)
     x, tau = system.x_interior, system.tau
-    for k, block in _march(system, np.asarray(problem.initial(x), dtype=float), N):
-        error = problem.exact(x, [j * tau for j in range(k, k + len(block))])
-        np.subtract(block, error, out=error)
-        yield k, np.abs(error, out=error)
+
+    def error(k: int, block: np.ndarray) -> tuple:
+        exact = problem.exact(x, [j * tau for j in range(k, k + len(block))])
+        np.subtract(block, exact, out=exact)
+        return k, np.abs(exact, out=exact)
+
+    return itertools.starmap(error, blocks)
 
 
 def _solver_error(alpha: float, M: int, N: int) -> float:
@@ -383,7 +390,7 @@ def convergence_study(
 def error_surface(alpha: float, M: int, N: int) -> np.ndarray:
     """Pointwise absolute error |U - u_exact| of the manufactured
     benchmark over the full (N+1) x (M+1) space-time grid, filled block by
-    block of levels (level 0 and the boundaries are exact, so zero).  Raises
+    block of levels (the boundaries are exact, so zero).  Raises
     SizeLimitError before assembly if that array exceeds physical memory."""
     problem = example42_problem(alpha)
     _check_all_levels_fit(M, N)

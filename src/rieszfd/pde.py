@@ -31,12 +31,15 @@ A failed setup raises SingularMatrixError.  The module needs only numpy.
 
 Every run goes through one stepping loop, the private generator
 ``_march``: it calls :func:`step` once per level and hands the levels
-over in blocks of at most ``_BLOCK_BYTES``, so :func:`solve` and the
-convergence studies reduce or copy many levels per numpy call.
+over in blocks of at most ``_BLOCK_BYTES``, so :func:`solve`, the
+convergence studies and the CLI's CSV writer reduce, copy or format many
+levels per numpy call.  ``_levels`` does the assembly, the initial data
+and the march for all of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -417,11 +420,13 @@ def _march(system: SteppingSystem, u: np.ndarray, N: int):
     buffer that the next block overwrites; the last block yielded stays
     intact.
 
-    Raises DomainError, before the last block, when level N is not finite.
-    ``2 y - u`` keeps every NaN or inf of ``u``, and both solvers spread
-    one from the right-hand side to all of ``y`` (the dense path through
-    its product with the full inverse, the Toeplitz path through its FFTs,
-    which mix every entry), so checking level N covers the whole run."""
+    Raises DomainError, in place of yielding it, for a block whose last
+    level is not finite, so every level yielded is finite.  ``2 y - u``
+    keeps every NaN or inf of ``u``, and both solvers spread one from the
+    right-hand side to all of ``y`` (the dense path through its product
+    with the full inverse, the Toeplitz path through its FFTs, which mix
+    every entry), so a non-finite level makes every later one non-finite
+    and checking the last level of each block covers the block."""
     tau = system.tau
     buffer = np.empty((max(1, min(N, _BLOCK_BYTES // (8 * len(u)))), len(u)))
     rows = len(buffer)
@@ -429,20 +434,33 @@ def _march(system: SteppingSystem, u: np.ndarray, N: int):
         u = step(system, u, k * tau)
         i = k % rows
         buffer[i] = u
-        if k == N - 1 and not np.all(np.isfinite(u)):
-            raise DomainError(
-                f"solution is not finite at t={N * tau!r}; the source or the "
-                "initial data produced NaN or inf"
-            )
         if i == rows - 1 or k == N - 1:
+            if not np.all(np.isfinite(u)):
+                raise DomainError(
+                    f"solution is not finite at t={(k + 1) * tau!r}; the source or "
+                    "the initial data produced NaN or inf"
+                )
             yield k + 1 - i, buffer[: i + 1]
+
+
+def _levels(problem: AdvectionDiffusionProblem, M: int, N: int):
+    """Assemble the system for ``problem`` and return it with an iterator
+    over all N + 1 levels of its run: ``(0, level 0)`` as a one-row block
+    of the sampled initial data, then the blocks of :func:`_march`.  Blocks
+    hold interior values only.  The assembly runs here, so its errors come
+    before any level; initial data that is not finite is a DomainError."""
+    system = assemble_system(problem, M, N)
+    u = np.asarray(problem.initial(system.grid.nodes()), dtype=float)[1:M]
+    if not np.all(np.isfinite(u)):
+        raise DomainError("initial data is not finite")
+    return system, itertools.chain([(0, u[None])], _march(system, u, N))
 
 
 def solve(
     problem: AdvectionDiffusionProblem, M: int, N: int, keep: str = "final"
 ) -> SolutionGrid:
     """Run N Crank-Nicolson steps from the sampled initial data, through
-    ``_march``.
+    ``_levels``.
 
     ``keep="all"`` retains every time level (for error surfaces) in one
     (N+1) x (M+1) array, filled block by block; ``keep="final"`` retains
@@ -456,19 +474,15 @@ def solve(
         raise DomainError(f"keep must be 'all' or 'final', got {keep!r}")
     if keep == "all":
         _check_all_levels_fit(M, N)
-    system = assemble_system(problem, M, N)
-    grid = system.grid
-    tau = system.tau
-    u = np.asarray(problem.initial(grid.nodes()), dtype=float)[1:M]
+    system, blocks = _levels(problem, M, N)
     levels = np.arange(N + 1) if keep == "all" else np.array([N])
     snapshots = np.zeros((len(levels), M + 1))
     interior = snapshots[:, 1:M]
-    interior[0] = u  # with keep="final" the final level overwrites it
-    for k, block in _march(system, u, N):
+    for k, block in blocks:
         if keep == "all":
             interior[k : k + len(block)] = block
     interior[-1] = block[-1]
-    return SolutionGrid(grid, tau, N, tau * levels, snapshots)
+    return SolutionGrid(system.grid, system.tau, N, system.tau * levels, snapshots)
 
 
 def grid_norm(values: np.ndarray, h: float) -> float:

@@ -1,20 +1,25 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rieszfd.cli
+import rieszfd.harness
 import rieszfd.operators
+import rieszfd.pde
 from rieszfd.cli import run
 from rieszfd.coeffs import gl_weights, kappa_weights, lubich_weights, wsgd_weights
+from rieszfd.errors import SizeLimitError
 from rieszfd.harness import error_surface, example42_problem
 from rieszfd.operators import GridSpec1D, generating_symbol
 from rieszfd.pde import solve
@@ -439,9 +444,90 @@ def test_short_levels_share_blocks():
             return super().write(text)
 
     out = Recorder()
-    sol = solve(example42_problem(1.3), 100, 25, keep="all")
-    rieszfd.cli._write_levels(out, ["t", "x", "u"], sol, lambda x, t, u: (u,))
+    system, blocks = rieszfd.pde._levels(example42_problem(1.3), 100, 25)
+    x = system.grid.nodes()
+    rieszfd.cli._write_levels(out, ["t", "x", "u"], x, system.tau, 26, blocks, lambda x, t, u: (u,))
     assert out.writes == 1 + 3  # the header, then 26 levels of 101 rows in three blocks
+
+
+@pytest.mark.parametrize("M, N", [(1000, 1000), (100, 20000)])
+@pytest.mark.parametrize("argv", [["solve", "--keep", "all"], ["surface"]], ids=["solve", "surface"])
+def test_streamed_csv_memory_is_independent_of_the_level_count(argv, M, N):
+    # the levels went through one (N+1) x (M+1) array: peaks of 9.0 and
+    # 19.0 MiB for solve, 8.4 and 19.0 MiB for surface
+    size = ["--alpha", "1.5", "--M", str(M), "--N", str(N), "--out", os.devnull]
+    tiny = ["--alpha", "1.5", "--M", "10", "--N", "3", "--out", os.devnull]
+    assert run(argv + tiny) == 0  # the formatter's tables are built once per process
+    tracemalloc.start()
+    try:
+        assert run(argv + size) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_surface_calls_exact_once_per_block(monkeypatch, tmp_path):
+    M, N = 40, 500
+    expected = _reference_surface(1.5, M, N)
+    real = rieszfd.harness.example42_problem
+    calls = []
+
+    def counted(alpha):
+        problem = real(alpha)
+
+        def exact(x, t):
+            calls.append(t)
+            return problem.exact(x, t)
+
+        return dataclasses.replace(problem, exact=exact)
+
+    monkeypatch.setattr(rieszfd.harness, "example42_problem", counted)
+    path = tmp_path / "surface.csv"
+    assert run(["surface", "--alpha", "1.5", "--M", str(M), "--N", str(N), "--out", str(path)]) == 0
+    blocks = -(-N // (rieszfd.pde._BLOCK_BYTES // (8 * (M - 1))))
+    assert 1 < len(calls) <= blocks + 1  # it was one call per level, N + 1
+    _assert_identical(path.read_text(), expected)
+
+
+def test_keep_all_refusal_matches_the_library(monkeypatch, capsys):
+    def no_assembly(*args):
+        raise AssertionError("assembly started")
+
+    size = ["--alpha", "1.5", "--M", "600", "--N", str(10**7)]
+    monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: 10**9)
+    monkeypatch.setattr(rieszfd.pde, "assemble_system", no_assembly)
+    with pytest.raises(SizeLimitError) as refusal:
+        rieszfd.pde._check_all_levels_fit(600, 10**7)
+    for argv in (["solve", *size, "--keep", "all"], ["surface", *size]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {refusal.value}\n"
+
+
+def test_non_finite_level_stops_the_stream_before_its_rows(monkeypatch, tmp_path, capsys):
+    real = rieszfd.harness.example42_problem
+
+    def nan_after_half(alpha):
+        problem = real(alpha)
+
+        def source(x, t):
+            return problem.source(x, t) * (np.nan if t > 0.5 else 1.0)
+
+        return dataclasses.replace(problem, source=source)
+
+    monkeypatch.setattr(rieszfd.harness, "example42_problem", nan_after_half)
+    path = tmp_path / "u.csv"
+    # blocks of 215 levels and writes of 390: levels 0-779 go out before
+    # the block that holds level 1001, the first NaN, is refused
+    argv = ["solve", "--alpha", "1.5", "--M", "20", "--N", "2000", "--keep", "all"]
+    assert run(argv + ["--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if path.exists():
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
 
 
 class TestOutputErrors:

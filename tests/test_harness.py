@@ -151,6 +151,25 @@ class TestExample42Problem:
         strided[:, 0] = first
         check(strided[:, 0])  # first's values as a non-contiguous view
 
+    def test_interior_and_full_nodes_stay_cached_together(self, monkeypatch):
+        # the CLI's writer asks for exact(all nodes) between steps on the
+        # interior ones; with one cached array that recomputed the factors
+        # 250 times in `solve --M 1000 --N 1000 --keep all`
+        real = rieszfd.harness._bump_half_sum
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(rieszfd.harness, "_bump_half_sum", counted)
+        problem = example42_problem(1.5)
+        nodes = np.linspace(0.0, 1.0, 41)
+        for t in (0.0, 0.5, 1.0):
+            problem.source(nodes[1:-1], t)
+            problem.exact(nodes, t)
+        assert len(calls) == 2
+
     def test_power_rule_matches_the_literal_table(self):
         nodes = [
             np.linspace(0.0, 1.0, 33)[1:-1],
@@ -334,7 +353,7 @@ def _reference_solver_error(alpha, M, N):
     """Verbatim copy of ``_solver_error`` before it passed the interior
     nodes along and reduced with ``ndarray.max``; the reference for it."""
     problem = rieszfd.harness.example42_problem(alpha)
-    system = rieszfd.harness.assemble_system(problem, M, N)
+    system = rieszfd.pde.assemble_system(problem, M, N)
     x = system.grid.nodes()
     tau = system.tau
     u = np.asarray(problem.initial(x), dtype=float)[1:M]
@@ -447,7 +466,7 @@ class TestErrorSurface:
 
         # M = 600, N = 10**7 needs (N+1)(M+1) 8 bytes, 44.8 GiB
         needed = (10**7 + 1) * 601 * 8
-        monkeypatch.setattr(rieszfd.harness, "assemble_system", no_assembly)
+        monkeypatch.setattr(rieszfd.pde, "assemble_system", no_assembly)
         monkeypatch.setattr(rieszfd.pde, "_physical_memory_bytes", lambda: needed - 1)
         with pytest.raises(SizeLimitError):
             error_surface(1.5, 600, 10**7)

@@ -514,6 +514,26 @@ class TestSolve:
         with pytest.raises(NumericsError):
             solve(problem, 16, 8, keep=keep)
 
+    def test_non_finite_block_is_refused_before_it_is_yielded(self):
+        # NaN from level 1001 of 2000; blocks of 215 levels at M = 20
+        def source(x, t):
+            return np.full_like(x, np.nan) if t > 0.5 else np.zeros_like(x)
+
+        problem = dataclasses.replace(_zero_problem(1.5), source=source)
+        system, blocks = rieszfd.pde._levels(problem, 20, 2000)
+        seen = []
+        with pytest.raises(DomainError, match="not finite at t=0.5375"):
+            for k, block in blocks:
+                assert np.all(np.isfinite(block))
+                seen.append(k + len(block))
+        assert seen[-1] == 861  # the block of levels 861-1075 was refused
+
+    def test_non_finite_initial_data_is_refused_before_any_level(self):
+        problem = dataclasses.replace(_zero_problem(1.5), initial=lambda x: x / 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(DomainError, match="initial data is not finite"):
+                rieszfd.pde._levels(problem, 20, 10)
+
     def test_benchmark_accuracy(self):
         problem = example42_problem(1.6)
         sol = solve(problem, 200, 100)
