@@ -16,7 +16,8 @@ core produces the levels, in blocks of rows, one write each, from groups
 of whole time levels, so their memory is O(M) whatever N is: neither the
 (N+1) x (M+1) float array nor a string per cell exists.  Both still
 refuse, before assembly, a size whose (N+1) x (M+1) array would exceed
-physical memory.
+physical memory.  An ``--out`` regular file is replaced only when the
+run succeeds, so a failed run leaves no partial file (see ``_open_out``).
 Their value cells, and the CSVs of ``coeffs`` and ``spectrum --out``, are
 formatted by the vectorized ``_g17`` module, whose bytes equal
 ``"%.17g" % v``: a value whose digits its fast path cannot settle goes
@@ -30,8 +31,9 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 
 import numpy as np
@@ -61,17 +63,27 @@ def _fmt(x: float) -> str:
 
 @contextmanager
 def _open_out(path: str | None):
-    """Yield stdout, flushed at the end, or ``path`` opened for LF-ended
-    text; an OSError on either becomes a NumericsError, and so does a
-    closed stdout (``sys.stdout`` is None when file descriptor 1 was)."""
+    """Yield stdout, flushed at the end, or a handle for LF-ended text
+    that goes to ``path``; an OSError on either becomes a NumericsError,
+    and so does a closed stdout (``sys.stdout`` is None when file
+    descriptor 1 was).
+
+    A regular file, or one that does not exist yet, is written whole or
+    not at all: the text goes to a temporary next to it, which replaces
+    it only when the block ends without an error (through a symlink, the
+    link's target is replaced and the link kept).  Anything else, such as
+    a device, a FIFO or ``/dev/stdout``, is written in place."""
     if path is None and sys.stdout is None:
         raise NumericsError("cannot write stdout: it is closed")
     try:
         if path is None:
             yield sys.stdout
             sys.stdout.flush()
-        else:
+        elif (replaceable := _replaceable(path)) is None:
             with open(path, "w", newline="\n") as handle:
+                yield handle
+        else:
+            with _replacing(*replaceable) as handle:
                 yield handle
     except OSError as exc:
         if path is None and isinstance(exc, BrokenPipeError):
@@ -79,7 +91,50 @@ def _open_out(path: str | None):
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         target = "stdout" if path is None else f"output file {path!r}"
-        raise NumericsError(f"cannot write {target}: {exc}") from exc
+        # strerror, not the OSError itself, which may name the temporary
+        raise NumericsError(f"cannot write {target}: {exc.strerror or exc}") from exc
+
+
+def _replaceable(path: str) -> tuple[str, int | None] | None:
+    """``(file, mode)`` when ``path`` or the file it links to is a regular
+    file with permission bits ``mode``, or does not exist (mode None), and
+    is not this process's stdout or stderr; None otherwise.  Decided by
+    ``stat`` alone, so a FIFO is never opened here."""
+    try:
+        status = os.stat(path)
+    except FileNotFoundError:
+        return os.path.realpath(path), None
+    if not stat.S_ISREG(status.st_mode):
+        return None
+    for fd in (1, 2):  # e.g. --out /dev/stdout with stdout redirected to a file
+        try:
+            if os.path.samestat(status, os.fstat(fd)):
+                return None
+        except OSError:  # a closed descriptor
+            pass
+    return os.path.realpath(path), stat.S_IMODE(status.st_mode)
+
+
+@contextmanager
+def _replacing(target: str, mode: int | None):
+    """Yield a handle on a new temporary next to ``target`` and move it
+    over ``target`` once the block ends; on any error remove it instead.
+    The temporary gets the permissions ``open(target, "w")`` would leave:
+    ``mode`` for an existing file, the umask's default for a new one."""
+    directory, name = os.path.split(target)
+    # os.urandom, not the secrets module, which would load OpenSSL (3.7 MB)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    handle = open(temporary, "x", newline="\n")
+    try:
+        with handle:
+            if mode is not None:
+                os.chmod(temporary, mode)
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temporary)
+        raise
 
 
 def _write_json(payload, path: str | None) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _g17
-from .errors import DomainError, SeriesError, UnsupportedOrderError
+from .errors import DomainError, SeriesError, SizeLimitError, UnsupportedOrderError
 
 __all__ = [
     "Family",
@@ -98,6 +98,15 @@ class PropertyReport:
         return all(self.clauses.values())
 
 
+# Largest weight count of any table.  The weights come from an O(count)
+# Python recursion (``deriv --M 1000000`` computes 10**6 of them in 1.4 s),
+# and the operators' grids share the cap.
+_MAX_COUNT = 10**6
+
+# Largest fft sample count: the default, 4 * count, at ``_MAX_COUNT``
+_MAX_SAMPLES = 4 * _MAX_COUNT
+
+
 def _check_alpha(alpha: float) -> None:
     if not 1.0 < alpha <= 2.0:
         raise DomainError(f"alpha={alpha} outside the valid interval (1, 2]")
@@ -106,6 +115,8 @@ def _check_alpha(alpha: float) -> None:
 def _check_count(count: int) -> None:
     if count < 2:
         raise DomainError(f"count={count} must be at least 2")
+    if count > _MAX_COUNT:
+        raise SizeLimitError(f"count={count} exceeds the cap of {_MAX_COUNT} weights")
 
 
 def alpha_star() -> float:
@@ -298,14 +309,23 @@ def _kappa_fft(
     Aliasing decays like the coefficient tail, so the sample count must
     comfortably exceed the requested truncation.
     """
+    samples = _fft_samples(count, samples)
+    z = np.exp(-2j * np.pi * np.arange(samples) / samples)
+    return np.fft.ifft(_circle_power(a, alpha, z)).real[: count + 1]
+
+
+def _fft_samples(count: int, samples: int | None) -> int:
+    """The fft method's sample count: ``samples``, by default 4 * count
+    and at least 4096; refused below 2 * count or above ``_MAX_SAMPLES``."""
     if samples is None:
         samples = max(4096, 4 * count)
     if samples < 2 * count:
         raise DomainError(
             f"fft extraction needs at least 2*count={2 * count} samples, got {samples}"
         )
-    z = np.exp(-2j * np.pi * np.arange(samples) / samples)
-    return np.fft.ifft(_circle_power(a, alpha, z)).real[: count + 1]
+    if samples > _MAX_SAMPLES:
+        raise SizeLimitError(f"samples={samples} exceeds the cap of {_MAX_SAMPLES}")
+    return samples
 
 
 def _circle_power(a: np.ndarray, alpha: float, z: np.ndarray) -> np.ndarray:

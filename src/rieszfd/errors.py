@@ -41,8 +41,9 @@ class TableError(NumericsError):
 
 
 class SizeLimitError(NumericsError):
-    """A size limit was exceeded: memory for a kept-levels array, or the
-    quadratic time of the Toeplitz setup."""
+    """A size limit was exceeded: memory for a kept-levels array, the
+    quadratic time of the Toeplitz setup, or a grid, weight or sample
+    count cap."""
 
 
 class SingularMatrixError(NumericsError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientTable, _circle_power, _decaying_polynomial, kappa_weights
+from .coeffs import _MAX_COUNT, CoefficientTable, _circle_power, _decaying_polynomial, kappa_weights
 from .errors import DomainError, SizeLimitError, TableError
 
 __all__ = [
@@ -31,9 +31,10 @@ __all__ = [
 ]
 
 
-# Largest M of any grid.  Its weights 0..M come from an O(M) Python recursion:
-# ``deriv --M 1000000`` takes 1.4 s and 93 MB on a 2-vCPU x86 machine.
-_MAX_GRID_M = 10**6
+# Largest M of any grid: the weight-count cap, since its weights 0..M come
+# from an O(M) Python recursion (``deriv --M 1000000`` takes 1.4 s and 93 MB
+# on a 2-vCPU x86 machine).
+_MAX_GRID_M = _MAX_COUNT
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ intervals M picks one of two step kernels:
   inverse (O(M**2) memory) and a step is one matrix-vector product;
 * from ``_TOEPLITZ_MIN_M`` to ``_TOEPLITZ_MAX_M`` (10**5, above which
   ``assemble_system`` refuses), a step applies the formula in six real
-  FFTs with O(M) memory.
+  FFTs with O(M) memory.  Their length is the smallest even
+  ``2**a 3**b 5**c`` at or above 2(M - 1), not the next power of two,
+  which can be almost twice that: 6000 at M = 3000, not 8192.
 
 A failed setup raises SingularMatrixError.  The module needs only numpy.
 
@@ -65,10 +67,10 @@ __all__ = [
 # Smallest M on the Toeplitz path.  The paths share the setup and differ in
 # the step.  Per step with the example42 source on a 2-vCPU x86 machine
 # (medians of 15 paired blocks of 200 steps, three runs), inverse matvec vs
-# FFTs: 55-71 vs 119-145 us at M = 420, 106-117 vs 134-143 us at M = 500 and
-# 170-187 vs 202-226 us at M = 580; from M = 600 to 850 they are within the
-# noise.  The dense path also costs twice the setup (18 vs 8 ms at M = 500)
-# and O(M**2) memory, so the crossover stays at 500.
+# FFTs at ``_fft_length``: 40-58 vs 81-111 us at M = 420, 77-95 vs 90-121 us
+# at M = 500 and 128-149 vs 99-136 us at M = 580; at 700 they are within
+# the noise.  The dense path also costs twice the setup (9-13 vs 4-6 ms at
+# M = 500) and O(M**2) memory, so the crossover stays at 500.
 _TOEPLITZ_MIN_M = 500
 
 # Largest M on the Toeplitz path.  Its setup is O(M**2) in time: 0.13 s
@@ -336,7 +338,12 @@ def _generator_residual(
     a float64 residual is as inexact as the generators and refines nothing
     (where long double is float64, the refinement gains nothing)."""
     m = len(column)
-    n = 1 << (2 * m - 1).bit_length()  # n >= 2m: no circular wrap
+    # n >= 2m: no circular wrap.  It stays a power of two, unlike
+    # ``_fft_length``: these FFTs run once per setup, and the 5-smooth
+    # length would save about 0.3 ms of it at M = 3000 but move the refined
+    # generators, and with them the dense-path outputs (table 3,
+    # ``solve --M 160``), in their last bits.
+    n = 1 << (2 * m - 1).bit_length()
     embedding = np.zeros(n, dtype=np.longdouble)
     embedding[:m] = column
     embedding[n - m + 1 :] = row[:0:-1]
@@ -366,11 +373,32 @@ def _factor_spectra(generators: np.ndarray) -> tuple:
     """``(lower, upper)``: rows of ``lower`` are the FFTs of x and Z y over
     x_0, rows of ``upper`` the conjugated FFTs of J y and Z J x
     (conjugation turns the circular convolution into the correlation that
-    an upper triangular Toeplitz product is)."""
+    an upper triangular Toeplitz product is), all at length
+    ``_fft_length(m)``."""
     lower, upper = _factors(generators)
-    # n >= 2m keeps every product's first m entries free of circular wrap
-    n = 1 << (2 * lower.shape[1] - 1).bit_length()
+    n = _fft_length(lower.shape[1])
     return np.fft.rfft(lower, n) / lower[0, 0], np.conj(np.fft.rfft(upper, n))
+
+
+def _fft_length(m: int) -> int:
+    """The smallest even n >= 2m of the form 2**a 3**b 5**c: the length of
+    the Gohberg-Semencul FFTs for m unknowns.  n >= 2m keeps every
+    product's first m entries free of circular wrap, numpy's FFT is fast
+    at any 5-smooth length, and n is even so that ``_gohberg_semencul_solve``
+    recovers it from the spectra's length n // 2 + 1.  At m = 2999 it is
+    6000 where the next power of two is 8192, and one
+    ``_gohberg_semencul_solve`` takes about 0.4 instead of 0.55 ms on a
+    2-vCPU x86 machine (1.2 instead of 2.0 ms at m = 9999)."""
+    best = 1 << (m - 1).bit_length()  # the smallest power of two >= m
+    power5 = 1
+    while power5 < best:
+        power35 = power5
+        while power35 < best:
+            # the smallest power35 * 2**a >= m
+            best = min(best, power35 << (-(-m // power35) - 1).bit_length())
+            power35 *= 3
+        power5 *= 5
+    return 2 * best
 
 
 def _trench_inverse(generators: np.ndarray) -> np.ndarray:

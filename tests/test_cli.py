@@ -240,6 +240,41 @@ class TestCoeffs:
         assert first == pytest.approx((5.0 / 6.0) ** 1.5, abs=1e-10)
 
 
+    @pytest.mark.parametrize("family", ["kappa", "gl", "lubich", "wsgd1", "wsgd2"])
+    def test_count_above_the_cap_is_exit_1_before_the_recursion(
+        self, capsys, monkeypatch, family
+    ):
+        class RecursionEntered(Exception):
+            pass
+
+        def entered(*args):
+            raise RecursionEntered
+
+        for name in ("series_fractional_power", "_gl_series"):
+            monkeypatch.setattr(rieszfd.coeffs, name, entered)
+        argv = ["coeffs", "--family", family, "--alpha", "1.5", "--count"]
+        for count in ("1000001", "300000000", "1" + "0" * 300):
+            code, out, err = _run_capture(capsys, argv + [count])
+            assert code == 1
+            assert out == ""
+            assert err == f"error: count={count} exceeds the cap of 1000000 weights\n"
+        with pytest.raises(RecursionEntered):
+            run(argv + ["1000000"])
+
+    def test_samples_above_the_cap_is_exit_1_before_the_fft(self, capsys, monkeypatch):
+        def entered(*args):
+            raise AssertionError("fft samples computed for a refused sample count")
+
+        monkeypatch.setattr(rieszfd.coeffs, "_circle_power", entered)
+        for samples in ("4000001", "1" + "0" * 300):
+            code, out, err = _run_capture(
+                capsys, ["coeffs", "--alpha", "1.5", "--method", "fft", "--samples", samples]
+            )
+            assert code == 1
+            assert out == ""
+            assert err == f"error: samples={samples} exceeds the cap of 4000000\n"
+
+
 class TestDeriv:
     def test_midpoint_includes_exact(self, capsys):
         code, out, _ = _run_capture(
@@ -506,7 +541,9 @@ def test_keep_all_refusal_matches_the_library(monkeypatch, capsys):
         assert captured.err == f"error: {refusal.value}\n"
 
 
-def test_non_finite_level_stops_the_stream_before_its_rows(monkeypatch, tmp_path, capsys):
+def _nan_after_half(monkeypatch):
+    """Make example 4.2's source NaN from t = 0.5 on: at M 20, N 2000 the
+    streamed CSV has written levels 0-779 when the run fails."""
     real = rieszfd.harness.example42_problem
 
     def nan_after_half(alpha):
@@ -518,6 +555,10 @@ def test_non_finite_level_stops_the_stream_before_its_rows(monkeypatch, tmp_path
         return dataclasses.replace(problem, source=source)
 
     monkeypatch.setattr(rieszfd.harness, "example42_problem", nan_after_half)
+
+
+def test_non_finite_level_stops_the_stream_before_its_rows(monkeypatch, tmp_path, capsys):
+    _nan_after_half(monkeypatch)
     path = tmp_path / "u.csv"
     # blocks of 215 levels and writes of 390: levels 0-779 go out before
     # the block that holds level 1001, the first NaN, is refused
@@ -528,6 +569,113 @@ def test_non_finite_level_stops_the_stream_before_its_rows(monkeypatch, tmp_path
     if path.exists():
         text = path.read_text()
         assert "nan" not in text and "inf" not in text
+
+
+class TestWholeOutputFiles:
+    STREAMS = [
+        ["solve", "--alpha", "1.5", "--M", "20", "--N", "2000", "--keep", "all"],
+        ["surface", "--alpha", "1.5", "--M", "20", "--N", "2000"],
+    ]
+
+    @pytest.mark.parametrize("argv", STREAMS, ids=["solve", "surface"])
+    def test_failed_stream_leaves_no_file(self, monkeypatch, tmp_path, capsys, argv):
+        _nan_after_half(monkeypatch)
+        assert run(argv + ["--out", str(tmp_path / "u.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solution is not finite") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", STREAMS, ids=["solve", "surface"])
+    def test_failed_run_keeps_the_earlier_file(self, monkeypatch, tmp_path, capsys, argv):
+        path = tmp_path / "u.csv"
+        path.write_bytes(b"earlier,bytes\n")
+        _nan_after_half(monkeypatch)
+        assert run(argv + ["--out", str(path)]) == 1
+        assert path.read_bytes() == b"earlier,bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_keeps_the_earlier_file(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "k.csv"
+        path.write_bytes(b"earlier,bytes\n")
+        monkeypatch.setattr(rieszfd.coeffs._g17, "write_rows", _raise_enospc)
+        code, out, err = _run_capture(
+            capsys, ["coeffs", "--alpha", "1.5", "--out", str(path)]
+        )
+        assert code == 1
+        assert err == f"error: cannot write output file {str(path)!r}: No space left on device\n"
+        assert path.read_bytes() == b"earlier,bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_symlinked_out_updates_its_target(self, tmp_path):
+        argv = ["solve", "--alpha", "1.5", "--M", "40", "--N", "20", "--keep", "all"]
+        direct = tmp_path / "direct.csv"
+        assert run(argv + ["--out", str(direct)]) == 0
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"earlier,bytes\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        assert run(argv + ["--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == direct.read_bytes()
+        # a dangling link creates its target
+        target.unlink()
+        assert run(argv + ["--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == direct.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.csv", "link.csv", "target.csv"]
+
+    def test_permissions_are_those_of_a_plain_open(self, tmp_path):
+        argv = ["coeffs", "--alpha", "1.5", "--count", "8", "--out"]
+        new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+        existing.write_bytes(b"")
+        existing.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            assert run(argv + [str(new)]) == 0
+            assert run(argv + [str(existing)]) == 0
+        finally:
+            os.umask(umask)
+        assert new.stat().st_mode & 0o7777 == 0o640
+        assert existing.stat().st_mode & 0o7777 == 0o604
+        assert existing.read_bytes() == new.read_bytes()
+
+    def test_only_regular_or_missing_files_are_replaced(self, tmp_path):
+        # decided by stat alone: the FIFO is never opened
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert rieszfd.cli._replaceable(str(fifo)) is None
+        assert rieszfd.cli._replaceable(os.devnull) is None
+        assert rieszfd.cli._replaceable(str(tmp_path)) is None
+        regular = tmp_path / "regular.csv"
+        regular.write_bytes(b"")
+        regular.chmod(0o640)
+        resolved = os.path.realpath(regular)
+        assert rieszfd.cli._replaceable(str(regular)) == (resolved, 0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(regular)
+        assert rieszfd.cli._replaceable(str(link)) == (resolved, 0o640)
+        missing = tmp_path / "missing.csv"
+        assert rieszfd.cli._replaceable(str(missing)) == (os.path.realpath(missing), None)
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+    def test_stdout_redirected_to_a_file_is_written_in_place(self, tmp_path):
+        # `--out /dev/stdout > file`: the file is stdout, so it is not replaced
+        path = tmp_path / "stdout.csv"
+        saved = os.dup(1)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        try:
+            os.dup2(fd, 1)
+            assert rieszfd.cli._replaceable(str(path)) is None
+            if os.path.exists("/dev/stdout"):
+                assert rieszfd.cli._replaceable("/dev/stdout") is None
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+            os.close(fd)
+        assert rieszfd.cli._replaceable(str(path)) is not None
+
+
+def _raise_enospc(*args):
+    raise OSError(28, "No space left on device")
 
 
 class TestOutputErrors:

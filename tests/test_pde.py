@@ -420,6 +420,43 @@ class TestToeplitzPath:
         assert capsys.readouterr().out == ""
 
 
+class TestFftLength:
+    def test_smallest_even_five_smooth_length(self):
+        top = 50_000
+        smooth = np.zeros(4 * top + 1, dtype=bool)
+        for n in range(2, len(smooth), 2):
+            k = n
+            for prime in (2, 3, 5):
+                while k % prime == 0:
+                    k //= prime
+            smooth[n] = k == 1
+        # expected[i]: the smallest 5-smooth even n >= i
+        expected = np.empty(len(smooth), dtype=int)
+        following = len(smooth)
+        for i in range(len(smooth) - 1, -1, -1):
+            if smooth[i]:
+                following = i
+            expected[i] = following
+        lengths = [rieszfd.pde._fft_length(m) for m in range(1, top + 1)]
+        assert lengths == expected[2 : 2 * top + 1 : 2].tolist()
+
+    @pytest.mark.parametrize("M", (580, 1500, 3000))
+    @pytest.mark.parametrize("alpha", (1.2, 1.8))
+    def test_gohberg_semencul_solve_matches_dense_solve(self, M, alpha):
+        # observed max relative difference 6.9e-14 (M = 3000, alpha 1.8), as
+        # with the power-of-two lengths, 2048, 4096 and 8192, that these M
+        # used to pad to instead of 1200, 3000 and 6000
+        system = assemble_system(example42_problem(alpha), M, 300)
+        m = M - 1
+        n = rieszfd.pde._fft_length(m)
+        assert n < 1 << (2 * m - 1).bit_length()
+        assert [spectrum.shape for spectrum in system.spectra] == [(2, n // 2 + 1)] * 2
+        b = np.random.default_rng(M).standard_normal(m)
+        x = rieszfd.pde._gohberg_semencul_solve(system.spectra, b)
+        reference = np.linalg.solve(rieszfd.pde._toeplitz(system.column, system.row), b)
+        assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 def _reference_solve(problem, M, N, keep):
     """Verbatim copy of the original list-based ``solve`` loop, which kept
     each level in its own zero-padded row and copied the rows into one
