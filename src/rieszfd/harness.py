@@ -6,6 +6,14 @@ known in closed form) and a time-dependent advection-diffusion problem
 with exact solution ``cos(alpha t**2) x**4 (1-x)**4``.  The convergence
 studies sweep resolutions, estimate observed orders, and compare both
 errors and orders against stored reference values.
+
+Every study checks each resolution and alpha before any cell runs.  A
+solver study then sets up the cells that share M together
+(``pde._setups``): table 2's 20 cells share M = 1000 and one stacked
+Levinson-Trench recursion (55-75 ms against 103-183 ms one at a time on a
+2-vCPU x86 machine), and table 3's four alphas share each M.  Each cell
+then finishes its own system and marches it, one cell at a time, so only
+one cell's inverse or spectra is held at once.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, SizeLimitError
 from .operators import _MAX_GRID_M, GridSpec1D, point_riesz_derivative
-from .pde import AdvectionDiffusionProblem, _check_all_levels_fit, _levels
+from .pde import AdvectionDiffusionProblem, _check_all_levels_fit, _levels, _Setup, _setups
 from .pde import step  # noqa: F401  unused; kept while perfbench's tests pin harness.step
 
 __all__ = [
@@ -304,12 +312,15 @@ def _operator_error(alpha: float, h: float) -> float:
     return abs(numeric - example41_exact(alpha))
 
 
-def _error_blocks(problem: AdvectionDiffusionProblem, M: int, N: int):
+def _error_blocks(
+    problem: AdvectionDiffusionProblem, M: int, N: int, setup: Optional[_Setup] = None
+):
     """Assemble ``problem``, a manufactured benchmark, and return an
-    iterator of ``(k, error)`` per block of levels from ``pde._levels``,
-    level 0 first: row i of ``error`` holds |U - u_exact| at the interior
-    nodes of level k + i, from one ``problem.exact`` call."""
-    system, blocks = _levels(problem, M, N)
+    iterator of ``(k, error)`` per block of levels from ``pde._levels``
+    (given ``setup``, finished from it), level 0 first: row i of ``error``
+    holds |U - u_exact| at the interior nodes of level k + i, from one
+    ``problem.exact`` call."""
+    system, blocks = _levels(problem, M, N, setup)
     x, tau = system.x_interior, system.tau
 
     def error(k: int, block: np.ndarray) -> tuple:
@@ -320,11 +331,14 @@ def _error_blocks(problem: AdvectionDiffusionProblem, M: int, N: int):
     return itertools.starmap(error, blocks)
 
 
-def _solver_error(alpha: float, M: int, N: int) -> float:
+def _solver_error(alpha: float, M: int, N: int, setup: Optional[_Setup] = None) -> float:
     """Maximum absolute nodal error over every time level of the
     manufactured benchmark (the solution amplitude oscillates in time, so
-    the worst level is generally not the final one)."""
-    blocks = _error_blocks(example42_problem(alpha), M, N)
+    the worst level is generally not the final one).  ``setup``, the
+    ``pde._setups`` entry of ``(example42_problem(alpha), N)`` on M, runs
+    its problem from it; without it the cell assembles its own."""
+    problem = example42_problem(alpha) if setup is None else setup.problem
+    blocks = _error_blocks(problem, M, N, setup)
     return max(float(error.max()) for _, error in blocks)
 
 
@@ -340,6 +354,10 @@ def convergence_study(
     the time step varying.  ``spatial_table3``: solver error with
     tau = 1/2000 fixed and the mesh size varying.  Resolutions must halve
     successively for the observed orders to be meaningful.
+
+    Every resolution and alpha is checked before any cell runs, and the
+    solver cells that share M are set up together (see the module
+    docstring).
     """
     if kind not in _STUDIES:
         raise DomainError(
@@ -349,16 +367,26 @@ def convergence_study(
     alphas = tuple(alphas) if alphas is not None else default_alphas
     resolutions = tuple(resolutions) if resolutions is not None else default_res
     counts = {res: _resolution_to_m(res) for res in resolutions}  # before any cell runs
+    cells = [(a, r) for a in alphas for r in resolutions]
+    sizes, setups = {}, {}
+    if kind == "operator_table1":
+        for alpha in alphas:
+            example41_exact(alpha)  # refuses a bad alpha before any cell runs
+    else:
+        problems = {alpha: example42_problem(alpha) for alpha in alphas}  # likewise
+        for alpha, res in cells:
+            n = counts[res]
+            sizes[(alpha, res)] = (1000, n) if kind == "temporal_table2" else (n, 2000)
+        for M in dict.fromkeys(M for M, _ in sizes.values()):
+            shared = [cell for cell in sizes if sizes[cell][0] == M]
+            entries = _setups([(problems[a], sizes[(a, r)][1]) for a, r in shared], M)
+            setups.update(zip(shared, entries))
 
     def cell_error(alpha: float, res: float) -> float:
         if kind == "operator_table1":
             return _operator_error(alpha, res)
-        n = counts[res]
-        if kind == "temporal_table2":
-            return _solver_error(alpha, 1000, n)
-        return _solver_error(alpha, n, 2000)
+        return _solver_error(alpha, *sizes[(alpha, res)], setups[(alpha, res)])
 
-    cells = [(a, r) for a in alphas for r in resolutions]
     # one worker, as steps hold the GIL; the executor stays while perfbench's tests patch it
     with ThreadPoolExecutor(max_workers=1) as pool:
         errors = dict(zip(cells, pool.map(lambda c: cell_error(*c), cells)))

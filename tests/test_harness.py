@@ -296,6 +296,7 @@ class TestConvergenceStudy:
 
         monkeypatch.setattr(rieszfd.harness, "_solver_error", counted)
         monkeypatch.setattr(rieszfd.harness, "_operator_error", counted)
+        monkeypatch.setattr(rieszfd.harness, "_setups", counted)
         with pytest.raises(DomainError, match="reciprocal of an integer"):
             convergence_study("spatial_table3", alphas=[1.5], resolutions=[0.1, 0.05, 0.3])
         # degenerate ones raised ZeroDivisionError, ValueError or a misleading M
@@ -303,6 +304,10 @@ class TestConvergenceStudy:
             for bad in (0.0, math.nan, math.inf, -0.1):
                 with pytest.raises(DomainError, match="finite and > 0"):
                     convergence_study(kind, alphas=[1.5], resolutions=[0.1, bad])
+            # a bad alpha last in the list ran every valid cell first
+            for bad in (math.nan, 2.5, 2.0, 1.0, -math.inf):
+                with pytest.raises(DomainError, match="alpha in"):
+                    convergence_study(kind, alphas=[1.2, 1.4, bad], resolutions=[0.1, 0.05])
         assert calls == []
 
     def test_grid_above_the_cap_is_refused(self, monkeypatch):

@@ -611,6 +611,220 @@ class TestSolve:
         np.testing.assert_allclose(sol.final()[1:M], u, rtol=1e-12, atol=1e-12)
 
 
+def _stack(M, cells):
+    """Reversed first columns and first rows of lhs, one row per
+    ``(alpha, K, tau)`` in ``cells``, on M intervals of (0, 1), as
+    ``pde._setups`` lays them out for the stacked recursion."""
+    grid = GridSpec1D(0.0, 1.0, M)
+    reversed_columns = np.empty((len(cells), M - 1))
+    rows = np.empty_like(reversed_columns)
+    for (alpha, K, tau), reversed_column, row in zip(cells, reversed_columns, rows):
+        problem = dataclasses.replace(_zero_problem(alpha, K=K), K_alpha=1.0)
+        riesz = rieszfd.pde._riesz_column(alpha, 2, grid)
+        rieszfd.pde._lhs_column_row(problem, grid, tau, riesz, reversed_column[::-1], row)
+    return reversed_columns, rows
+
+
+def _table2_cells(alphas=rieszfd.harness.TABLE2_ALPHAS, N=(5, 10)):
+    return [(example42_problem(alpha), n) for alpha in alphas for n in N]
+
+
+class TestStackedSetup:
+    def test_stack_is_chosen_by_cell_count_and_size(self, monkeypatch):
+        calls = []
+        scalar = rieszfd.pde._levinson_generators
+        stacked = rieszfd.pde._stacked_levinson_generators
+
+        def counted_scalar(*args):
+            calls.append("scalar")
+            return scalar(*args)
+
+        def counted_stacked(reversed_columns, rows):
+            calls.append(("stacked", len(rows)))
+            return stacked(reversed_columns, rows)
+
+        monkeypatch.setattr(rieszfd.pde, "_levinson_generators", counted_scalar)
+        monkeypatch.setattr(rieszfd.pde, "_stacked_levinson_generators", counted_stacked)
+        least, largest = rieszfd.pde._STACK_MIN_CELLS, rieszfd.pde._STACK_MAX_M
+        assert (least, largest) == (4, 1500)
+        cells = _table2_cells(N=(5,))
+        rieszfd.pde._setups(cells, largest)
+        assert calls == [("stacked", 4)]
+        calls.clear()
+        rieszfd.pde._setups(cells[:3], 40)
+        assert calls == ["scalar"] * 3
+        calls.clear()
+        rieszfd.pde._setups(cells, largest + 1)
+        assert calls == ["scalar"] * 4
+        calls.clear()
+        assemble_system(cells[0][0], 40, 5)
+        assert calls == ["scalar"]
+
+    def test_study_cells_match_lone_cells(self, monkeypatch):
+        # eight table-2 cells share M = 1000 and one stacked recursion
+        stacked = rieszfd.pde._stacked_levinson_generators
+        sizes = []
+        monkeypatch.setattr(
+            rieszfd.pde,
+            "_stacked_levinson_generators",
+            lambda *args: sizes.append(len(args[1])) or stacked(*args),
+        )
+        report = rieszfd.harness.convergence_study(
+            "temporal_table2", resolutions=[1 / 5, 1 / 10]
+        )
+        assert sizes == [8]
+        for row in report.rows:
+            N = round(1 / row.resolution)
+            assert row.error == rieszfd.harness._solver_error(row.alpha, 1000, N)
+
+    def test_setups_share_one_riesz_column_per_alpha(self, monkeypatch):
+        columns = []
+        riesz = rieszfd.pde._riesz_column
+        monkeypatch.setattr(
+            rieszfd.pde, "_riesz_column", lambda *args: columns.append(args[0]) or riesz(*args)
+        )
+        setups = rieszfd.pde._setups(_table2_cells(alphas=(1.2, 1.8), N=(5, 10, 20)), 100)
+        assert columns == [1.2, 1.8]
+        for setup in setups:
+            alone = assemble_system(setup.problem, 100, round(setup.problem.T / setup.tau))
+            np.testing.assert_array_equal(setup.column, alone.column)
+            np.testing.assert_array_equal(setup.row, alone.row)
+
+    @pytest.mark.parametrize(
+        "bad_column",
+        [
+            [0.0, 1.0, 0.5],  # column[0] = 0: breaks down at order 1
+            [1e-300, 1.0, 1.0],  # a tiny pivot makes the next one infinite
+            [1.0, np.nan, 0.0],
+        ],
+    )
+    def test_a_breakdown_raises_the_scalar_error(self, bad_column):
+        reversed_columns, rows = _stack(4, [(1.3, 2.0, 0.1), (1.6, 0.0, 0.5), (1.9, 1.0, 0.01)])
+        reversed_columns[1] = bad_column[::-1]
+        rows[1] = bad_column
+        with pytest.raises(SingularMatrixError) as scalar:
+            rieszfd.pde._levinson_generators(reversed_columns[1, ::-1], rows[1])
+        with pytest.raises(SingularMatrixError) as stacked:
+            rieszfd.pde._stacked_levinson_generators(reversed_columns, rows)
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_an_overflow_raises_the_scalar_error(self):
+        reversed_columns = np.array([[4.0], [5e-324], [2.0]])
+        with pytest.raises(SingularMatrixError, match="overflowed"):
+            rieszfd.pde._stacked_levinson_generators(reversed_columns, reversed_columns.copy())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "perturbed"])
+    def test_corrupted_generators_are_refused_on_the_study_path(self, bad, monkeypatch, capsys):
+        # the last of eight stacked cells; the first seven pass their checks
+        stacked = rieszfd.pde._stacked_levinson_generators
+        cells = []
+
+        def corrupted(*args):
+            generators = stacked(*args)
+            if bad == "perturbed":
+                generators[-1] *= 1.0 + 1e-6
+            else:
+                generators[-1, 1, 5] = bad
+            return generators
+
+        def counted(*args):
+            cells.append(args)
+            return real(*args)
+
+        real = rieszfd.harness._solver_error
+        monkeypatch.setattr(rieszfd.pde, "_stacked_levinson_generators", corrupted)
+        monkeypatch.setattr(rieszfd.harness, "_solver_error", counted)
+        with pytest.raises(SingularMatrixError, match="residual"):
+            rieszfd.harness.convergence_study("temporal_table2", resolutions=[1 / 5, 1 / 10])
+        assert len(cells) == 8
+        argv = ["convergence", "--table", "2", "--alphas", "1.2,1.4,1.6,1.8"]
+        assert rieszfd.cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _long_double_levinson(column, row):
+    """``x = T^-1 e_0`` and ``y = T^-1 e_{m-1}`` by the Levinson-Trench
+    recursion of ``pde._levinson_generators``, in the dtype of the inputs."""
+    m = len(column)
+    f = np.zeros(m, dtype=column.dtype)
+    b = np.zeros_like(f)
+    f[0] = b[-1] = 1
+    reversed_column = column[::-1].copy()
+    scale = 1 / column[0]
+    for k in range(1, m):
+        fk, bk = f[: k + 1], b[m - 1 - k :]
+        e_f = scale * np.dot(reversed_column[m - 1 - k :], fk)
+        e_b = scale * np.dot(row[: k + 1], bk)
+        shifted = bk * e_f
+        bk -= fk * e_b
+        fk -= shifted
+        scale /= 1 - e_f * e_b
+    return f * scale, b * scale
+
+
+def _long_double_final_level(system, N):
+    """Interior values at T of ``system``'s problem, from the float64
+    column, row and source samples that production uses, with the
+    Levinson recursion, the Gohberg-Semencul apply and the Crank-Nicolson
+    update in long double: a reference for the solver's own roundoff."""
+    ld = np.longdouble
+    problem, M, tau = system.problem, system.grid.M, system.tau
+    x, y = _long_double_levinson(system.column.astype(ld), system.row.astype(ld))
+    m = M - 1
+    n = 1 << (2 * m - 1).bit_length()
+    lower = np.zeros((2, m), dtype=ld)
+    lower[0], lower[1, 1:] = x / x[0], y[:-1]
+    lower[1] /= x[0]
+    upper = np.zeros((2, m), dtype=ld)
+    upper[0], upper[1, 1:] = y[::-1], x[:0:-1]
+    lower, upper = np.fft.rfft(lower, n), np.conj(np.fft.rfft(upper, n))
+    assert lower.dtype == upper.dtype == np.clongdouble
+
+    def solve(v):
+        products = np.fft.rfft(np.fft.irfft(upper * np.fft.rfft(v, n), n)[:, :m], n)
+        return np.fft.irfft(lower[0] * products[0] - lower[1] * products[1], n)[:m]
+
+    half = tau / 2.0
+    u = np.asarray(problem.initial(system.grid.nodes()), dtype=float)[1:M].astype(ld)
+    for k in range(N):
+        f = np.asarray(problem.source(system.x_interior, k * tau + half), dtype=float)
+        u = 2 * solve(u + ld(half) * f.astype(ld)) - u
+    return u
+
+
+# Largest max |u - u_ld| / max |u_ld| at T for example 4.2 with N = 100,
+# alpha 1.2 / 1.5 / 1.8 and M = 160, 499, 500 and 1000: 2.4e-15 to 5.7e-14
+# on a 2-vCPU x86 machine (long double eps 1.08e-19), on both step kernels
+_LONG_DOUBLE_RTOL = 2e-13
+
+
+class TestLongDoubleReference:
+    def test_long_double_is_wider_than_double(self):
+        assert np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+    @pytest.mark.parametrize("M", (160, 499, 500, 1000))
+    @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
+    def test_solve_matches_long_double_run(self, alpha, M):
+        problem = example42_problem(alpha)
+        system = assemble_system(problem, M, 100)
+        reference = _long_double_final_level(system, 100)
+        u = solve(problem, M, 100).final()[1:M]
+        assert np.max(np.abs(u - reference)) <= _LONG_DOUBLE_RTOL * np.max(np.abs(reference))
+
+    def test_stacked_setup_matches_long_double_run(self):
+        setups = rieszfd.pde._setups(_table2_cells(N=(100,)), 1000)
+        assert len(setups) >= rieszfd.pde._STACK_MIN_CELLS
+        setup = setups[2]
+        system, blocks = rieszfd.pde._levels(setup.problem, 1000, 100, setup)
+        for _, block in blocks:
+            pass
+        reference = _long_double_final_level(system, 100)
+        error = np.max(np.abs(block[-1] - reference))
+        assert error <= _LONG_DOUBLE_RTOL * np.max(np.abs(reference))
+
+
 class TestGridNorm:
     def test_zero(self):
         assert grid_norm(np.zeros(9), 0.1) == 0.0

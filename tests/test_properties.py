@@ -1,7 +1,8 @@
 """Property tests over random inputs: cross-method weight agreement, the
 Riesz operator against its dense matrix, its alpha -> 2 limit, the
-Crank-Nicolson identity ``lhs + B = 2I`` and a non-increasing energy norm
-without a source.  Derandomized, so every run draws the same examples."""
+Crank-Nicolson identity ``lhs + B = 2I``, a non-increasing energy norm without a
+source, and the stacked Levinson-Trench recursion against the scalar one.
+Derandomized, so every run draws the same examples."""
 
 import math
 
@@ -22,6 +23,7 @@ from rieszfd import (
     step,
 )
 from rieszfd.coeffs import _grows
+from rieszfd.pde import _levinson_generators, _setups, _stacked_levinson_generators
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -106,3 +108,45 @@ def test_energy_norm_nonincreasing_without_source(M, N, alpha, data):
         current = grid_norm(u, h)
         assert current <= previous + 1e-12
         previous = current
+
+
+@st.composite
+def shared_grid_systems(draw):
+    """2 to 6 Crank-Nicolson systems on one grid of M = 5 .. 300 intervals,
+    each with its own alpha in (1, 2], K >= 0 and time step, as
+    ``pde._setups`` builds them.  Alphas within about 1e-12 of 1, whose
+    p = 2 weights the operators refuse as growing, are not drawn."""
+    M = draw(st.integers(5, 300))
+    cells = draw(
+        st.lists(
+            st.tuples(
+                st.floats(1.0, 2.0, exclude_min=True), st.floats(0.0, 50.0), st.floats(1e-4, 1.0)
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    problems = [
+        AdvectionDiffusionProblem(
+            alpha=alpha,
+            K=K,
+            K_alpha=alpha * alpha,
+            domain=(0.0, 1.0),
+            T=tau,
+            source=lambda x, t: np.zeros_like(x),
+            initial=lambda x: np.zeros_like(x),
+        )
+        for alpha, K, tau in cells
+    ]
+    assume(not any(_grows(kappa_polynomial(2, problem.alpha)) for problem in problems))
+    return _setups([(problem, 1) for problem in problems], M)
+
+
+@PROPERTY
+@given(setups=shared_grid_systems())
+def test_stacked_levinson_equals_each_system_alone(setups):
+    reversed_columns = np.array([setup.column[::-1] for setup in setups])
+    rows = np.array([setup.row for setup in setups])
+    stacked = _stacked_levinson_generators(reversed_columns, rows)
+    for setup, generators in zip(setups, stacked):
+        np.testing.assert_array_equal(generators, _levinson_generators(setup.column, setup.row))
