@@ -12,9 +12,10 @@ stdout.  Numeric output uses 17 significant digits and LF line endings so
 repeated runs are byte-identical.
 
 ``solve --keep all`` and ``surface`` stream their CSV as the stepping
-core produces the levels, in blocks of rows, one write each, from groups
-of whole time levels, so their memory is O(M) whatever N is: neither the
-(N+1) x (M+1) float array nor a string per cell exists.  Both still
+core produces the levels: each block of whole time levels it yields is
+formatted and written as it comes, in writes of at most
+``_g17.BLOCK_ROWS`` rows, so their memory is O(M) whatever N is: neither
+the (N+1) x (M+1) float array nor a string per cell exists.  Both still
 refuse, before assembly, a size whose (N+1) x (M+1) array would exceed
 physical memory.  An ``--out`` regular file is replaced only when the
 run succeeds, so a failed run leaves no partial file (see ``_open_out``).
@@ -41,7 +42,7 @@ import numpy as np
 from . import _g17
 from . import coeffs as _coeffs
 from . import harness as _harness
-from .errors import NumericsError
+from .errors import NumericsError, SizeLimitError
 from .operators import (
     GridSpec1D,
     generating_symbol,
@@ -146,44 +147,25 @@ def _write_json(payload, path: str | None) -> None:
         out.write(text)
 
 
-def _write_levels(
-    out, header: list[str], x: np.ndarray, tau: float, count: int, blocks, columns
-) -> None:
-    """Write ``count`` time levels as long-format CSV: a row
-    ``t,x,*columns(x, t, u)`` per node and level.  ``blocks`` yields
-    ``(k, levels)`` in order of k, row i of ``levels`` holding the interior
-    values of level k + i; ``columns`` returns one array per remaining
-    column given the nodes ``x``, the level's time ``tau * k`` and its
-    values with zero boundary values.  The ``x`` cells are formatted once.
-    Levels are staged until a ``_g17.write_rows`` call has whole levels,
-    about eight blocks' worth, so its partial last block costs little, and
-    memory stays O(M) whatever the number of levels."""
+def _write_levels(out, header: list[str], x: np.ndarray, tau: float, blocks, columns) -> None:
+    """Write time levels as long-format CSV: a row ``t,x,*columns(x, t, u)``
+    per node and level.  ``blocks`` yields ``(k, levels)`` in order of k,
+    row i of ``levels`` holding the values of level k + i at the nodes
+    ``x``, boundaries included; ``columns`` returns one array per remaining
+    column given ``x``, the level's time ``tau * k`` and its values.  The
+    ``x`` cells are formatted once, and each block goes out in one
+    ``_g17.write_rows`` call as it arrives, so memory stays O(M) whatever
+    the number of levels."""
     out.write(",".join(header) + "\n")
     xs = _g17.padded([_fmt(v) + "," for v in x.tolist()])
-    staged = np.zeros((min(count, max(1, 8 * _g17.BLOCK_ROWS // len(x))), len(x)))
-
-    def write(first: int, filled: int) -> None:
-        levels = range(first, first + filled)
-        values = np.vstack([np.column_stack(columns(x, tau * k, u)) for k, u in zip(levels, staged)])
-        ts = _g17.padded([_fmt(tau * k) + "," for k in levels])
-        prefix = np.empty((filled, len(x), ts.shape[1] + xs.shape[1]), np.uint8)
+    for k, block in blocks:
+        levels = range(k, k + len(block))
+        values = np.vstack([np.column_stack(columns(x, tau * j, u)) for j, u in zip(levels, block)])
+        ts = _g17.padded([_fmt(tau * j) + "," for j in levels])
+        prefix = np.empty((len(block), len(x), ts.shape[1] + xs.shape[1]), np.uint8)
         prefix[:, :, : ts.shape[1]] = ts[:, None]
         prefix[:, :, ts.shape[1] :] = xs
         _g17.write_rows(out, values, prefix.reshape(len(values), -1))
-
-    filled = 0  # levels staged, the last of them level k + done - 1
-    for k, block in blocks:
-        done = 0
-        while done < len(block):
-            take = min(len(staged) - filled, len(block) - done)
-            staged[filled : filled + take, 1:-1] = block[done : done + take]
-            filled += take
-            done += take
-            if filled == len(staged):
-                write(k + done - filled, filled)
-                filled = 0
-    if filled:
-        write(k + done - filled, filled)
 
 
 def _float_list(text: str) -> list[float]:
@@ -333,17 +315,20 @@ def _cmd_solve(args) -> None:
 
     if args.keep == "final":
         sol = _solve(problem, args.M, args.N, keep="final")
-        grid, tau, count = sol.grid, sol.tau, 1
-        blocks = [(args.N, sol.snapshots[:, 1:-1])]
+        grid, tau, blocks = sol.grid, sol.tau, [(args.N, sol.snapshots)]
     else:
         _check_all_levels_fit(args.M, args.N)
         system, blocks = _levels(problem, args.M, args.N)
-        grid, tau, count = system.grid, system.tau, args.N + 1
+        grid, tau = system.grid, system.tau
     with _open_out(args.out) as out:
-        _write_levels(out, header, grid.nodes(), tau, count, blocks, columns)
+        _write_levels(out, header, grid.nodes(), tau, blocks, columns)
 
 
 def _cmd_spectrum(args) -> None:
+    if args.symbol_samples > _coeffs._MAX_SAMPLES:
+        raise SizeLimitError(
+            f"--symbol-samples={args.symbol_samples} exceeds the cap of {_coeffs._MAX_SAMPLES}"
+        )
     lo, hi = spectral_bounds(args.alpha, args.p, args.M)
     if args.out is not None:
         xs = np.linspace(-math.pi, math.pi, args.symbol_samples)
@@ -383,8 +368,8 @@ def _cmd_surface(args) -> None:
     blocks = _harness._error_blocks(problem, args.M, args.N)
     x = GridSpec1D(*problem.domain, args.M).nodes()
     with _open_out(args.out) as out:
-        _write_levels(out, ["t", "x", "abs_error"], x, problem.T / args.N, args.N + 1,
-                      blocks, lambda x, t, u: (u,))
+        _write_levels(out, ["t", "x", "abs_error"], x, problem.T / args.N, blocks,
+                      lambda x, t, u: (u,))
 
 
 _DISPATCH = {

@@ -318,15 +318,18 @@ def _error_blocks(
     """Assemble ``problem``, a manufactured benchmark, and return an
     iterator of ``(k, error)`` per block of levels from ``pde._levels``
     (given ``setup``, finished from it), level 0 first: row i of ``error``
-    holds |U - u_exact| at the interior nodes of level k + i, from one
-    ``problem.exact`` call."""
+    holds |U - u_exact| at the nodes of level k + i, zero at the
+    boundaries, from one ``problem.exact`` call at the interior nodes.
+    ``error`` is the block itself, overwritten."""
     system, blocks = _levels(problem, M, N, setup)
     x, tau = system.x_interior, system.tau
 
     def error(k: int, block: np.ndarray) -> tuple:
         exact = problem.exact(x, [j * tau for j in range(k, k + len(block))])
-        np.subtract(block, exact, out=exact)
-        return k, np.abs(exact, out=exact)
+        interior = block[:, 1:-1]
+        np.subtract(interior, exact, out=interior)
+        np.abs(interior, out=interior)
+        return k, block
 
     return itertools.starmap(error, blocks)
 
@@ -422,7 +425,7 @@ def error_surface(alpha: float, M: int, N: int) -> np.ndarray:
     SizeLimitError before assembly if that array exceeds physical memory."""
     problem = example42_problem(alpha)
     _check_all_levels_fit(M, N)
-    surface = np.zeros((N + 1, M + 1))
+    surface = np.empty((N + 1, M + 1))
     for k, error in _error_blocks(problem, M, N):
-        surface[k : k + len(error), 1:M] = error
+        surface[k : k + len(error)] = error
     return surface

@@ -33,25 +33,25 @@ A failed setup raises SingularMatrixError.  The module needs only numpy.
 
 Systems on one M can share their setup: the private ``_setups`` builds
 the column and row of each (the Riesz column once per alpha) and, for
-enough systems on a small enough M, runs one Levinson-Trench recursion
-over their (systems, m) stack, which gives each system the bits of its
-own scalar recursion; ``_finish`` then checks, refines and expands one
-system at a time.  The convergence studies set up the cells of each grid
-this way.  A lone system (``assemble_system``, every solve) keeps the
-scalar loop, which is twice as fast for one system: 19 vs 35 ms at
-M = 3000 and 5.3 vs 11 ms at M = 1000 on a 2-vCPU x86 machine.
+two or more systems, runs one Levinson-Trench recursion over their
+(systems, m) stack, which gives each system the bits of its own scalar
+recursion; ``_finish`` then checks, refines and expands one system at a
+time.  The convergence studies set up the cells of each grid this way.
+A lone system (``assemble_system``, every solve) keeps the scalar loop,
+which is twice as fast for one system: 19 vs 35 ms at M = 3000 and 5.3
+vs 11 ms at M = 1000 on a 2-vCPU x86 machine.
 
 Every run goes through one stepping loop, the private generator
-``_march``: it calls :func:`step` once per level and hands the levels
-over in blocks of at most ``_BLOCK_BYTES``, so :func:`solve`, the
-convergence studies and the CLI's CSV writer reduce, copy or format many
-levels per numpy call.  ``_levels`` does the assembly, the initial data
-and the march for all of them.
+``_march``: it calls :func:`step` once per level and hands the levels,
+level 0 first and zero boundary values included, over in blocks of at
+most ``_BLOCK_BYTES``, so :func:`solve`, the convergence studies and the
+CLI's CSV writer reduce, copy or format many levels per numpy call.
+``_levels`` does the assembly, the initial data and the march for all of
+them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -88,24 +88,14 @@ _TOEPLITZ_MIN_M = 500
 # machine, which extrapolates to about 40 minutes at 10**6.
 _TOEPLITZ_MAX_M = 100_000
 
-# ``_setups`` runs one Levinson-Trench recursion over a stack of systems
-# that share M when there are at least ``_STACK_MIN_CELLS`` of them and M is
-# at most ``_STACK_MAX_M``; otherwise each system runs the scalar loop.
-# The stack saves the loop's numpy call overhead, about 5 us per order and
-# system, but its wider updates cost more per entry, so it loses where the
-# entries dominate.  Stacked vs one at a time on a 2-vCPU x86 machine
-# (medians of 9 alternating runs): 20 systems 75 vs 183 ms at M = 1000,
-# 262 vs 387 ms at 2000, 525 vs 480 ms at 3000; 4 systems 3.5 vs 5.2 ms at
-# M = 160, 30 vs 36 ms at 1000, 52 vs 55 ms at 1500, 66 vs 54 ms at 2000,
-# 107 vs 91 ms at 3000; 3 systems 20 vs 18 ms at 1000; 2 systems lose at
-# every M (1.5 vs 1.8 ms at 160).
-_STACK_MIN_CELLS = 4
-_STACK_MAX_M = 1500
-
 # Largest block of levels that ``_march`` yields at once (at least one
-# level).  Larger blocks cost peak memory and gain nothing: with 256 KiB
-# blocks the table-3 study took as long and 0.7 MB more peak RSS.
-_BLOCK_BYTES = 32 * 1024
+# level).  The CLI formats each block in one call, so this also sets the
+# CSV rows per call: about 8192 (eight ``_g17.BLOCK_ROWS`` writes, of which
+# only the last is short).  Larger blocks cost peak memory and gain
+# nothing: with 256 KiB blocks the table-3 study took as long and 0.7 MB
+# more peak RSS, and with 128 KiB ``solve --M 1000 --N 1000 --keep all``
+# peaked about 1.1 MB higher.
+_BLOCK_BYTES = 64 * 1024
 
 # Largest accepted ||lhs [x y] - [e_0 e_{m-1}]||_inf relative to
 # ||lhs||_inf max|[x y]| for the Levinson generators x and y
@@ -250,14 +240,12 @@ class _Setup(NamedTuple):
 def _setups(cells: list, M: int) -> list:
     """One ``_Setup`` per ``(problem, N)`` in ``cells``, all on M intervals.
 
-    The Riesz column is computed once per distinct (alpha, domain).  From
-    ``_STACK_MIN_CELLS`` systems on, up to ``M = _STACK_MAX_M``, one
-    recursion over the stack gives every generator pair
-    (``_stacked_levinson_generators``); otherwise, and always for a lone
-    system, ``_levinson_generators`` runs once per system.  Both give the
-    same bits.  Raises as ``assemble_system`` does, before any quadratic
-    work for a bad size, and SingularMatrixError for a recursion that
-    breaks down.
+    The Riesz column is computed once per distinct (alpha, domain).  For
+    two or more systems one recursion over the stack gives every generator
+    pair (``_stacked_levinson_generators``); a lone system runs
+    ``_levinson_generators``.  Both give the same bits.  Raises as
+    ``assemble_system`` does, before any quadratic work for a bad size,
+    and SingularMatrixError for a recursion that breaks down.
     """
     if M < 4:
         raise DomainError(f"solver requires M >= 4, got M={M}")
@@ -284,7 +272,7 @@ def _setups(cells: list, M: int) -> list:
         grid, riesz_column = riesz[key]
         parts.append((problem, grid, problem.T / N))
         _lhs_column_row(problem, grid, problem.T / N, riesz_column, column, row)
-    if len(cells) >= _STACK_MIN_CELLS and M <= _STACK_MAX_M:
+    if len(cells) > 1:
         generators = _stacked_levinson_generators(reversed_columns, rows)
     else:
         generators = [_levinson_generators(c, r) for c, r in zip(columns, rows)]
@@ -575,12 +563,14 @@ def step(system: SteppingSystem, u_k: np.ndarray, t_k: float) -> np.ndarray:
 
 
 def _march(system: SteppingSystem, u: np.ndarray, N: int):
-    """Advance the interior values ``u`` (level 0) through N levels with
-    :func:`step` and yield ``(k, block)``, where row i of ``block`` holds
-    level k + i.  Every block but the last is full and holds at most
-    ``_BLOCK_BYTES`` (at least one level).  ``block`` is a view of one
-    buffer that the next block overwrites; the last block yielded stays
-    intact.
+    """Advance the interior values ``u`` of level 0 through N levels with
+    :func:`step` and yield ``(k, block)`` for all N + 1 levels, level 0
+    first, where row i of ``block`` holds level k + i with zero boundary
+    values (M + 1 values).  Every block but the last is full and holds at
+    most ``_BLOCK_BYTES`` (at least one level).  ``block`` is a view of
+    one buffer that the next block overwrites, and the caller may
+    overwrite its interior values too; the last block yielded stays as the
+    caller left it.
 
     Raises DomainError, in place of yielding it, for a block whose last
     level is not finite, so every level yielded is finite.  ``2 y - u``
@@ -590,29 +580,34 @@ def _march(system: SteppingSystem, u: np.ndarray, N: int):
     every entry), so a non-finite level makes every later one non-finite
     and checking the last level of each block covers the block."""
     tau = system.tau
-    buffer = np.empty((max(1, min(N, _BLOCK_BYTES // (8 * len(u)))), len(u)))
+    width = len(u) + 2
+    # np.empty with zeroed boundary columns: a np.zeros buffer left
+    # ``solve --M 1000 --N 1000 --keep all`` 0.3-0.4 MB higher in peak RSS
+    buffer = np.empty((max(1, min(N + 1, _BLOCK_BYTES // (8 * width))), width))
+    buffer[:, [0, -1]] = 0.0
     rows = len(buffer)
-    for k in range(N):
-        u = step(system, u, k * tau)
+    for k in range(N + 1):
         i = k % rows
-        buffer[i] = u
-        if i == rows - 1 or k == N - 1:
+        buffer[i, 1:-1] = u
+        if i == rows - 1 or k == N:
             if not np.all(np.isfinite(u)):
                 raise DomainError(
-                    f"solution is not finite at t={(k + 1) * tau!r}; the source or "
+                    f"solution is not finite at t={k * tau!r}; the source or "
                     "the initial data produced NaN or inf"
                 )
-            yield k + 1 - i, buffer[: i + 1]
+            yield k - i, buffer[: i + 1]
+        if k < N:
+            u = step(system, u, k * tau)
 
 
 def _levels(
     problem: AdvectionDiffusionProblem, M: int, N: int, setup: Optional[_Setup] = None
 ):
-    """Assemble the system for ``problem`` and return it with an iterator
-    over all N + 1 levels of its run: ``(0, level 0)`` as a one-row block
-    of the sampled initial data, then the blocks of :func:`_march`.  Blocks
-    hold interior values only.  The assembly runs here, so its errors come
-    before any level; initial data that is not finite is a DomainError.
+    """Assemble the system for ``problem`` and return it with the
+    :func:`_march` of its sampled initial data: an iterator over all N + 1
+    levels in blocks, level 0 first.  The assembly runs here, so its
+    errors come before any level; initial data that is not finite is a
+    DomainError.
 
     ``setup``, the ``_setups`` entry of ``(problem, N)`` on M, skips the
     recursion: the system is then finished from it."""
@@ -620,7 +615,7 @@ def _levels(
     u = np.asarray(problem.initial(system.grid.nodes()), dtype=float)[1:M]
     if not np.all(np.isfinite(u)):
         raise DomainError("initial data is not finite")
-    return system, itertools.chain([(0, u[None])], _march(system, u, N))
+    return system, _march(system, u, N)
 
 
 def solve(
@@ -643,12 +638,11 @@ def solve(
         _check_all_levels_fit(M, N)
     system, blocks = _levels(problem, M, N)
     levels = np.arange(N + 1) if keep == "all" else np.array([N])
-    snapshots = np.zeros((len(levels), M + 1))
-    interior = snapshots[:, 1:M]
+    snapshots = np.empty((len(levels), M + 1))
     for k, block in blocks:
         if keep == "all":
-            interior[k : k + len(block)] = block
-    interior[-1] = block[-1]
+            snapshots[k : k + len(block)] = block
+    snapshots[-1] = block[-1]
     return SolutionGrid(system.grid, system.tau, N, system.tau * levels, snapshots)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import rieszfd.cli
+import rieszfd.coeffs
 import rieszfd.harness
 import rieszfd.operators
 import rieszfd.pde
@@ -369,6 +370,28 @@ class TestSpectrum:
             written.add(path.read_bytes())
         assert len(written) == len(orders)  # each file is its own order's symbol
 
+    def test_too_many_samples_are_refused_before_any_is_made(self, monkeypatch, tmp_path, capsys):
+        def no_samples(*args):
+            raise AssertionError("the symbol was sampled")
+
+        monkeypatch.setattr(rieszfd.cli, "generating_symbol", no_samples)
+        path = tmp_path / "symbol.csv"
+        samples = 4 * 10**6 + 1
+        assert samples == rieszfd.coeffs._MAX_SAMPLES + 1
+        argv = ["spectrum", "--alpha", "1.5", "--symbol-samples", str(samples), "--out", str(path)]
+        code, out, err = _run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: --symbol-samples={samples} exceeds the cap of {samples - 1}\n"
+        assert not path.exists()
+
+    def test_the_cap_itself_is_accepted(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(rieszfd.coeffs, "_MAX_SAMPLES", 7)
+        path = tmp_path / "symbol.csv"
+        for samples, code in ((7, 0), (8, 1)):
+            argv = ["spectrum", "--alpha", "1.5", "--symbol-samples", str(samples), "--out", str(path)]
+            assert _run_capture(capsys, argv)[0] == code
+        assert len(path.read_text().splitlines()) == 1 + 7
+
 
 class TestConvergence:
     def test_table1_row(self, capsys):
@@ -481,15 +504,17 @@ def test_short_levels_share_blocks():
     out = Recorder()
     system, blocks = rieszfd.pde._levels(example42_problem(1.3), 100, 25)
     x = system.grid.nodes()
-    rieszfd.cli._write_levels(out, ["t", "x", "u"], x, system.tau, 26, blocks, lambda x, t, u: (u,))
+    rieszfd.cli._write_levels(out, ["t", "x", "u"], x, system.tau, blocks, lambda x, t, u: (u,))
     assert out.writes == 1 + 3  # the header, then 26 levels of 101 rows in three blocks
 
 
-@pytest.mark.parametrize("M, N", [(1000, 1000), (100, 20000)])
+@pytest.mark.parametrize("M, N", [(1000, 1000), (100, 6000)])
 @pytest.mark.parametrize("argv", [["solve", "--keep", "all"], ["surface"]], ids=["solve", "surface"])
 def test_streamed_csv_memory_is_independent_of_the_level_count(argv, M, N):
-    # the levels went through one (N+1) x (M+1) array: peaks of 9.0 and
-    # 19.0 MiB for solve, 8.4 and 19.0 MiB for surface
+    # the levels went through one (N+1) x (M+1) array: peaks of 9.0 MiB for
+    # solve and 8.4 MiB for surface at M = N = 1000.  At M = 100, N = 6000
+    # that array alone is 4.8 MB, more than twice the bound: a writer that
+    # kept a copy of every block peaked at 6.1 and 5.4 MiB.
     size = ["--alpha", "1.5", "--M", str(M), "--N", str(N), "--out", os.devnull]
     tiny = ["--alpha", "1.5", "--M", "10", "--N", "3", "--out", os.devnull]
     assert run(argv + tiny) == 0  # the formatter's tables are built once per process
@@ -520,8 +545,8 @@ def test_surface_calls_exact_once_per_block(monkeypatch, tmp_path):
     monkeypatch.setattr(rieszfd.harness, "example42_problem", counted)
     path = tmp_path / "surface.csv"
     assert run(["surface", "--alpha", "1.5", "--M", str(M), "--N", str(N), "--out", str(path)]) == 0
-    blocks = -(-N // (rieszfd.pde._BLOCK_BYTES // (8 * (M - 1))))
-    assert 1 < len(calls) <= blocks + 1  # it was one call per level, N + 1
+    blocks = -(-(N + 1) // (rieszfd.pde._BLOCK_BYTES // (8 * (M + 1))))
+    assert 1 < len(calls) == blocks  # it was one call per level, N + 1
     _assert_identical(path.read_text(), expected)
 
 
@@ -560,7 +585,7 @@ def _nan_after_half(monkeypatch):
 def test_non_finite_level_stops_the_stream_before_its_rows(monkeypatch, tmp_path, capsys):
     _nan_after_half(monkeypatch)
     path = tmp_path / "u.csv"
-    # blocks of 215 levels and writes of 390: levels 0-779 go out before
+    # blocks of 390 levels, one write each: levels 0-779 go out before
     # the block that holds level 1001, the first NaN, is refused
     argv = ["solve", "--alpha", "1.5", "--M", "20", "--N", "2000", "--keep", "all"]
     assert run(argv + ["--out", str(path)]) == 1

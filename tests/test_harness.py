@@ -371,9 +371,10 @@ def _reference_solver_error(alpha, M, N):
 
 
 def _block_lengths(M, N):
-    """Levels per block that ``pde._march`` yields for M intervals."""
-    rows = max(1, rieszfd.pde._BLOCK_BYTES // (8 * (M - 1)))
-    return [min(rows, N - k) for k in range(0, N, rows)]
+    """Levels per block that ``pde._march`` yields for M intervals and
+    N + 1 levels."""
+    rows = max(1, rieszfd.pde._BLOCK_BYTES // (8 * (M + 1)))
+    return [min(rows, N + 1 - k) for k in range(0, N + 1, rows)]
 
 
 # dense and Toeplitz cells whose levels fill several blocks with a partial
@@ -397,7 +398,7 @@ class TestSolverError:
         shapes = [_block_lengths(M, N) for _, M, N in _SOLVER_ERROR_CASES]
         assert any(len(b) > 1 and b[-1] < b[0] for b in shapes)  # several, last partial
         assert any(
-            len(b) == 1 and 8 * (M - 1) * N < rieszfd.pde._BLOCK_BYTES
+            len(b) == 1 and 8 * (M + 1) * (N + 1) < rieszfd.pde._BLOCK_BYTES
             for b, (_, M, N) in zip(shapes, _SOLVER_ERROR_CASES)
         )  # below one block
         assert any(len(b) > 1 and set(b) == {1} for b in shapes)  # one level each
