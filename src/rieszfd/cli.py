@@ -365,7 +365,7 @@ def _cmd_convergence(args) -> None:
 def _cmd_surface(args) -> None:
     problem = _harness.example42_problem(args.alpha)
     _check_all_levels_fit(args.M, args.N)
-    blocks = _harness._error_blocks(problem, args.M, args.N)
+    blocks = _harness._error_blocks(*_levels(problem, args.M, args.N), problem.exact)
     x = GridSpec1D(*problem.domain, args.M).nodes()
     with _open_out(args.out) as out:
         _write_levels(out, ["t", "x", "abs_error"], x, problem.T / args.N, blocks,

@@ -281,22 +281,28 @@ def _kappa_convolution(a: np.ndarray, alpha: float, count: int) -> np.ndarray:
 
 
 def _grows(a: np.ndarray) -> bool:
-    """True when the polynomial ``sum a_k z**k`` has a root in the closed
-    unit disk other than z = 1, i.e. when the coefficients of its
-    fractional powers grow geometrically."""
+    """True when the polynomial ``sum a_k z**k`` has a root other than
+    z = 1 (farther than 1e-6 from it) of modulus at most 1 + 1e-9, i.e.
+    when the coefficients of its fractional powers do not decay: they grow
+    geometrically for a root inside the unit disk, and for one just
+    outside it too slowly to matter at any admitted count.  The p = 2
+    polynomial at alpha = 1 + 1e-13 has such a root, of modulus
+    1 + O(alpha - 1)."""
     roots = np.roots(a[::-1])
     roots = roots[np.abs(roots - 1.0) > 1e-6]
     return bool(roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-9)
 
 
 def _decaying_polynomial(p: int, alpha: float) -> np.ndarray:
-    """``kappa_polynomial(p, alpha)``, refused when its weights grow: no
-    operator can use them, nor can unit-circle samples represent them."""
+    """``kappa_polynomial(p, alpha)``, refused when its weights do not
+    decay (``_grows``): no operator can use them, nor can unit-circle
+    samples represent them."""
     a = kappa_polynomial(p, alpha)
     if _grows(a):
         raise DomainError(
-            f"kappa weights for p={p}, alpha={alpha} grow geometrically: the "
-            "generating polynomial has a root inside the closed unit disk"
+            f"kappa weights for p={p}, alpha={alpha} do not decay: the "
+            "generating polynomial has a root other than z = 1 of modulus "
+            "at most 1 + 1e-9"
         )
     return a
 

@@ -11,9 +11,13 @@ Every study checks each resolution and alpha before any cell runs.  A
 solver study then sets up the cells that share M together
 (``pde._setups``): table 2's 20 cells share M = 1000 and one stacked
 Levinson-Trench recursion (55-75 ms against 103-183 ms one at a time on a
-2-vCPU x86 machine), and table 3's four alphas share each M.  Each cell
-then finishes its own system and marches it, one cell at a time, so only
-one cell's inverse or spectra is held at once.
+2-vCPU x86 machine), and table 3's four alphas share each M.  The cells
+that also share N, the four alphas of each table-2 time step and of each
+table-3 mesh, form a group, and ``_solver_error`` marches a group in lock
+step (``pde._stacked_levels``) under one stacked example-4.2 forcing
+(``_example42``), every cell with the bits of its own run.  The groups
+run one at a time, so only one group's inverses or spectra are held at
+once.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import numpy as np
 
 from .errors import DomainError, SizeLimitError
 from .operators import _MAX_GRID_M, GridSpec1D, point_riesz_derivative
-from .pde import AdvectionDiffusionProblem, _check_all_levels_fit, _levels, _Setup, _setups
+from .pde import AdvectionDiffusionProblem, _check_all_levels_fit, _levels, _setups
+from .pde import _stacked_levels
 from .pde import step  # noqa: F401  unused; kept while perfbench's tests pin harness.step
 
 __all__ = [
@@ -226,6 +231,36 @@ def _bump_half_sum(alpha: float, n: int, x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _bump(x: np.ndarray) -> np.ndarray:
+    return x**4 * (1.0 - x) ** 4
+
+
+def _bump_dx(x: np.ndarray) -> np.ndarray:
+    return 4.0 * x**3 - 20.0 * x**4 + 36.0 * x**5 - 28.0 * x**6 + 8.0 * x**7
+
+
+def _node_cached(factors):
+    """``factors(x)`` for float node arrays ``x``, computed once per node
+    array: the two newest results are kept, keyed on the node shape and
+    bytes, which compare several times faster than np.array_equal.  Two,
+    because the CLI's writer asks for every node between steps on the
+    interior ones.  The cache is replaced as a whole, so a reader on
+    another thread never sees a mix of two node arrays."""
+    cache = [()]
+
+    def cached(x: np.ndarray) -> tuple:
+        key = (x.shape, x.tobytes())
+        entries = cache[0]
+        for entry_key, value in entries:
+            if entry_key == key:
+                return value
+        value = factors(x)
+        cache[0] = ((key, value), *entries[:1])
+        return value
+
+    return cached
+
+
 def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
     """Manufactured advection-diffusion benchmark on (0, 1) with T = 1,
     K = 2, K_alpha = alpha**2, and exact solution
@@ -239,38 +274,18 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
         raise DomainError(f"benchmark requires alpha in (1, 2), got {alpha}")
     k_alpha = alpha * alpha
     cos_half = math.cos(math.pi * alpha / 2.0)
-
-    def bump(x: np.ndarray) -> np.ndarray:
-        return x**4 * (1.0 - x) ** 4
-
-    def bump_dx(x: np.ndarray) -> np.ndarray:
-        return 4.0 * x**3 - 20.0 * x**4 + 36.0 * x**5 - 28.0 * x**6 + 8.0 * x**7
-
-    # the two newest entries (key, k_alpha * frac, bump, bump_dx), keyed on
-    # the node shape and bytes, which compare several times faster than
-    # np.array_equal: the CLI's writer asks for every node between steps
-    # on the interior ones.  The tuple is replaced as a whole, so a reader
-    # on another thread never sees a mix of two node arrays
-    cache = [()]
-
-    def space_factors(x: np.ndarray) -> tuple:
-        key = (x.shape, x.tobytes())
-        entries = cache[0]
-        for entry in entries:
-            if entry[0] == key:
-                return entry
-        entry = (key, k_alpha * _bump_half_sum(alpha, 4, x), bump(x), bump_dx(x))
-        cache[0] = (entry, *entries[:1])
-        return entry
+    space_factors = _node_cached(
+        lambda x: (k_alpha * _bump_half_sum(alpha, 4, x), _bump(x), _bump_dx(x))
+    )
 
     def exact(x: np.ndarray, t: float | Sequence[float]) -> np.ndarray:
-        _, _, bump_x, _ = space_factors(np.asarray(x, dtype=float))
+        _, bump_x, _ = space_factors(np.asarray(x, dtype=float))
         if np.ndim(t) == 0:
             return math.cos(alpha * t * t) * bump_x
         return np.multiply.outer([math.cos(alpha * s * s) for s in t], bump_x)
 
     def source(x: np.ndarray, t: float) -> np.ndarray:
-        _, scaled_frac, bump_x, bump_dx_x = space_factors(np.asarray(x, dtype=float))
+        scaled_frac, bump_x, bump_dx_x = space_factors(np.asarray(x, dtype=float))
         ct = math.cos(alpha * t * t)
         st = math.sin(alpha * t * t)
         return (
@@ -286,9 +301,45 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
         domain=(0.0, 1.0),
         T=1.0,
         source=source,
-        initial=bump,
+        initial=_bump,
         exact=exact,
     )
+
+
+def _example42(alphas: Sequence[float]) -> tuple:
+    """``(source, exact)`` of ``example42_problem`` for every alpha in
+    ``alphas`` at once, one row per alpha: ``source(x, t)`` is
+    (alphas, len(x)) for 1-D nodes x, and ``exact(x, times)`` is
+    (alphas, len(times), len(x)).  Every entry comes from one alpha's
+    scalar operations in the problem's order (``alpha * t * t``, then
+    ``2.0 * alpha * t * sin``), so row i is bit for bit
+    ``example42_problem(alphas[i])``'s value.  The problem keeps its
+    scalar form: as the one-alpha case of this one, its source took about
+    3 us more per call (6.1 against 3.3 us at M = 100 on a 2-vCPU x86
+    machine), a third more per level of a lone run."""
+    alphas = list(alphas)
+    cos_halves = np.array([math.cos(math.pi * alpha / 2.0) for alpha in alphas])[:, None]
+    space_factors = _node_cached(
+        lambda x: (
+            np.stack([alpha * alpha * _bump_half_sum(alpha, 4, x) for alpha in alphas]),
+            _bump(x),
+            _bump_dx(x),
+        )
+    )
+
+    def exact(x: np.ndarray, times: Sequence[float]) -> np.ndarray:
+        _, bump_x, _ = space_factors(np.asarray(x, dtype=float))
+        cosines = [[math.cos(alpha * t * t) for t in times] for alpha in alphas]
+        return np.multiply.outer(cosines, bump_x)
+
+    def source(x: np.ndarray, t: float) -> np.ndarray:
+        scaled_fracs, bump_x, bump_dx_x = space_factors(np.asarray(x, dtype=float))
+        angles = [alpha * t * t for alpha in alphas]
+        ct = np.array([math.cos(angle) for angle in angles])[:, None]
+        st = np.array([2.0 * a * t * math.sin(angle) for a, angle in zip(alphas, angles)])[:, None]
+        return scaled_fracs * ct / cos_halves - st * bump_x + 2.0 * ct * bump_dx_x
+
+    return source, exact
 
 
 def _resolution_to_m(h: float) -> int:
@@ -312,37 +363,43 @@ def _operator_error(alpha: float, h: float) -> float:
     return abs(numeric - example41_exact(alpha))
 
 
-def _error_blocks(
-    problem: AdvectionDiffusionProblem, M: int, N: int, setup: Optional[_Setup] = None
-):
-    """Assemble ``problem``, a manufactured benchmark, and return an
-    iterator of ``(k, error)`` per block of levels from ``pde._levels``
-    (given ``setup``, finished from it), level 0 first: row i of ``error``
-    holds |U - u_exact| at the nodes of level k + i, zero at the
-    boundaries, from one ``problem.exact`` call at the interior nodes.
-    ``error`` is the block itself, overwritten."""
-    system, blocks = _levels(problem, M, N, setup)
+def _error_blocks(system, blocks, exact):
+    """``blocks``, the levels of ``system`` from ``pde._levels`` (or the
+    lock-step ones of ``pde._stacked_levels``), with every value replaced
+    by |U - u_exact|: zero at the boundaries, and at the interior nodes
+    from one ``exact(x, times)`` call per block, which returns the
+    manufactured solution in the block's shape.  Each error block is the
+    level block itself, overwritten."""
     x, tau = system.x_interior, system.tau
 
     def error(k: int, block: np.ndarray) -> tuple:
-        exact = problem.exact(x, [j * tau for j in range(k, k + len(block))])
-        interior = block[:, 1:-1]
-        np.subtract(interior, exact, out=interior)
+        interior = block[..., 1:-1]
+        times = [j * tau for j in range(k, k + block.shape[-2])]
+        np.subtract(interior, exact(x, times), out=interior)
         np.abs(interior, out=interior)
         return k, block
 
     return itertools.starmap(error, blocks)
 
 
-def _solver_error(alpha: float, M: int, N: int, setup: Optional[_Setup] = None) -> float:
+def _solver_error(
+    alphas: Sequence[float], M: int, N: int, setups: Optional[list] = None
+) -> list:
     """Maximum absolute nodal error over every time level of the
-    manufactured benchmark (the solution amplitude oscillates in time, so
-    the worst level is generally not the final one).  ``setup``, the
-    ``pde._setups`` entry of ``(example42_problem(alpha), N)`` on M, runs
-    its problem from it; without it the cell assembles its own."""
-    problem = example42_problem(alpha) if setup is None else setup.problem
-    blocks = _error_blocks(problem, M, N, setup)
-    return max(float(error.max()) for _, error in blocks)
+    manufactured benchmark, one per alpha in ``alphas`` (the solution
+    amplitude oscillates in time, so the worst level is generally not the
+    final one).  The alphas march in lock step (``pde._stacked_levels``),
+    each with the bits of its own run, under one ``_example42`` forcing.
+    ``setups``, the ``pde._setups`` entries of
+    ``(example42_problem(alpha), N)`` on M for each alpha, finish them;
+    without them the group sets itself up."""
+    if setups is None:
+        setups = _setups([(example42_problem(alpha), N) for alpha in alphas], M)
+    source, exact = _example42(alphas)
+    worst = np.zeros(len(setups))
+    for _, error in _error_blocks(*_stacked_levels(setups, source, N), exact):
+        np.maximum(worst, error.max(axis=(-2, -1)), out=worst)
+    return worst.tolist()
 
 
 def convergence_study(
@@ -358,9 +415,9 @@ def convergence_study(
     tau = 1/2000 fixed and the mesh size varying.  Resolutions must halve
     successively for the observed orders to be meaningful.
 
-    Every resolution and alpha is checked before any cell runs, and the
-    solver cells that share M are set up together (see the module
-    docstring).
+    Every resolution and alpha is checked before any cell runs.  The
+    solver cells that share M are set up together, and those that also
+    share N march together (see the module docstring).
     """
     if kind not in _STUDIES:
         raise DomainError(
@@ -371,28 +428,35 @@ def convergence_study(
     resolutions = tuple(resolutions) if resolutions is not None else default_res
     counts = {res: _resolution_to_m(res) for res in resolutions}  # before any cell runs
     cells = [(a, r) for a in alphas for r in resolutions]
-    sizes, setups = {}, {}
     if kind == "operator_table1":
         for alpha in alphas:
             example41_exact(alpha)  # refuses a bad alpha before any cell runs
+        groups = {cell: [cell] for cell in cells}
+
+        def group_errors(cell: tuple) -> list:
+            return [_operator_error(*cell)]
+
     else:
         problems = {alpha: example42_problem(alpha) for alpha in alphas}  # likewise
+        groups, setups = {}, {}
         for alpha, res in cells:
             n = counts[res]
-            sizes[(alpha, res)] = (1000, n) if kind == "temporal_table2" else (n, 2000)
-        for M in dict.fromkeys(M for M, _ in sizes.values()):
-            shared = [cell for cell in sizes if sizes[cell][0] == M]
-            entries = _setups([(problems[a], sizes[(a, r)][1]) for a, r in shared], M)
-            setups.update(zip(shared, entries))
+            size = (1000, n) if kind == "temporal_table2" else (n, 2000)
+            groups.setdefault(size, []).append((alpha, res))
+        for M in dict.fromkeys(M for M, _ in groups):
+            shared = [(cell, N) for (m, N), group in groups.items() if m == M for cell in group]
+            entries = _setups([(problems[a], N) for (a, _), N in shared], M)
+            setups.update(zip([cell for cell, _ in shared], entries))
 
-    def cell_error(alpha: float, res: float) -> float:
-        if kind == "operator_table1":
-            return _operator_error(alpha, res)
-        return _solver_error(alpha, *sizes[(alpha, res)], setups[(alpha, res)])
+        def group_errors(size: tuple) -> list:
+            group = groups[size]
+            return _solver_error([a for a, _ in group], *size, [setups[cell] for cell in group])
 
     # one worker, as steps hold the GIL; the executor stays while perfbench's tests patch it
+    errors = {}
     with ThreadPoolExecutor(max_workers=1) as pool:
-        errors = dict(zip(cells, pool.map(lambda c: cell_error(*c), cells)))
+        for group, values in zip(groups.values(), pool.map(group_errors, groups)):
+            errors.update(zip(group, values))
 
     rows: list[StudyRow] = []
     for alpha in alphas:
@@ -426,6 +490,6 @@ def error_surface(alpha: float, M: int, N: int) -> np.ndarray:
     problem = example42_problem(alpha)
     _check_all_levels_fit(M, N)
     surface = np.empty((N + 1, M + 1))
-    for k, error in _error_blocks(problem, M, N):
+    for k, error in _error_blocks(*_levels(problem, M, N), problem.exact):
         surface[k : k + len(error)] = error
     return surface

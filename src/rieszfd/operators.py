@@ -97,7 +97,7 @@ def right_apply(u: np.ndarray, grid: GridSpec1D, table: CoefficientTable) -> np.
 
 def _operator_weights(p: int, alpha: float, M: int) -> CoefficientTable:
     """Kappa weights 0..M for an operator, refused before any weight is
-    computed when they grow geometrically."""
+    computed when they do not decay."""
     _decaying_polynomial(p, alpha)
     return kappa_weights(p, alpha, M)
 

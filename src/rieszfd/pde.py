@@ -35,19 +35,27 @@ Systems on one M can share their setup: the private ``_setups`` builds
 the column and row of each (the Riesz column once per alpha) and, for
 two or more systems, runs one Levinson-Trench recursion over their
 (systems, m) stack, which gives each system the bits of its own scalar
-recursion; ``_finish`` then checks, refines and expands one system at a
-time.  The convergence studies set up the cells of each grid this way.
-A lone system (``assemble_system``, every solve) keeps the scalar loop,
-which is twice as fast for one system: 19 vs 35 ms at M = 3000 and 5.3
-vs 11 ms at M = 1000 on a 2-vCPU x86 machine.
+recursion.  The convergence studies set up the cells of each grid this
+way.  A lone system (``assemble_system``, every solve) keeps the scalar
+loop, which is twice as fast for one system: 19 vs 35 ms at M = 3000 and
+5.3 vs 11 ms at M = 1000 on a 2-vCPU x86 machine.
+
+Systems that also share the time step can march in lock step:
+``_stacked_levels`` checks and refines each one's generators into one
+(cells, m, m) stack of inverses or (cells, 2, n/2 + 1) stack of spectra,
+a ``_Stack``, and :func:`step` advances a (cells, m) state with one
+stacked product or one set of FFTs along the last axis, each row bit for
+bit its cell's own step.  The convergence studies march each group of
+cells with one (M, N) this way; a lone system is the one-cell case and
+keeps its ``SteppingSystem``.
 
 Every run goes through one stepping loop, the private generator
 ``_march``: it calls :func:`step` once per level and hands the levels,
 level 0 first and zero boundary values included, over in blocks of at
 most ``_BLOCK_BYTES``, so :func:`solve`, the convergence studies and the
 CLI's CSV writer reduce, copy or format many levels per numpy call.
-``_levels`` does the assembly, the initial data and the march for all of
-them.
+``_levels`` does the assembly, the initial data and the march of a lone
+system, and ``_stacked_levels`` those of a lock-step stack.
 """
 
 from __future__ import annotations
@@ -175,8 +183,8 @@ class SteppingSystem:
     ``B`` are None, and ``spectra`` holds the FFT spectra of the
     Gohberg-Semencul factors, so everything held is O(M).
 
-    :func:`step` reads only ``inverse`` or ``spectra``; the rest is kept
-    for checks.
+    :func:`step` reads only ``inverse`` or ``spectra``, ``tau``,
+    ``x_interior`` and ``source``; the rest is kept for checks.
     """
 
     inverse: Optional[np.ndarray]
@@ -189,6 +197,26 @@ class SteppingSystem:
     column: Optional[np.ndarray] = None
     row: Optional[np.ndarray] = None
     spectra: Optional[tuple] = None
+
+    @property
+    def source(self) -> Callable[[np.ndarray, float], np.ndarray]:
+        """``problem.source``, which :func:`step` samples."""
+        return self.problem.source
+
+
+class _Stack(NamedTuple):
+    """Systems on one grid and one time step, to be marched in lock step:
+    what :func:`step` reads of a ``SteppingSystem``, with the cells on a
+    leading axis.  ``inverse`` is (cells, m, m) below ``_TOEPLITZ_MIN_M``
+    and ``spectra`` holds two (cells, 2, n/2 + 1) arrays from there on;
+    ``source(x, t)`` returns one row of forcing per cell."""
+
+    inverse: Optional[np.ndarray]
+    spectra: Optional[tuple]
+    grid: GridSpec1D
+    tau: float
+    x_interior: np.ndarray
+    source: Callable[[np.ndarray, float], np.ndarray]
 
 
 def _physical_memory_bytes() -> int:
@@ -212,15 +240,27 @@ def assemble_system(
     """Build and invert the Crank-Nicolson stepping system: checked and
     refined Levinson-Trench generators at every M, expanded to the dense
     inverse below ``_TOEPLITZ_MIN_M`` and turned into FFT spectra from
-    there on.  It is the one-cell case of ``_setups`` followed by
-    ``_finish``.
+    there on.  It finishes the one-cell case of ``_setups``: the
+    generators are checked and refined by ``_checked_generators``.
 
     Raises SizeLimitError before any quadratic work when M exceeds
     ``_TOEPLITZ_MAX_M``, and SingularMatrixError when the generator
     recursion breaks down or the generators fail their residual check.
     """
-    (setup,) = _setups([(problem, N)], M)
-    return _finish(setup)
+    ((problem, grid, tau, column, row, generators),) = _setups([(problem, N)], M)
+    x_interior = grid.nodes()[1:M]
+    generators = _checked_generators(column, row, generators)
+    if M >= _TOEPLITZ_MIN_M:
+        spectra = _factor_spectra(generators)
+        return SteppingSystem(
+            None, None, None, grid, tau, problem, x_interior, column, row, spectra
+        )
+    inverse = _trench_inverse(generators)
+    lhs = _toeplitz(column, row)
+    # 2 - lhs_ii is exact for 1 <= lhs_ii < 2**53, so lhs + B = 2I bit for bit
+    B = np.negative(lhs)
+    np.fill_diagonal(B, 2.0 - column[0])
+    return SteppingSystem(inverse, lhs, B, grid, tau, problem, x_interior, column, row)
 
 
 class _Setup(NamedTuple):
@@ -280,28 +320,6 @@ def _setups(cells: list, M: int) -> list:
         _Setup(*part, column, row, pair)
         for part, column, row, pair in zip(parts, columns, rows, generators)
     ]
-
-
-def _finish(setup: _Setup) -> SteppingSystem:
-    """The stepping system of one ``_setups`` entry: its generators
-    checked and refined (``_checked_generators``), then expanded to the
-    dense inverse below ``_TOEPLITZ_MIN_M`` or turned into FFT spectra."""
-    problem, grid, tau = setup.problem, setup.grid, setup.tau
-    column, row = setup.column, setup.row
-    M = grid.M
-    x_interior = grid.nodes()[1:M]
-    generators = _checked_generators(column, row, setup.generators)
-    if M >= _TOEPLITZ_MIN_M:
-        spectra = _factor_spectra(generators)
-        return SteppingSystem(
-            None, None, None, grid, tau, problem, x_interior, column, row, spectra
-        )
-    inverse = _trench_inverse(generators)
-    lhs = _toeplitz(column, row)
-    # 2 - lhs_ii is exact for 1 <= lhs_ii < 2**53, so lhs + B = 2I bit for bit
-    B = np.negative(lhs)
-    np.fill_diagonal(B, 2.0 - column[0])
-    return SteppingSystem(inverse, lhs, B, grid, tau, problem, x_interior, column, row)
 
 
 def _lhs_column_row(
@@ -479,15 +497,15 @@ def _generator_residual(
 def _factors(generators: np.ndarray) -> tuple:
     """``(lower, upper)``: rows of ``lower`` are x and Z y, the first
     columns of the lower triangular factors, and rows of ``upper`` are J y
-    and Z J x, the first rows of the upper triangular ones."""
-    x, y = generators
-    m = len(x)
-    lower = np.zeros((2, m))
-    lower[0] = x
-    lower[1, 1:] = y[:-1]
-    upper = np.zeros((2, m))
-    upper[0] = y[::-1]
-    upper[1, 1:] = x[:0:-1]
+    and Z J x, the first rows of the upper triangular ones, stacked like
+    the generators."""
+    x, y = generators[..., 0, :], generators[..., 1, :]
+    lower = np.zeros(generators.shape)
+    lower[..., 0, :] = x
+    lower[..., 1, 1:] = y[..., :-1]
+    upper = np.zeros(generators.shape)
+    upper[..., 0, :] = y[..., ::-1]
+    upper[..., 1, 1:] = x[..., :0:-1]
     return lower, upper
 
 
@@ -496,10 +514,10 @@ def _factor_spectra(generators: np.ndarray) -> tuple:
     x_0, rows of ``upper`` the conjugated FFTs of J y and Z J x
     (conjugation turns the circular convolution into the correlation that
     an upper triangular Toeplitz product is), all at length
-    ``_fft_length(m)``."""
+    ``_fft_length(m)``; stacked generators give stacked spectra."""
     lower, upper = _factors(generators)
-    n = _fft_length(lower.shape[1])
-    return np.fft.rfft(lower, n) / lower[0, 0], np.conj(np.fft.rfft(upper, n))
+    n = _fft_length(lower.shape[-1])
+    return np.fft.rfft(lower, n) / lower[..., :1, :1], np.conj(np.fft.rfft(upper, n))
 
 
 def _fft_length(m: int) -> int:
@@ -530,36 +548,44 @@ def _trench_inverse(generators: np.ndarray) -> np.ndarray:
     k <= min(i, j), so ``x_0 lhs^-1`` is the cumulative sum along each
     diagonal of ``outer(x, J y) - outer(Z y, Z J x)``: row i + 1 is row i
     shifted right plus row i + 1 of that difference.  Here x and Z y are
-    divided by x_0 first.
+    divided by x_0 first.  Stacked generators give stacked inverses.
     """
     lower, upper = _factors(generators)
-    lower /= generators[0, 0]
-    inverse = np.outer(lower[0], upper[0])
-    inverse -= np.outer(lower[1], upper[1])
-    for i in range(1, len(inverse)):
-        inverse[i, 1:] += inverse[i - 1, :-1]
+    lower /= generators[..., :1, :1]
+    inverse = lower[..., 0, :, None] * upper[..., 0, None, :]
+    # the second outer product row by row: a whole one would be a second
+    # m x m temporary per cell, 0.8 MB more peak for table 3's stacks
+    for i in range(inverse.shape[-1]):
+        inverse[..., i, :] -= lower[..., 1, i, None] * upper[..., 1, :]
+        if i:
+            inverse[..., i, 1:] += inverse[..., i - 1, :-1]
     return inverse
 
 
 def _gohberg_semencul_solve(spectra: tuple, b: np.ndarray) -> np.ndarray:
     """``lhs^-1 b = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)] b`` in six real
     FFTs: one of b, two inverse and two forward for the two upper
-    triangular products, and one inverse for the difference."""
+    triangular products, and one inverse for the difference.  The FFTs
+    run along the last axis, so stacked spectra solve a (cells, m) stack."""
     lower, upper = spectra
-    n = 2 * (lower.shape[1] - 1)
-    m = len(b)
-    products = np.fft.rfft(np.fft.irfft(upper * np.fft.rfft(b, n), n)[:, :m], n)
-    return np.fft.irfft(lower[0] * products[0] - lower[1] * products[1], n)[:m]
+    n = 2 * (lower.shape[-1] - 1)
+    m = b.shape[-1]
+    products = np.fft.rfft(np.fft.irfft(upper * np.fft.rfft(b, n)[..., None, :], n)[..., :m], n)
+    difference = lower[..., 0, :] * products[..., 0, :] - lower[..., 1, :] * products[..., 1, :]
+    return np.fft.irfft(difference, n)[..., :m]
 
 
 def step(system: SteppingSystem, u_k: np.ndarray, t_k: float) -> np.ndarray:
     """Advance interior values one time level, sampling the source at the
-    half level t_k + tau/2: ``2 y - u_k`` with ``lhs y = u_k + (tau/2) f``."""
+    half level t_k + tau/2: ``2 y - u_k`` with ``lhs y = u_k + (tau/2) f``.
+    For a ``_Stack``, ``u_k`` and the forcing are (cells, m), and each row
+    gets the bits of its cell's own step."""
     half = system.tau / 2.0
-    f = np.asarray(system.problem.source(system.x_interior, t_k + half), dtype=float)
+    f = np.asarray(system.source(system.x_interior, t_k + half), dtype=float)
+    v = u_k + half * f
     if system.spectra is not None:
-        return 2.0 * _gohberg_semencul_solve(system.spectra, u_k + half * f) - u_k
-    return 2.0 * (system.inverse @ (u_k + half * f)) - u_k
+        return 2.0 * _gohberg_semencul_solve(system.spectra, v) - u_k
+    return 2.0 * np.matmul(system.inverse, v[..., None])[..., 0] - u_k
 
 
 def _march(system: SteppingSystem, u: np.ndarray, N: int):
@@ -572,50 +598,78 @@ def _march(system: SteppingSystem, u: np.ndarray, N: int):
     overwrite its interior values too; the last block yielded stays as the
     caller left it.
 
+    A ``_Stack`` marches its (cells, m) ``u`` with one :func:`step` per
+    level, and ``block`` is then (cells, levels, M + 1).
+
     Raises DomainError, in place of yielding it, for a block whose last
-    level is not finite, so every level yielded is finite.  ``2 y - u``
-    keeps every NaN or inf of ``u``, and both solvers spread one from the
-    right-hand side to all of ``y`` (the dense path through its product
-    with the full inverse, the Toeplitz path through its FFTs, which mix
-    every entry), so a non-finite level makes every later one non-finite
-    and checking the last level of each block covers the block."""
+    level is not finite, naming the time of the block's first level that
+    is not finite in any cell, so every level yielded is finite.
+    ``2 y - u`` keeps every NaN or inf of ``u``, and both solvers spread
+    one from the right-hand side to all of ``y`` (the dense path through
+    its product with the full inverse, the Toeplitz path through its FFTs,
+    which mix every entry), so a non-finite level makes every later one
+    non-finite and checking the last level of each block covers the
+    block."""
     tau = system.tau
-    width = len(u) + 2
+    cells = u.shape[:-1]
+    width = u.shape[-1] + 2
+    rows = max(1, min(N + 1, _BLOCK_BYTES // (8 * width * math.prod(cells))))
     # np.empty with zeroed boundary columns: a np.zeros buffer left
     # ``solve --M 1000 --N 1000 --keep all`` 0.3-0.4 MB higher in peak RSS
-    buffer = np.empty((max(1, min(N + 1, _BLOCK_BYTES // (8 * width))), width))
-    buffer[:, [0, -1]] = 0.0
-    rows = len(buffer)
+    buffer = np.empty((*cells, rows, width))
+    buffer[..., [0, -1]] = 0.0
     for k in range(N + 1):
         i = k % rows
-        buffer[i, 1:-1] = u
+        buffer[..., i, 1:-1] = u
         if i == rows - 1 or k == N:
+            block = buffer[..., : i + 1, :]
             if not np.all(np.isfinite(u)):
+                finite = np.isfinite(block).all(axis=-1).reshape(-1, i + 1).all(axis=0)
+                first = k - i + int(np.argmin(finite))
                 raise DomainError(
-                    f"solution is not finite at t={k * tau!r}; the source or "
+                    f"solution is not finite at t={first * tau!r}; the source or "
                     "the initial data produced NaN or inf"
                 )
-            yield k - i, buffer[: i + 1]
+            yield k - i, block
         if k < N:
             u = step(system, u, k * tau)
 
 
-def _levels(
-    problem: AdvectionDiffusionProblem, M: int, N: int, setup: Optional[_Setup] = None
-):
+def _initial_data(problem: AdvectionDiffusionProblem, nodes: np.ndarray) -> np.ndarray:
+    """``problem.initial`` at the interior ``nodes``; DomainError if any
+    value is not finite."""
+    u = np.asarray(problem.initial(nodes), dtype=float)[1:-1]
+    if not np.all(np.isfinite(u)):
+        raise DomainError("initial data is not finite")
+    return u
+
+
+def _levels(problem: AdvectionDiffusionProblem, M: int, N: int):
     """Assemble the system for ``problem`` and return it with the
     :func:`_march` of its sampled initial data: an iterator over all N + 1
     levels in blocks, level 0 first.  The assembly runs here, so its
     errors come before any level; initial data that is not finite is a
-    DomainError.
+    DomainError."""
+    system = assemble_system(problem, M, N)
+    return system, _march(system, _initial_data(problem, system.grid.nodes()), N)
 
-    ``setup``, the ``_setups`` entry of ``(problem, N)`` on M, skips the
-    recursion: the system is then finished from it."""
-    system = assemble_system(problem, M, N) if setup is None else _finish(setup)
-    u = np.asarray(problem.initial(system.grid.nodes()), dtype=float)[1:M]
-    if not np.all(np.isfinite(u)):
-        raise DomainError("initial data is not finite")
-    return system, _march(system, u, N)
+
+def _stacked_levels(setups: list, source: Callable, N: int):
+    """``_levels`` of the ``_setups`` entries ``setups``, which share one
+    grid and one time step, in lock step: their ``_Stack``, with
+    ``source`` as its forcing, and the :func:`_march` of their stacked
+    initial data.  Each entry's generators are checked and refined
+    (``_checked_generators``) straight into one stack; no cell builds lhs
+    or B."""
+    grid, tau = setups[0].grid, setups[0].tau
+    generators = np.stack([_checked_generators(s.column, s.row, s.generators) for s in setups])
+    if grid.M >= _TOEPLITZ_MIN_M:
+        inverse, spectra = None, _factor_spectra(generators)
+    else:
+        inverse, spectra = _trench_inverse(generators), None
+    nodes = grid.nodes()
+    system = _Stack(inverse, spectra, grid, tau, nodes[1 : grid.M], source)
+    return system, _march(system, np.stack([_initial_data(s.problem, nodes) for s in setups]), N)
 
 
 def solve(

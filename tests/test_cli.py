@@ -331,6 +331,18 @@ class TestSolve:
         assert len(lines) == 1 + 3 * 9
         assert all(line.endswith(",0") for line in lines[1:])
 
+    def test_alpha_next_to_one_is_refused_as_not_decaying(self, capsys):
+        # the second root of the p = 2 polynomial has modulus 1 + 4e-13 here,
+        # outside the unit disk but within the root test's 1e-9 of it
+        argv = ["solve", "--alpha", "1.0000000000001", "--M", "20", "--N", "5"]
+        code, out, err = _run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "do not decay" in err and "grow" not in err
+        # modulus 1 + 4e-9: admitted
+        argv[2] = "1.000000001"
+        code, out, _ = _run_capture(capsys, argv)
+        assert code == 0 and len(out.splitlines()) == 1 + 21
+
 
 class TestSpectrum:
     def test_record_and_csv(self, tmp_path, capsys):

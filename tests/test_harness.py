@@ -337,7 +337,13 @@ class TestConvergenceStudy:
         assert calls == []
 
     def test_non_finite_source_is_an_error(self, monkeypatch, tmp_path):
+        # the study's stacked forcing and the lone problem's source alike
+        real_stack = rieszfd.harness._example42
         real = rieszfd.harness.example42_problem
+
+        def stack_nan_after_half(alphas):
+            source, exact = real_stack(alphas)
+            return (lambda x, t: source(x, t) * (np.nan if t > 0.5 else 1.0)), exact
 
         def nan_after_half(alpha):
             problem = real(alpha)
@@ -347,9 +353,12 @@ class TestConvergenceStudy:
 
             return dataclasses.replace(problem, source=source)
 
+        monkeypatch.setattr(rieszfd.harness, "_example42", stack_nan_after_half)
         monkeypatch.setattr(rieszfd.harness, "example42_problem", nan_after_half)
         with pytest.raises(NumericsError):
-            rieszfd.harness._solver_error(1.5, 10, 20)
+            rieszfd.harness._solver_error([1.5], 10, 20)
+        with pytest.raises(NumericsError):
+            rieszfd.harness._solver_error([1.5, 1.7], 10, 20)
         argv = ["solve", "--alpha", "1.5", "--M", "10", "--N", "20"]
         assert rieszfd.cli.run(argv + ["--out", str(tmp_path / "u.csv")]) == 1
 
@@ -391,8 +400,8 @@ _SOLVER_ERROR_CASES = [
 class TestSolverError:
     @pytest.mark.parametrize("alpha, M, N", _SOLVER_ERROR_CASES)
     def test_matches_reference_loop(self, alpha, M, N):
-        error = rieszfd.harness._solver_error(alpha, M, N)
-        assert error == _reference_solver_error(alpha, M, N)
+        errors = rieszfd.harness._solver_error([alpha], M, N)
+        assert errors == [_reference_solver_error(alpha, M, N)]
 
     def test_reference_cases_cover_every_block_shape(self):
         shapes = [_block_lengths(M, N) for _, M, N in _SOLVER_ERROR_CASES]
@@ -405,29 +414,31 @@ class TestSolverError:
 
     def test_non_finite_block_is_an_error(self, monkeypatch):
         # NaN from the first level on: every block's error is NaN
-        real = rieszfd.harness.example42_problem
+        real = rieszfd.harness._example42
 
-        def nan_problem(alpha):
-            problem = real(alpha)
-            return dataclasses.replace(problem, source=lambda x, t: np.full_like(x, np.nan))
+        def nan_forcing(alphas):
+            return (lambda x, t: np.full((len(alphas), len(x)), np.nan)), real(alphas)[1]
 
-        monkeypatch.setattr(rieszfd.harness, "example42_problem", nan_problem)
+        monkeypatch.setattr(rieszfd.harness, "_example42", nan_forcing)
         assert len(_block_lengths(40, 300)) > 1
         with pytest.raises(DomainError, match="not finite"):
-            rieszfd.harness._solver_error(1.5, 40, 300)
+            rieszfd.harness._solver_error([1.5], 40, 300)
 
     def test_cells_run_one_at_a_time(self, monkeypatch):
+        # one group of lock-step cells per (M, N), and one group at a time
         real = rieszfd.harness._solver_error
         lock = threading.Lock()
         running = [0]
         most = [0]
+        groups = []
 
         def counted(*args):
             with lock:
                 running[0] += 1
                 most[0] = max(most[0], running[0])
+                groups.append(args[:3])
             try:
-                time.sleep(0.01)  # widen the window for an overlapping cell
+                time.sleep(0.01)  # widen the window for an overlapping group
                 return real(*args)
             finally:
                 with lock:
@@ -435,9 +446,10 @@ class TestSolverError:
 
         monkeypatch.setattr(rieszfd.harness, "_solver_error", counted)
         report = convergence_study(
-            "spatial_table3", alphas=[1.5], resolutions=[1 / 10, 1 / 20, 1 / 40]
+            "spatial_table3", alphas=[1.5, 1.7], resolutions=[1 / 10, 1 / 20, 1 / 40]
         )
-        assert len(report.rows) == 3
+        assert len(report.rows) == 6
+        assert groups == [([1.5, 1.7], M, 2000) for M in (10, 20, 40)]
         assert most[0] == 1
 
 

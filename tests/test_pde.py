@@ -1,6 +1,7 @@
 """Tests for the Crank-Nicolson advection-diffusion solver."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -560,11 +561,31 @@ class TestSolve:
         problem = dataclasses.replace(_zero_problem(1.5), source=source)
         system, blocks = rieszfd.pde._levels(problem, 20, 2000)
         seen = []
-        with pytest.raises(DomainError, match="not finite at t=0.5845"):
+        # the error names level 1001, not the block's last level, 1169
+        with pytest.raises(DomainError, match=re.escape(f"not finite at t={1001 * system.tau!r};")):
             for k, block in blocks:
                 assert np.all(np.isfinite(block))
                 seen.append(k + len(block))
         assert seen == [390, 780]  # the block of levels 780-1169 was refused
+
+    def test_non_finite_cell_stops_its_lock_step_group(self):
+        # one cell of four turns NaN from level 1001 of 2000; the group's
+        # blocks hold 97 levels per cell at M = 20
+        problems = [_zero_problem(alpha) for alpha in (1.2, 1.4, 1.6, 1.8)]
+        setups = rieszfd.pde._setups([(problem, 2000) for problem in problems], 20)
+
+        def source(x, t):
+            f = np.zeros((4, len(x)))
+            f[2] = np.nan if t > 0.5 else 0.0
+            return f
+
+        system, blocks = rieszfd.pde._stacked_levels(setups, source, 2000)
+        seen = []
+        with pytest.raises(DomainError, match=re.escape(f"not finite at t={1001 * system.tau!r};")):
+            for k, block in blocks:
+                assert block.shape[0] == 4 and np.all(np.isfinite(block))
+                seen.append(k + block.shape[1])
+        assert seen == list(range(97, 1001, 97))  # levels 970-1066 were refused
 
     def test_non_finite_initial_data_is_refused_before_any_level(self):
         problem = dataclasses.replace(_zero_problem(1.5), initial=lambda x: x / 0.0)
@@ -630,6 +651,63 @@ def _table2_cells(alphas=rieszfd.harness.TABLE2_ALPHAS, N=(5, 10)):
     return [(example42_problem(alpha), n) for alpha in alphas for n in N]
 
 
+class TestLockStep:
+    def test_group_yields_the_levels_of_lone_marches(self):
+        # four example-4.2 cells on M = 40 in several blocks of levels,
+        # the dense path, and two on the Toeplitz path
+        for M, N, alphas in ((40, 300, (1.2, 1.4, 1.6, 1.8)), (CROSSOVER, 12, (1.3, 1.7))):
+            problems = [example42_problem(alpha) for alpha in alphas]
+            setups = rieszfd.pde._setups([(problem, N) for problem in problems], M)
+
+            def source(x, t):
+                return np.stack([problem.source(x, t) for problem in problems])
+
+            system, blocks = rieszfd.pde._stacked_levels(setups, source, N)
+            stacked = np.concatenate([block.copy() for _, block in blocks], axis=1)
+            assert stacked.shape == (len(alphas), N + 1, M + 1)
+            for problem, levels in zip(problems, stacked):
+                lone = np.concatenate([b.copy() for _, b in rieszfd.pde._levels(problem, M, N)[1]])
+                assert np.array_equal(levels, lone)
+
+    def test_stack_holds_the_lone_inverses_and_spectra(self):
+        setups = rieszfd.pde._setups(_table2_cells(N=(5,)), 40)
+        system, _ = rieszfd.pde._stacked_levels(setups, None, 5)
+        assert system.inverse.shape == (4, 39, 39) and system.spectra is None
+        lone = assemble_system(setups[1].problem, 40, 5)
+        assert np.array_equal(system.inverse[1], lone.inverse)
+        setups = rieszfd.pde._setups(_table2_cells(N=(5,)), CROSSOVER)
+        system, _ = rieszfd.pde._stacked_levels(setups, None, 5)
+        assert system.inverse is None
+        lone = assemble_system(setups[3].problem, CROSSOVER, 5)
+        for stacked, alone in zip(system.spectra, lone.spectra):
+            assert stacked.shape == (4, *alone.shape)
+            assert np.array_equal(stacked[3], alone)
+
+
+def _assert_study_cells_match_lone_cells(monkeypatch, kind, resolutions, recursions):
+    """Run a study, counting its stacked recursions and its groups, and
+    check every cell's error against a one-cell ``_solver_error`` run."""
+    stacked = rieszfd.pde._stacked_levinson_generators
+    sizes = []
+    monkeypatch.setattr(
+        rieszfd.pde,
+        "_stacked_levinson_generators",
+        lambda *args: sizes.append(len(args[1])) or stacked(*args),
+    )
+    real = rieszfd.harness._solver_error
+    groups = []
+    monkeypatch.setattr(
+        rieszfd.harness, "_solver_error", lambda *args: groups.append(args[:3]) or real(*args)
+    )
+    report = rieszfd.harness.convergence_study(kind, resolutions=resolutions)
+    assert sizes == recursions
+    assert [len(alphas) for alphas, _, _ in groups] == [4, 4]
+    for row in report.rows:
+        n = round(1 / row.resolution)
+        M, N = (1000, n) if kind == "temporal_table2" else (n, 2000)
+        assert [row.error] == real([row.alpha], M, N)
+
+
 class TestStackedSetup:
     def test_stack_is_chosen_by_cell_count(self, monkeypatch):
         calls = []
@@ -660,21 +738,13 @@ class TestStackedSetup:
         assert calls == ["scalar"]
 
     def test_study_cells_match_lone_cells(self, monkeypatch):
-        # eight table-2 cells share M = 1000 and one stacked recursion
-        stacked = rieszfd.pde._stacked_levinson_generators
-        sizes = []
-        monkeypatch.setattr(
-            rieszfd.pde,
-            "_stacked_levinson_generators",
-            lambda *args: sizes.append(len(args[1])) or stacked(*args),
-        )
-        report = rieszfd.harness.convergence_study(
-            "temporal_table2", resolutions=[1 / 5, 1 / 10]
-        )
-        assert sizes == [8]
-        for row in report.rows:
-            N = round(1 / row.resolution)
-            assert row.error == rieszfd.harness._solver_error(row.alpha, 1000, N)
+        # eight table-2 cells share M = 1000 and one stacked recursion, and
+        # march in two Toeplitz groups of four, one per N
+        _assert_study_cells_match_lone_cells(monkeypatch, "temporal_table2", [1 / 5, 1 / 10], [8])
+
+    def test_dense_study_cells_match_lone_cells(self, monkeypatch):
+        # table 3's four alphas share each M and march as dense groups
+        _assert_study_cells_match_lone_cells(monkeypatch, "spatial_table3", [1 / 10, 1 / 20], [4, 4])
 
     def test_setups_share_one_riesz_column_per_alpha(self, monkeypatch):
         columns = []
@@ -714,7 +784,8 @@ class TestStackedSetup:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, "perturbed"])
     def test_corrupted_generators_are_refused_on_the_study_path(self, bad, monkeypatch, capsys):
-        # the last of eight stacked cells; the first seven pass their checks
+        # the last of eight stacked cells; the first seven pass their checks,
+        # and the first group of four marches
         stacked = rieszfd.pde._stacked_levinson_generators
         cells = []
 
@@ -735,7 +806,8 @@ class TestStackedSetup:
         monkeypatch.setattr(rieszfd.harness, "_solver_error", counted)
         with pytest.raises(SingularMatrixError, match="residual"):
             rieszfd.harness.convergence_study("temporal_table2", resolutions=[1 / 5, 1 / 10])
-        assert len(cells) == 8
+        # the bad cell is in the second group of four: every cell is reached
+        assert [len(alphas) for alphas, *_ in cells] == [4, 4]
         argv = ["convergence", "--table", "2", "--alphas", "1.2,1.4,1.6,1.8"]
         assert rieszfd.cli.run(argv) == 1
         captured = capsys.readouterr()
@@ -767,9 +839,11 @@ def _long_double_final_level(system, N):
     """Interior values at T of ``system``'s problem, from the float64
     column, row and source samples that production uses, with the
     Levinson recursion, the Gohberg-Semencul apply and the Crank-Nicolson
-    update in long double: a reference for the solver's own roundoff."""
+    update in long double: a reference for the solver's own roundoff.
+    ``system`` is a ``SteppingSystem`` or a ``pde._Setup``."""
     ld = np.longdouble
     problem, M, tau = system.problem, system.grid.M, system.tau
+    x_interior = system.grid.nodes()[1:M]
     x, y = _long_double_levinson(system.column.astype(ld), system.row.astype(ld))
     m = M - 1
     n = 1 << (2 * m - 1).bit_length()
@@ -788,7 +862,7 @@ def _long_double_final_level(system, N):
     half = tau / 2.0
     u = np.asarray(problem.initial(system.grid.nodes()), dtype=float)[1:M].astype(ld)
     for k in range(N):
-        f = np.asarray(problem.source(system.x_interior, k * tau + half), dtype=float)
+        f = np.asarray(problem.source(x_interior, k * tau + half), dtype=float)
         u = 2 * solve(u + ld(half) * f.astype(ld)) - u
     return u
 
@@ -813,14 +887,16 @@ class TestLongDoubleReference:
         assert np.max(np.abs(u - reference)) <= _LONG_DOUBLE_RTOL * np.max(np.abs(reference))
 
     def test_stacked_setup_matches_long_double_run(self):
+        # a cell that shares one stacked recursion and marches in lock step
+        # with three others under the stacked example-4.2 forcing
         setups = rieszfd.pde._setups(_table2_cells(N=(100,)), 1000)
-        assert len(setups) > 1  # so they share one stacked recursion
-        setup = setups[2]
-        system, blocks = rieszfd.pde._levels(setup.problem, 1000, 100, setup)
+        assert len(setups) > 1
+        source, _ = rieszfd.harness._example42([s.problem.alpha for s in setups])
+        system, blocks = rieszfd.pde._stacked_levels(setups, source, 100)
         for _, block in blocks:
             pass
-        reference = _long_double_final_level(system, 100)
-        error = np.max(np.abs(block[-1, 1:-1] - reference))
+        reference = _long_double_final_level(setups[2], 100)
+        error = np.max(np.abs(block[2, -1, 1:-1] - reference))
         assert error <= _LONG_DOUBLE_RTOL * np.max(np.abs(reference))
 
 

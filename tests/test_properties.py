@@ -1,13 +1,14 @@
 """Property tests over random inputs: cross-method weight agreement, the
 Riesz operator against its dense matrix, its alpha -> 2 limit, the
 Crank-Nicolson identity ``lhs + B = 2I``, a non-increasing energy norm without a
-source, and the stacked Levinson-Trench recursion against the scalar one.
-Derandomized, so every run draws the same examples."""
+source, the stacked Levinson-Trench recursion against the scalar one and
+the stacked example-4.2 forcing against each alpha's own.  Derandomized,
+so every run draws the same examples."""
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rieszfd import (
@@ -23,6 +24,7 @@ from rieszfd import (
     step,
 )
 from rieszfd.coeffs import _grows
+from rieszfd.harness import _example42
 from rieszfd.pde import _levinson_generators, _setups, _stacked_levinson_generators
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -114,8 +116,8 @@ def test_energy_norm_nonincreasing_without_source(M, N, alpha, data):
 def shared_grid_systems(draw):
     """2 to 6 Crank-Nicolson systems on one grid of M = 5 .. 300 intervals,
     each with its own alpha in (1, 2], K >= 0 and time step, as
-    ``pde._setups`` builds them.  Alphas within about 1e-12 of 1, whose
-    p = 2 weights the operators refuse as growing, are not drawn."""
+    ``pde._setups`` builds them.  Alphas within about 2.5e-10 of 1, whose
+    p = 2 weights the operators refuse as not decaying, are not drawn."""
     M = draw(st.integers(5, 300))
     cells = draw(
         st.lists(
@@ -150,3 +152,25 @@ def test_stacked_levinson_equals_each_system_alone(setups):
     stacked = _stacked_levinson_generators(reversed_columns, rows)
     for setup, generators in zip(setups, stacked):
         np.testing.assert_array_equal(generators, _levinson_generators(setup.column, setup.row))
+
+
+@PROPERTY
+@given(
+    alphas=st.lists(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True), min_size=1, max_size=5),
+    t=st.floats(0.0, 1.0),
+    M=st.integers(4, 200),
+)
+# (alpha t) t != alpha (t t) for alpha 1.013 and 1.996 at these t
+@example(alphas=[1.013, 1.5], t=0.837, M=40)
+@example(alphas=[1.2, 1.996, 1.836], t=0.47, M=160)
+def test_stacked_example42_is_each_alpha_alone(alphas, t, M):
+    x = GridSpec1D(0.0, 1.0, M).nodes()
+    source, exact = _example42(alphas)
+    stacked_source = source(x[1:M], t)
+    stacked_exact = exact(x, [t, 1.0 - t])
+    assert stacked_source.shape == (len(alphas), M - 1)
+    assert stacked_exact.shape == (len(alphas), 2, M + 1)
+    for alpha, f, u in zip(alphas, stacked_source, stacked_exact):
+        problem = example42_problem(alpha)
+        assert np.array_equal(f, problem.source(x[1:M], t))
+        assert np.array_equal(u, problem.exact(x, [t, 1.0 - t]))
