@@ -15,9 +15,11 @@ Levinson-Trench recursion (55-75 ms against 103-183 ms one at a time on a
 that also share N, the four alphas of each table-2 time step and of each
 table-3 mesh, form a group, and ``_solver_error`` marches a group in lock
 step (``pde._stacked_levels``) under one stacked example-4.2 forcing
-(``_example42``), every cell with the bits of its own run.  The groups
-run one at a time, so only one group's inverses or spectra are held at
-once.
+(``_example42``), every cell with the bits of its own run.  The march
+samples that forcing once per block of levels, for every cell and every
+level of the block in one call, so a group makes no per-level source
+call and holds no more forcing than one block.  The groups run one at a
+time, so only one group's inverses or spectra are held at once.
 """
 
 from __future__ import annotations
@@ -307,18 +309,20 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
 
 
 def _example42(alphas: Sequence[float]) -> tuple:
-    """``(source, exact)`` of ``example42_problem`` for every alpha in
-    ``alphas`` at once, one row per alpha: ``source(x, t)`` is
-    (alphas, len(x)) for 1-D nodes x, and ``exact(x, times)`` is
+    """``(forcing, exact)`` of ``example42_problem`` for every alpha in
+    ``alphas`` and many times at once: for 1-D nodes x, both
+    ``forcing(x, times)`` and ``exact(x, times)`` are
     (alphas, len(times), len(x)).  Every entry comes from one alpha's
     scalar operations in the problem's order (``alpha * t * t``, then
-    ``2.0 * alpha * t * sin``), so row i is bit for bit
-    ``example42_problem(alphas[i])``'s value.  The problem keeps its
-    scalar form: as the one-alpha case of this one, its source took about
-    3 us more per call (6.1 against 3.3 us at M = 100 on a 2-vCPU x86
-    machine), a third more per level of a lone run."""
+    ``math.cos`` and ``math.sin``, then ``2.0 * alpha * t * sin``), so
+    ``forcing(x, times)[i, j]`` is bit for bit
+    ``example42_problem(alphas[i]).source(x, times[j])``.  A lock-step
+    group samples it once per block of levels (``pde._march``) instead of
+    once per level, which saved about 50 ms of table 3's 0.16 s on a
+    2-vCPU x86 machine.  The lone problem keeps its per-level scalar
+    source, which its ``solve`` calls once per level."""
     alphas = list(alphas)
-    cos_halves = np.array([math.cos(math.pi * alpha / 2.0) for alpha in alphas])[:, None]
+    cos_halves = np.array([math.cos(math.pi * alpha / 2.0) for alpha in alphas])[:, None, None]
     space_factors = _node_cached(
         lambda x: (
             np.stack([alpha * alpha * _bump_half_sum(alpha, 4, x) for alpha in alphas]),
@@ -332,14 +336,16 @@ def _example42(alphas: Sequence[float]) -> tuple:
         cosines = [[math.cos(alpha * t * t) for t in times] for alpha in alphas]
         return np.multiply.outer(cosines, bump_x)
 
-    def source(x: np.ndarray, t: float) -> np.ndarray:
+    def forcing(x: np.ndarray, times: Sequence[float]) -> np.ndarray:
         scaled_fracs, bump_x, bump_dx_x = space_factors(np.asarray(x, dtype=float))
-        angles = [alpha * t * t for alpha in alphas]
-        ct = np.array([math.cos(angle) for angle in angles])[:, None]
-        st = np.array([2.0 * a * t * math.sin(angle) for a, angle in zip(alphas, angles)])[:, None]
-        return scaled_fracs * ct / cos_halves - st * bump_x + 2.0 * ct * bump_dx_x
+        # numpy's products round as the scalar ones do; its cos and sin need not
+        angles = (np.multiply.outer(alphas, times) * times).tolist()
+        ct = np.array([list(map(math.cos, row)) for row in angles])[..., None]
+        sines = np.array([list(map(math.sin, row)) for row in angles])
+        st = (np.multiply.outer(np.multiply(2.0, alphas), times) * sines)[..., None]
+        return scaled_fracs[:, None] * ct / cos_halves - st * bump_x + 2.0 * ct * bump_dx_x
 
-    return source, exact
+    return forcing, exact
 
 
 def _resolution_to_m(h: float) -> int:
@@ -389,15 +395,15 @@ def _solver_error(
     manufactured benchmark, one per alpha in ``alphas`` (the solution
     amplitude oscillates in time, so the worst level is generally not the
     final one).  The alphas march in lock step (``pde._stacked_levels``),
-    each with the bits of its own run, under one ``_example42`` forcing.
-    ``setups``, the ``pde._setups`` entries of
-    ``(example42_problem(alpha), N)`` on M for each alpha, finish them;
-    without them the group sets itself up."""
+    each with the bits of its own run, under one ``_example42`` forcing,
+    sampled once per block of levels.  ``setups``, the ``pde._setups``
+    entries of ``(example42_problem(alpha), N)`` on M for each alpha,
+    finish them; without them the group sets itself up."""
     if setups is None:
         setups = _setups([(example42_problem(alpha), N) for alpha in alphas], M)
-    source, exact = _example42(alphas)
+    forcing, exact = _example42(alphas)
     worst = np.zeros(len(setups))
-    for _, error in _error_blocks(*_stacked_levels(setups, source, N), exact):
+    for _, error in _error_blocks(*_stacked_levels(setups, forcing, N), exact):
         np.maximum(worst, error.max(axis=(-2, -1)), out=worst)
     return worst.tolist()
 

@@ -45,9 +45,11 @@ Systems that also share the time step can march in lock step:
 (cells, m, m) stack of inverses or (cells, 2, n/2 + 1) stack of spectra,
 a ``_Stack``, and :func:`step` advances a (cells, m) state with one
 stacked product or one set of FFTs along the last axis, each row bit for
-bit its cell's own step.  The convergence studies march each group of
-cells with one (M, N) this way; a lone system is the one-cell case and
-keeps its ``SteppingSystem``.
+bit its cell's own step.  A stack's forcing takes many times at once and
+is sampled once per block of levels, not once per level.  The
+convergence studies march each group of cells with one (M, N) this way;
+a lone system is the one-cell case and keeps its ``SteppingSystem`` and
+its per-level ``problem.source`` call.
 
 Every run goes through one stepping loop, the private generator
 ``_march``: it calls :func:`step` once per level and hands the levels,
@@ -208,15 +210,17 @@ class _Stack(NamedTuple):
     """Systems on one grid and one time step, to be marched in lock step:
     what :func:`step` reads of a ``SteppingSystem``, with the cells on a
     leading axis.  ``inverse`` is (cells, m, m) below ``_TOEPLITZ_MIN_M``
-    and ``spectra`` holds two (cells, 2, n/2 + 1) arrays from there on;
-    ``source(x, t)`` returns one row of forcing per cell."""
+    and ``spectra`` holds two (cells, 2, n/2 + 1) arrays from there on.
+    In place of a per-level source, ``forcing(x, times)`` returns the
+    (cells, len(times), len(x)) forcing at many times, which
+    :func:`_march` samples once per block of levels."""
 
     inverse: Optional[np.ndarray]
     spectra: Optional[tuple]
     grid: GridSpec1D
     tau: float
     x_interior: np.ndarray
-    source: Callable[[np.ndarray, float], np.ndarray]
+    forcing: Callable[[np.ndarray, list], np.ndarray]
 
 
 def _physical_memory_bytes() -> int:
@@ -575,14 +579,19 @@ def _gohberg_semencul_solve(spectra: tuple, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(difference, n)[..., :m]
 
 
-def step(system: SteppingSystem, u_k: np.ndarray, t_k: float) -> np.ndarray:
+def step(
+    system: SteppingSystem, u_k: np.ndarray, t_k: float, forcing: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Advance interior values one time level, sampling the source at the
     half level t_k + tau/2: ``2 y - u_k`` with ``lhs y = u_k + (tau/2) f``.
-    For a ``_Stack``, ``u_k`` and the forcing are (cells, m), and each row
-    gets the bits of its cell's own step."""
-    half = system.tau / 2.0
-    f = np.asarray(system.source(system.x_interior, t_k + half), dtype=float)
-    v = u_k + half * f
+    ``forcing``, if given, is that ``(tau/2) f``, already sampled, and the
+    source is not called; this is how :func:`_march` feeds a ``_Stack``,
+    whose ``u_k`` and forcing are (cells, m), and each row gets the bits
+    of its cell's own step."""
+    if forcing is None:
+        half = system.tau / 2.0
+        forcing = half * np.asarray(system.source(system.x_interior, t_k + half), dtype=float)
+    v = u_k + forcing
     if system.spectra is not None:
         return 2.0 * _gohberg_semencul_solve(system.spectra, v) - u_k
     return 2.0 * np.matmul(system.inverse, v[..., None])[..., 0] - u_k
@@ -599,7 +608,10 @@ def _march(system: SteppingSystem, u: np.ndarray, N: int):
     caller left it.
 
     A ``_Stack`` marches its (cells, m) ``u`` with one :func:`step` per
-    level, and ``block`` is then (cells, levels, M + 1).
+    level, and ``block`` is then (cells, levels, M + 1).  Its forcing is
+    sampled once per block, ``(tau/2) forcing(x, times)`` at the half
+    levels of the block's steps, and each :func:`step` gets its level's
+    row, so only one block of forcing is held whatever N is.
 
     Raises DomainError, in place of yielding it, for a block whose last
     level is not finite, naming the time of the block's first level that
@@ -618,6 +630,7 @@ def _march(system: SteppingSystem, u: np.ndarray, N: int):
     # ``solve --M 1000 --N 1000 --keep all`` 0.3-0.4 MB higher in peak RSS
     buffer = np.empty((*cells, rows, width))
     buffer[..., [0, -1]] = 0.0
+    stacked = isinstance(system, _Stack)
     for k in range(N + 1):
         i = k % rows
         buffer[..., i, 1:-1] = u
@@ -632,7 +645,10 @@ def _march(system: SteppingSystem, u: np.ndarray, N: int):
                 )
             yield k - i, block
         if k < N:
-            u = step(system, u, k * tau)
+            if stacked and i == 0:
+                times = [j * tau + tau / 2.0 for j in range(k, min(k + rows, N))]
+                forcing = tau / 2.0 * system.forcing(system.x_interior, times)
+            u = step(system, u, k * tau, forcing[..., i, :] if stacked else None)
 
 
 def _initial_data(problem: AdvectionDiffusionProblem, nodes: np.ndarray) -> np.ndarray:
@@ -654,11 +670,11 @@ def _levels(problem: AdvectionDiffusionProblem, M: int, N: int):
     return system, _march(system, _initial_data(problem, system.grid.nodes()), N)
 
 
-def _stacked_levels(setups: list, source: Callable, N: int):
+def _stacked_levels(setups: list, forcing: Callable, N: int):
     """``_levels`` of the ``_setups`` entries ``setups``, which share one
     grid and one time step, in lock step: their ``_Stack``, with
-    ``source`` as its forcing, and the :func:`_march` of their stacked
-    initial data.  Each entry's generators are checked and refined
+    ``forcing`` as its block forcing, and the :func:`_march` of their
+    stacked initial data.  Each entry's generators are checked and refined
     (``_checked_generators``) straight into one stack; no cell builds lhs
     or B."""
     grid, tau = setups[0].grid, setups[0].tau
@@ -668,7 +684,7 @@ def _stacked_levels(setups: list, source: Callable, N: int):
     else:
         inverse, spectra = _trench_inverse(generators), None
     nodes = grid.nodes()
-    system = _Stack(inverse, spectra, grid, tau, nodes[1 : grid.M], source)
+    system = _Stack(inverse, spectra, grid, tau, nodes[1 : grid.M], forcing)
     return system, _march(system, np.stack([_initial_data(s.problem, nodes) for s in setups]), N)
 
 

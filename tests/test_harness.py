@@ -342,8 +342,13 @@ class TestConvergenceStudy:
         real = rieszfd.harness.example42_problem
 
         def stack_nan_after_half(alphas):
-            source, exact = real_stack(alphas)
-            return (lambda x, t: source(x, t) * (np.nan if t > 0.5 else 1.0)), exact
+            forcing, exact = real_stack(alphas)
+
+            def nan_forcing(x, times):
+                late = np.array([np.nan if t > 0.5 else 1.0 for t in times])
+                return forcing(x, times) * late[:, None]
+
+            return nan_forcing, exact
 
         def nan_after_half(alpha):
             problem = real(alpha)
@@ -417,12 +422,30 @@ class TestSolverError:
         real = rieszfd.harness._example42
 
         def nan_forcing(alphas):
-            return (lambda x, t: np.full((len(alphas), len(x)), np.nan)), real(alphas)[1]
+            def forcing(x, times):
+                return np.full((len(alphas), len(times), len(x)), np.nan)
+
+            return forcing, real(alphas)[1]
 
         monkeypatch.setattr(rieszfd.harness, "_example42", nan_forcing)
         assert len(_block_lengths(40, 300)) > 1
         with pytest.raises(DomainError, match="not finite"):
             rieszfd.harness._solver_error([1.5], 40, 300)
+
+    def test_forcing_memory_is_independent_of_the_level_count(self):
+        # the group's forcing is sampled one march block at a time; a
+        # whole-run (4, N, 159) forcing is 10 MB at N = 2000 and 40 MB at
+        # N = 8000.  The two peaks (about 1.2 MB) differed by under 2 KB on
+        # a 2-vCPU x86 machine.
+        peaks = []
+        for N in (2000, 8000):
+            tracemalloc.start()
+            try:
+                rieszfd.harness._solver_error(rieszfd.harness.TABLE3_ALPHAS, 160, N)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 32 * 1024, f"peaks {peaks} bytes"
 
     def test_cells_run_one_at_a_time(self, monkeypatch):
         # one group of lock-step cells per (M, N), and one group at a time

@@ -574,18 +574,48 @@ class TestSolve:
         problems = [_zero_problem(alpha) for alpha in (1.2, 1.4, 1.6, 1.8)]
         setups = rieszfd.pde._setups([(problem, 2000) for problem in problems], 20)
 
-        def source(x, t):
-            f = np.zeros((4, len(x)))
-            f[2] = np.nan if t > 0.5 else 0.0
+        def forcing(x, times):
+            f = np.zeros((4, len(times), len(x)))
+            f[2, np.asarray(times) > 0.5] = np.nan
             return f
 
-        system, blocks = rieszfd.pde._stacked_levels(setups, source, 2000)
+        system, blocks = rieszfd.pde._stacked_levels(setups, forcing, 2000)
         seen = []
         with pytest.raises(DomainError, match=re.escape(f"not finite at t={1001 * system.tau!r};")):
             for k, block in blocks:
                 assert block.shape[0] == 4 and np.all(np.isfinite(block))
                 seen.append(k + block.shape[1])
         assert seen == list(range(97, 1001, 97))  # levels 970-1066 were refused
+
+    @pytest.mark.parametrize(
+        "M, N, nan_step, rows",
+        # blocks of 97 levels per cell at M = 20 (dense path) and of 4 at
+        # CROSSOVER (Toeplitz path); the NaN step is inside a block
+        [(20, 2000, 1234, 97), (CROSSOVER, 40, 13, 4)],
+    )
+    def test_nan_forcing_row_mid_block_names_its_level(self, M, N, nan_step, rows):
+        # the forcing is NaN in cell 1 at the one half level of step
+        # nan_step, so level nan_step + 1 is the first that is not finite:
+        # each step gets its own row of the block's forcing
+        problems = [_zero_problem(alpha) for alpha in (1.2, 1.4, 1.6, 1.8)]
+        setups = rieszfd.pde._setups([(problem, N) for problem in problems], M)
+        tau = setups[0].tau
+        nan_time = nan_step * tau + tau / 2.0
+
+        def forcing(x, times):
+            f = np.zeros((4, len(times), len(x)))
+            f[1, np.asarray(times) == nan_time] = np.nan
+            return f
+
+        system, blocks = rieszfd.pde._stacked_levels(setups, forcing, N)
+        first = nan_step + 1
+        assert 0 < first % rows < rows - 1
+        seen = []
+        with pytest.raises(DomainError, match=re.escape(f"not finite at t={first * tau!r};")):
+            for k, block in blocks:
+                assert np.all(np.isfinite(block))
+                seen.append(k + block.shape[1])
+        assert seen == list(range(rows, first, rows))
 
     def test_non_finite_initial_data_is_refused_before_any_level(self):
         problem = dataclasses.replace(_zero_problem(1.5), initial=lambda x: x / 0.0)
@@ -659,10 +689,10 @@ class TestLockStep:
             problems = [example42_problem(alpha) for alpha in alphas]
             setups = rieszfd.pde._setups([(problem, N) for problem in problems], M)
 
-            def source(x, t):
-                return np.stack([problem.source(x, t) for problem in problems])
+            def forcing(x, times):
+                return np.array([[problem.source(x, t) for t in times] for problem in problems])
 
-            system, blocks = rieszfd.pde._stacked_levels(setups, source, N)
+            system, blocks = rieszfd.pde._stacked_levels(setups, forcing, N)
             stacked = np.concatenate([block.copy() for _, block in blocks], axis=1)
             assert stacked.shape == (len(alphas), N + 1, M + 1)
             for problem, levels in zip(problems, stacked):
@@ -891,8 +921,8 @@ class TestLongDoubleReference:
         # with three others under the stacked example-4.2 forcing
         setups = rieszfd.pde._setups(_table2_cells(N=(100,)), 1000)
         assert len(setups) > 1
-        source, _ = rieszfd.harness._example42([s.problem.alpha for s in setups])
-        system, blocks = rieszfd.pde._stacked_levels(setups, source, 100)
+        forcing, _ = rieszfd.harness._example42([s.problem.alpha for s in setups])
+        system, blocks = rieszfd.pde._stacked_levels(setups, forcing, 100)
         for _, block in blocks:
             pass
         reference = _long_double_final_level(setups[2], 100)

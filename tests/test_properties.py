@@ -157,20 +157,29 @@ def test_stacked_levinson_equals_each_system_alone(setups):
 @PROPERTY
 @given(
     alphas=st.lists(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True), min_size=1, max_size=5),
-    t=st.floats(0.0, 1.0),
+    times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
     M=st.integers(4, 200),
+    tau=st.floats(1e-4, 0.5),
 )
-# (alpha t) t != alpha (t t) for alpha 1.013 and 1.996 at these t
-@example(alphas=[1.013, 1.5], t=0.837, M=40)
-@example(alphas=[1.2, 1.996, 1.836], t=0.47, M=160)
-def test_stacked_example42_is_each_alpha_alone(alphas, t, M):
+# (alpha t) t != alpha (t t) for alpha 1.013 and 1.996 at t = 0.837 and 0.47
+@example(alphas=[1.013, 1.5], times=[0.837], M=40, tau=1 / 2000)
+@example(alphas=[1.2, 1.996, 1.836], times=[0.1, 0.47, 0.837], M=160, tau=1 / 80)
+def test_stacked_example42_is_each_alpha_alone(alphas, times, M, tau):
     x = GridSpec1D(0.0, 1.0, M).nodes()
-    source, exact = _example42(alphas)
-    stacked_source = source(x[1:M], t)
-    stacked_exact = exact(x, [t, 1.0 - t])
-    assert stacked_source.shape == (len(alphas), M - 1)
-    assert stacked_exact.shape == (len(alphas), 2, M + 1)
-    for alpha, f, u in zip(alphas, stacked_source, stacked_exact):
+    forcing, exact = _example42(alphas)
+    stacked_forcing = forcing(x[1:M], times)
+    stacked_exact = exact(x, times)
+    assert stacked_forcing.shape == (len(alphas), len(times), M - 1)
+    assert stacked_exact.shape == (len(alphas), len(times), M + 1)
+    # a step adds a row of the block's (tau/2) forcing, where a lone step
+    # adds half * source(x, t)
+    half = tau / 2.0
+    rows = tau / 2.0 * stacked_forcing
+    u = np.sin(17.0 * x[1:M])
+    for alpha, f, v, exact_rows in zip(alphas, stacked_forcing, rows, stacked_exact):
         problem = example42_problem(alpha)
-        assert np.array_equal(f, problem.source(x[1:M], t))
-        assert np.array_equal(u, problem.exact(x, [t, 1.0 - t]))
+        for t, f_t, v_t in zip(times, f, v):
+            source = problem.source(x[1:M], t)
+            assert np.array_equal(f_t, source)
+            assert np.array_equal(u + v_t, u + half * source)
+        assert np.array_equal(exact_rows, problem.exact(x, times))
