@@ -26,13 +26,15 @@ the first digit is byte 6, byte 7 is a decimal-point slot and the other
 non-zero bytes, and text is made by dropping the 0 bytes with one boolean
 compaction.  Every word is built from bytes, so the layout does not
 depend on byte order.  ``write_rows`` writes rows of cells after optional
-caller-made prefixes, from plain numpy temporaries: ``import rieszfd``
-raises glibc's trim threshold, so their pages stay mapped.
+prefixes picked from caller-made tables, from plain numpy temporaries:
+``import rieszfd`` raises glibc's trim threshold, so their pages stay
+mapped.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from typing import NamedTuple
 
@@ -228,20 +230,36 @@ def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
         out[slow] = _words(padded(["%.17g" % v for v in values[slow].tolist()], _CELL))
 
 
-def write_rows(out, values: np.ndarray, prefix: np.ndarray | None = None) -> None:
+def write_rows(out, values: np.ndarray, *prefixes: np.ndarray) -> None:
     """Write the ``(n, k)`` float64 ``values`` to the text stream ``out``
-    as LF-ended rows of k comma-separated ``%.17g`` values, each after its
-    row of the optional ``(n, w)`` uint8 ``prefix`` (0-padded ASCII), from
-    one buffer in one ``write`` per block of at most ``BLOCK_ROWS`` rows."""
+    as LF-ended rows of k comma-separated ``%.17g`` values, from one buffer
+    in one ``write`` per block of at most ``BLOCK_ROWS`` rows.
+
+    Each row starts with one row of each uint8 table in ``prefixes``
+    (0-padded ASCII), taken in the order of ``itertools.product`` over the
+    tables' rows: the last table's row moves with every row and wraps
+    around, and each earlier table's moves once per wrap of the tables
+    after it.  So ``write_rows(out, values, ts, xs)`` starts row
+    ``i * len(xs) + j`` with ``ts[i]`` and ``xs[j]``, and a single (n, w)
+    table gives row i its own row i.  Each block copies its prefix bytes
+    straight from the tables into the buffer, so no (n, w) prefix array is
+    staged."""
     n, k = values.shape
-    prefix = np.zeros((n, 0), np.uint8) if prefix is None else prefix
-    words = -(-prefix.shape[1] // 8)
+    strides = [math.prod(len(table) for table in prefixes[i + 1 :]) for i in range(len(prefixes))]
+    words = -(-sum(table.shape[1] for table in prefixes) // 8)
     buf = np.zeros((min(n, BLOCK_ROWS), 8 * words + _CELL * k), np.uint8)
     cells = buf.view(np.uint64)[:, words:].reshape(len(buf), k, 4)
     seps = np.array([_COMMA] * (k - 1) + [_NEWLINE])
     for start in range(0, n, BLOCK_ROWS):
         rows = min(n - start, BLOCK_ROWS)
-        buf[:rows, : prefix.shape[1]] = prefix[start : start + rows]
+        index = np.arange(start, start + rows)
+        at = 0
+        for table, stride in zip(prefixes, strides):
+            # a take into a temporary, then one copy: a take straight into
+            # the strided buffer is about twice as slow
+            width = table.shape[1]
+            buf[:rows, at : at + width] = table.take(index // stride, axis=0, mode="wrap")
+            at += width
         _format_cells(values[start : start + rows], cells[:rows])
         cells[:rows, :, 3] |= seps
         block = buf[:rows]

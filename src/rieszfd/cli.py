@@ -152,20 +152,26 @@ def _write_levels(out, header: list[str], x: np.ndarray, tau: float, blocks, col
     per node and level.  ``blocks`` yields ``(k, levels)`` in order of k,
     row i of ``levels`` holding the values of level k + i at the nodes
     ``x``, boundaries included; ``columns`` returns one array per remaining
-    column given ``x``, the level's time ``tau * k`` and its values.  The
-    ``x`` cells are formatted once, and each block goes out in one
-    ``_g17.write_rows`` call as it arrives, so memory stays O(M) whatever
-    the number of levels."""
+    column given ``x``, the level's time ``tau * k`` and its values, and is
+    called once per level.  The ``x`` cells are formatted once and the
+    ``t`` cells once per level.  Each block goes out in one
+    ``_g17.write_rows`` call as it arrives: its levels' columns are copied
+    into one (rows, k) value array that every block reuses, and the writer
+    copies the ``t`` and ``x`` cells of each row straight into its buffer
+    of ``_g17.BLOCK_ROWS`` rows, so memory stays O(M) whatever the number
+    of levels."""
     out.write(",".join(header) + "\n")
     xs = _g17.padded([_fmt(v) + "," for v in x.tolist()])
+    values = None
     for k, block in blocks:
-        levels = range(k, k + len(block))
-        values = np.vstack([np.column_stack(columns(x, tau * j, u)) for j, u in zip(levels, block)])
-        ts = _g17.padded([_fmt(tau * j) + "," for j in levels])
-        prefix = np.empty((len(block), len(x), ts.shape[1] + xs.shape[1]), np.uint8)
-        prefix[:, :, : ts.shape[1]] = ts[:, None]
-        prefix[:, :, ts.shape[1] :] = xs
-        _g17.write_rows(out, values, prefix.reshape(len(values), -1))
+        for i, u in enumerate(block):
+            row = columns(x, tau * (k + i), u)
+            if values is None:  # the first block is the longest
+                values = np.empty((len(block), len(x), len(row)))
+            for c, column in enumerate(row):
+                values[i, :, c] = column
+        ts = _g17.padded([_fmt(tau * j) + "," for j in range(k, k + len(block))])
+        _g17.write_rows(out, values[: len(block)].reshape(-1, values.shape[-1]), ts, xs)
 
 
 def _float_list(text: str) -> list[float]:

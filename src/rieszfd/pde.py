@@ -6,7 +6,9 @@ The implicit matrix ``lhs`` is time-independent, so it is inverted once
 and the inverse is reused across every time step.  Because the explicit
 matrix is ``B = 2I - lhs``, a step needs only one solve with ``lhs`` and
 no product with ``B``:
-``u+ = 2 y - u`` with ``lhs y = u + (tau/2) f``.  The scheme is
+``u+ = 2 y - u`` with ``lhs y = u + (tau/2) f``.  The stored operator is
+``2 lhs^-1``, so a step is one product and one subtraction; scaling by 2
+is exact, so it gives the bits of ``2.0 * (lhs^-1 v)``.  The scheme is
 unconditionally stable and second-order accurate in both the time step
 and the mesh size.
 
@@ -22,12 +24,14 @@ and first row v, J reverses and Z shifts down by one.  The number of
 intervals M picks one of two step kernels:
 
 * below ``_TOEPLITZ_MIN_M`` (500), the formula is expanded to the dense
-  inverse (O(M**2) memory) and a step is one matrix-vector product;
+  inverse, doubled (O(M**2) memory), and a step is one matrix-vector
+  product;
 * from ``_TOEPLITZ_MIN_M`` to ``_TOEPLITZ_MAX_M`` (10**5, above which
-  ``assemble_system`` refuses), a step applies the formula in six real
-  FFTs with O(M) memory.  Their length is the smallest even
-  ``2**a 3**b 5**c`` at or above 2(M - 1), not the next power of two,
-  which can be almost twice that: 6000 at M = 3000, not 8192.
+  ``assemble_system`` refuses), a step applies the formula, its lower
+  factors' spectra doubled, in six real FFTs with O(M) memory.  Their
+  length is the smallest even ``2**a 3**b 5**c`` at or above 2(M - 1),
+  not the next power of two, which can be almost twice that: 6000 at
+  M = 3000, not 8192.
 
 A failed setup raises SingularMatrixError.  The module needs only numpy.
 
@@ -175,15 +179,17 @@ class SteppingSystem:
     Both are m x m Toeplitz matrices (m = M - 1).  ``column`` and ``row``
     hold the first column and row of lhs on both paths.
 
-    Dense path (M < ``_TOEPLITZ_MIN_M``): ``inverse`` holds lhs^-1
+    Dense path (M < ``_TOEPLITZ_MIN_M``): ``inverse`` holds 2 lhs^-1,
     expanded from the Gohberg-Semencul generators (see the module
-    docstring), ``lhs`` and ``B`` the dense matrices expanded from
-    ``column`` and ``row``, and ``spectra`` is None.  The system holds
-    three m x m arrays.
+    docstring) and doubled, ``lhs`` and ``B`` the dense matrices expanded
+    from ``column`` and ``row``, and ``spectra`` is None.  The system
+    holds three m x m arrays.
 
     Toeplitz path (M >= ``_TOEPLITZ_MIN_M``): ``inverse``, ``lhs`` and
     ``B`` are None, and ``spectra`` holds the FFT spectra of the
-    Gohberg-Semencul factors, so everything held is O(M).
+    Gohberg-Semencul factors, the lower ones doubled, so that
+    ``_gohberg_semencul_solve`` with them applies 2 lhs^-1; everything
+    held is O(M).
 
     :func:`step` reads only ``inverse`` or ``spectra``, ``tau``,
     ``x_interior`` and ``source``; the rest is kept for checks.
@@ -209,8 +215,9 @@ class SteppingSystem:
 class _Stack(NamedTuple):
     """Systems on one grid and one time step, to be marched in lock step:
     what :func:`step` reads of a ``SteppingSystem``, with the cells on a
-    leading axis.  ``inverse`` is (cells, m, m) below ``_TOEPLITZ_MIN_M``
-    and ``spectra`` holds two (cells, 2, n/2 + 1) arrays from there on.
+    leading axis.  ``inverse`` is (cells, m, m), each 2 lhs^-1, below
+    ``_TOEPLITZ_MIN_M`` and ``spectra`` holds two (cells, 2, n/2 + 1)
+    arrays, the lower ones doubled, from there on.
     In place of a per-level source, ``forcing(x, times)`` returns the
     (cells, len(times), len(x)) forcing at many times, which
     :func:`_march` samples once per block of levels."""
@@ -245,7 +252,8 @@ def assemble_system(
     refined Levinson-Trench generators at every M, expanded to the dense
     inverse below ``_TOEPLITZ_MIN_M`` and turned into FFT spectra from
     there on.  It finishes the one-cell case of ``_setups``: the
-    generators are checked and refined by ``_checked_generators``.
+    generators are checked and refined by ``_checked_generators``, and
+    ``_step_operator`` turns them into what a step applies.
 
     Raises SizeLimitError before any quadratic work when M exceeds
     ``_TOEPLITZ_MAX_M``, and SingularMatrixError when the generator
@@ -253,13 +261,11 @@ def assemble_system(
     """
     ((problem, grid, tau, column, row, generators),) = _setups([(problem, N)], M)
     x_interior = grid.nodes()[1:M]
-    generators = _checked_generators(column, row, generators)
-    if M >= _TOEPLITZ_MIN_M:
-        spectra = _factor_spectra(generators)
+    inverse, spectra = _step_operator(_checked_generators(column, row, generators), M)
+    if spectra is not None:
         return SteppingSystem(
             None, None, None, grid, tau, problem, x_interior, column, row, spectra
         )
-    inverse = _trench_inverse(generators)
     lhs = _toeplitz(column, row)
     # 2 - lhs_ii is exact for 1 <= lhs_ii < 2**53, so lhs + B = 2I bit for bit
     B = np.negative(lhs)
@@ -545,6 +551,22 @@ def _fft_length(m: int) -> int:
     return 2 * best
 
 
+def _step_operator(generators: np.ndarray, M: int) -> tuple:
+    """``(inverse, spectra)``, what :func:`step` applies on M intervals,
+    from checked and refined generators (stacked ones give stacks): below
+    ``_TOEPLITZ_MIN_M`` the dense 2 lhs^-1 and None, from there on None and
+    the Gohberg-Semencul spectra with the lower ones doubled.  The factor 2
+    of ``u+ = 2 y - u`` is folded in place, so no second copy is held, and
+    exactly, so each step keeps its bits."""
+    if M >= _TOEPLITZ_MIN_M:
+        lower, upper = _factor_spectra(generators)
+        lower *= 2.0
+        return None, (lower, upper)
+    inverse = _trench_inverse(generators)
+    inverse *= 2.0
+    return inverse, None
+
+
 def _trench_inverse(generators: np.ndarray) -> np.ndarray:
     """``lhs^-1`` as a dense array, expanded from the generators in O(m**2).
 
@@ -569,8 +591,10 @@ def _trench_inverse(generators: np.ndarray) -> np.ndarray:
 def _gohberg_semencul_solve(spectra: tuple, b: np.ndarray) -> np.ndarray:
     """``lhs^-1 b = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)] b`` in six real
     FFTs: one of b, two inverse and two forward for the two upper
-    triangular products, and one inverse for the difference.  The FFTs
-    run along the last axis, so stacked spectra solve a (cells, m) stack."""
+    triangular products, and one inverse for the difference; with a
+    system's stored spectra, whose lower ones are doubled, it is
+    ``2 lhs^-1 b``.  The FFTs run along the last axis, so stacked spectra
+    solve a (cells, m) stack."""
     lower, upper = spectra
     n = 2 * (lower.shape[-1] - 1)
     m = b.shape[-1]
@@ -583,7 +607,8 @@ def step(
     system: SteppingSystem, u_k: np.ndarray, t_k: float, forcing: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Advance interior values one time level, sampling the source at the
-    half level t_k + tau/2: ``2 y - u_k`` with ``lhs y = u_k + (tau/2) f``.
+    half level t_k + tau/2: ``2 y - u_k`` with ``lhs y = u_k + (tau/2) f``,
+    as one product with the stored ``2 lhs^-1`` and one subtraction.
     ``forcing``, if given, is that ``(tau/2) f``, already sampled, and the
     source is not called; this is how :func:`_march` feeds a ``_Stack``,
     whose ``u_k`` and forcing are (cells, m), and each row gets the bits
@@ -593,8 +618,8 @@ def step(
         forcing = half * np.asarray(system.source(system.x_interior, t_k + half), dtype=float)
     v = u_k + forcing
     if system.spectra is not None:
-        return 2.0 * _gohberg_semencul_solve(system.spectra, v) - u_k
-    return 2.0 * np.matmul(system.inverse, v[..., None])[..., 0] - u_k
+        return _gohberg_semencul_solve(system.spectra, v) - u_k
+    return np.matmul(system.inverse, v[..., None])[..., 0] - u_k
 
 
 def _march(system: SteppingSystem, u: np.ndarray, N: int):
@@ -679,10 +704,7 @@ def _stacked_levels(setups: list, forcing: Callable, N: int):
     or B."""
     grid, tau = setups[0].grid, setups[0].tau
     generators = np.stack([_checked_generators(s.column, s.row, s.generators) for s in setups])
-    if grid.M >= _TOEPLITZ_MIN_M:
-        inverse, spectra = None, _factor_spectra(generators)
-    else:
-        inverse, spectra = _trench_inverse(generators), None
+    inverse, spectra = _step_operator(generators, grid.M)
     nodes = grid.nodes()
     system = _Stack(inverse, spectra, grid, tau, nodes[1 : grid.M], forcing)
     return system, _march(system, np.stack([_initial_data(s.problem, nodes) for s in setups]), N)

@@ -539,6 +539,54 @@ def test_streamed_csv_memory_is_independent_of_the_level_count(argv, M, N):
     assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("argv, bound", [(["solve", "--keep", "all"], 1.3), (["surface"], 0.8)],
+                         ids=["solve", "surface"])
+def test_writer_stages_no_prefix_array(argv, bound):
+    # the writer staged each march block's t and x text as one (levels,
+    # M + 1, w) array and its values as per-level column_stacks joined by
+    # vstack: peaks of 1.47 MiB (solve) and 0.99 MiB (surface) here, against
+    # 1.16 and 0.60 MiB with the text copied from the cells per write block
+    size = ["--alpha", "1.5", "--M", "1000", "--N", "100", "--out", os.devnull]
+    tiny = ["--alpha", "1.5", "--M", "10", "--N", "3", "--out", os.devnull]
+    assert run(argv + tiny) == 0  # the formatter's tables are built once per process
+    tracemalloc.start()
+    try:
+        assert run(argv + size) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _refuse_lapack(monkeypatch):
+    """Make ``np.roots`` and every public ``np.linalg`` function raise."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("LAPACK was called")
+
+    monkeypatch.setattr(np, "roots", refused)
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
+            monkeypatch.setattr(np.linalg, name, refused)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--alpha", "1.5", "--M", "40", "--N", "20"],
+        ["solve", "--alpha", "1.5", "--M", "600", "--N", "20"],
+        ["surface", "--alpha", "1.5", "--M", "40", "--N", "20"],
+        *(["convergence", "--table", table, "--alphas", "1.5"] for table in "123"),
+    ],
+    ids=["solve-dense", "solve-toeplitz", "surface", "table1", "table2", "table3"],
+)
+def test_runs_need_no_lapack(monkeypatch, argv):
+    # the weight-decay check ran np.roots, whose first LAPACK call maps
+    # about 1.1 MB, on every run
+    _refuse_lapack(monkeypatch)
+    assert run(argv + ["--out", os.devnull]) == 0
+
+
 def test_surface_calls_exact_once_per_block(monkeypatch, tmp_path):
     M, N = 40, 500
     expected = _reference_surface(1.5, M, N)

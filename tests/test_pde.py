@@ -138,7 +138,7 @@ class TestAssembly:
         system = assemble_system(example42_problem(1.6), 10, 5)
         e1 = np.zeros(9)
         e1[0] = 1.0
-        x = system.inverse @ e1
+        x = system.inverse / 2.0 @ e1  # the stored operator is 2 lhs^-1
         assert np.max(np.abs(system.lhs @ x - e1)) <= 1e-12
 
     def test_integer_order_is_classical_stencil(self):
@@ -190,7 +190,7 @@ class TestAssembly:
         system = assemble_system(dataclasses.replace(_sine_problem(alpha), K=K), M, 50)
         assert M < CROSSOVER and system.spectra is None
         reference = lu_solve(lu_factor(system.lhs), np.eye(M - 1))
-        inverse = system.inverse
+        inverse = system.inverse / 2.0  # the stored operator is 2 lhs^-1
         assert np.max(np.abs(inverse - reference)) <= 1e-12 * np.max(np.abs(reference))
         residual = np.max(np.sum(np.abs(system.lhs @ inverse - np.eye(M - 1)), axis=1))
         assert residual <= 1e-10
@@ -453,7 +453,8 @@ class TestFftLength:
         assert n < 1 << (2 * m - 1).bit_length()
         assert [spectrum.shape for spectrum in system.spectra] == [(2, n // 2 + 1)] * 2
         b = np.random.default_rng(M).standard_normal(m)
-        x = rieszfd.pde._gohberg_semencul_solve(system.spectra, b)
+        # the stored lower spectra are doubled: the solve gives 2 lhs^-1 b
+        x = rieszfd.pde._gohberg_semencul_solve(system.spectra, b) / 2.0
         reference = np.linalg.solve(rieszfd.pde._toeplitz(system.column, system.row), b)
         assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
@@ -906,6 +907,11 @@ _LONG_DOUBLE_RTOL = 2e-13
 class TestLongDoubleReference:
     def test_long_double_is_wider_than_double(self):
         assert np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+    def test_fft_keeps_long_double(self):
+        # numpy 1.x runs np.fft in double whatever the input, which would
+        # leave this reference and ``pde._generator_residual`` in double
+        assert np.fft.rfft(np.zeros(8, dtype=np.longdouble)).dtype == np.clongdouble
 
     @pytest.mark.parametrize("M", (160, 499, 500, 1000))
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))

@@ -2,12 +2,15 @@
 Riesz operator against its dense matrix, its alpha -> 2 limit, the
 Crank-Nicolson identity ``lhs + B = 2I``, a non-increasing energy norm without a
 source, the stacked Levinson-Trench recursion against the scalar one and
-the stacked example-4.2 forcing against each alpha's own.  Derandomized,
-so every run draws the same examples."""
+the stacked example-4.2 forcing against each alpha's own, and the
+LAPACK-free weight-decay check against the ``np.roots`` rule it replaced.
+Derandomized, so every run draws the same examples."""
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +26,7 @@ from rieszfd import (
     riesz_matrix,
     step,
 )
-from rieszfd.coeffs import _grows
+from rieszfd.coeffs import _grows, _roots
 from rieszfd.harness import _example42
 from rieszfd.pde import _levinson_generators, _setups, _stacked_levinson_generators
 
@@ -42,6 +45,70 @@ def test_recursion_convolution_fft_agree_on_decaying_weights(p, alpha, count):
     fft = kappa_weights(p, alpha, count, method="fft", samples=2**16).values
     np.testing.assert_allclose(conv, rec, rtol=1e-10, atol=1e-15)
     assert np.max(np.abs(rec - fft)) <= 1e-10
+
+
+def _grows_by_roots(a):
+    """The decay check before it went LAPACK-free: every root by
+    ``np.roots``, LAPACK's eigenvalue solver on the companion matrix."""
+    roots = np.roots(a[::-1])
+    roots = roots[np.abs(roots - 1.0) > 1e-6]
+    return bool(roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(p=orders, alpha=st.floats(1.0, 2.0, exclude_min=True))
+def test_decay_check_agrees_with_the_roots_rule(p, alpha):
+    a = kappa_polynomial(p, alpha)
+    assert _grows(a) == _grows_by_roots(a)
+
+
+@PROPERTY
+@given(
+    real=st.floats(-4.0, 4.0),
+    centre=st.floats(-4.0, 4.0),
+    spread=st.floats(-4.0, 4.0),
+    scale=st.floats(0.1, 10.0),
+)
+def test_cubic_roots_match_numpy(real, centre, spread, scale):
+    # a real root and a pair, complex for spread < 0, real otherwise; the
+    # kappa polynomials' pairs never decide, so their roots are checked here
+    root = math.sqrt(abs(spread))
+    pair = [complex(centre, root), complex(centre, -root)] if spread < 0 else [centre - root, centre + root]
+    # well-separated roots, each found to far better than the tolerance
+    assume(min(abs(a - b) for a, b in itertools.combinations([real, *pair], 2)) > 0.05)
+    q = (scale * np.poly([real, *pair]).real).tolist()
+    expected = np.roots(q)
+    roots = np.array(_roots(q), dtype=complex)
+    assert len(roots) == 3
+    # the roots are 0.05 apart, so each has one match within the tolerance
+    distances = np.abs(roots[:, None] - expected[None, :])
+    assert np.all(np.sort(distances, axis=1)[:, 0] <= 1e-6 * np.maximum(1.0, np.abs(roots)))
+    assert sorted(np.argmin(distances, axis=1)) == [0, 1, 2]
+
+
+# alpha = 2 drops the p = 2 polynomial to 1 - z; the weights stop growing
+# where the second root's modulus passes 1 + 1e-9 (p = 2), and the negative
+# root passes -1 - 1e-9 near 1.358257569957 (p = 3) and 1.707106781824 (p = 4)
+@pytest.mark.parametrize(
+    "p, alpha, grows",
+    [
+        (2, 2.0, False),
+        (2, 1.0 + 1e-13, True),
+        (2, 1.0 + 2.4e-10, True),
+        (2, 1.0 + 2.6e-10, False),
+        (3, 2.0, False),
+        (3, 1.0 + 1e-13, True),
+        (3, 1.3582575699558, True),
+        (3, 1.3582575699578, False),
+        (4, 2.0, False),
+        (4, 1.0 + 1e-13, True),
+        (4, 1.7071067818230, True),
+        (4, 1.7071067818250, False),
+    ],
+)
+def test_decay_check_cases(p, alpha, grows):
+    a = kappa_polynomial(p, alpha)
+    assert _grows(a) is _grows_by_roots(a) is grows
 
 
 @st.composite
