@@ -241,11 +241,15 @@ def write_rows(out, values: np.ndarray, *prefixes: np.ndarray) -> None:
     around, and each earlier table's moves once per wrap of the tables
     after it.  So ``write_rows(out, values, ts, xs)`` starts row
     ``i * len(xs) + j`` with ``ts[i]`` and ``xs[j]``, and a single (n, w)
-    table gives row i its own row i.  Each block copies its prefix bytes
+    table gives row i its own row i.  The tables' lengths must multiply
+    to n, or ValueError is raised.  Each block copies its prefix bytes
     straight from the tables into the buffer, so no (n, w) prefix array is
     staged."""
     n, k = values.shape
     strides = [math.prod(len(table) for table in prefixes[i + 1 :]) for i in range(len(prefixes))]
+    if prefixes and strides[0] * len(prefixes[0]) != n:
+        shapes = ", ".join(str(len(table)) for table in prefixes)
+        raise ValueError(f"prefix tables of {shapes} rows do not give {n} rows")
     words = -(-sum(table.shape[1] for table in prefixes) // 8)
     buf = np.zeros((min(n, BLOCK_ROWS), 8 * words + _CELL * k), np.uint8)
     cells = buf.view(np.uint64)[:, words:].reshape(len(buf), k, 4)
@@ -256,7 +260,8 @@ def write_rows(out, values: np.ndarray, *prefixes: np.ndarray) -> None:
         at = 0
         for table, stride in zip(prefixes, strides):
             # a take into a temporary, then one copy: a take straight into
-            # the strided buffer is about twice as slow
+            # the strided buffer wrote the ``solve --keep all`` rows at
+            # M = N = 1000 5% slower (318 against 303 ms)
             width = table.shape[1]
             buf[:rows, at : at + width] = table.take(index // stride, axis=0, mode="wrap")
             at += width

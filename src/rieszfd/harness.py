@@ -15,9 +15,7 @@ Levinson-Trench recursion (55-75 ms against 103-183 ms one at a time on a
 that also share N, the four alphas of each table-2 time step and of each
 table-3 mesh, form a group, and ``_solver_error`` marches a group in lock
 step (``pde._stacked_levels``) under one stacked example-4.2 forcing
-(``_example42``), every cell with the bits of its own run.  A dense group
-whose inverses would exceed ``_STACK_BYTES`` marches as several smaller
-stacks instead, from M = 204 on at four alphas.  The march
+(``_example42``), every cell with the bits of its own run.  The march
 samples that forcing once per block of levels, for every cell and every
 level of the block in one call, so a group makes no per-level source
 call and holds no more forcing than one block.  The groups run one at a
@@ -36,8 +34,8 @@ import numpy as np
 
 from .errors import DomainError, SizeLimitError
 from .operators import _MAX_GRID_M, GridSpec1D, point_riesz_derivative
-from .pde import _TOEPLITZ_MIN_M, AdvectionDiffusionProblem, _check_all_levels_fit, _levels
-from .pde import _setups, _stacked_levels
+from .pde import AdvectionDiffusionProblem, _check_all_levels_fit, _levels, _setups
+from .pde import _stacked_levels
 from .pde import step  # noqa: F401  unused; kept while perfbench's tests pin harness.step
 
 __all__ = [
@@ -204,19 +202,6 @@ _STUDIES = {
 }
 
 _ORDER_TOL = 0.05  # pass band around the reference observed order
-
-# Most bytes of dense inverses (8 (M - 1)**2 per cell) in one lock-step
-# stack; a dense group over it marches as several stacks, each its own
-# ``_solver_error`` call.  Stacking pays only while the inverses stay in the
-# 2 MiB per-core L2 cache next to everything else a step touches.  With 4
-# alphas, N = 300 and shared setups (best of 7, 2-vCPU x86), stacks of
-# 4 / 3 + 1 / 2 + 2 / one cell at a time took 11.4 / 11.9 / 11.8 / 12.7 ms at
-# M = 200 (0.30 MiB per cell), 19.0 / 16.1 / 15.8 / 16.2 ms at M = 250
-# (0.47 MiB) and 35.5 / 26.6 / 21.8 / 22.1 ms at M = 300 (0.68 MiB); at
-# M = 400 (1.2 MiB) a stack of 4 took 62 ms against 33 ms.  Table 3's largest
-# stack holds 0.8 MB, and table 2's are on the Toeplitz path, which holds no
-# inverse.
-_STACK_BYTES = 5 * 2**18
 
 
 def example41_exact(alpha: float) -> float:
@@ -459,25 +444,19 @@ def convergence_study(
 
     else:
         problems = {alpha: example42_problem(alpha) for alpha in alphas}  # likewise
-        sizes, setups = {}, {}
+        groups, setups = {}, {}
         for alpha, res in cells:
             n = counts[res]
             size = (1000, n) if kind == "temporal_table2" else (n, 2000)
-            sizes.setdefault(size, []).append((alpha, res))
-        for M in dict.fromkeys(M for M, _ in sizes):
-            shared = [(cell, N) for (m, N), group in sizes.items() if m == M for cell in group]
+            groups.setdefault(size, []).append((alpha, res))
+        for M in dict.fromkeys(M for M, _ in groups):
+            shared = [(cell, N) for (m, N), group in groups.items() if m == M for cell in group]
             entries = _setups([(problems[a], N) for (a, _), N in shared], M)
             setups.update(zip([cell for cell, _ in shared], entries))
-        groups = {}
-        for (M, N), group in sizes.items():
-            dense = M < _TOEPLITZ_MIN_M
-            stack = max(1, _STACK_BYTES // (8 * (M - 1) ** 2)) if dense else len(group)
-            for start in range(0, len(group), stack):
-                groups[M, N, start] = group[start : start + stack]
 
-        def group_errors(key: tuple) -> list:
-            group = groups[key]
-            return _solver_error([a for a, _ in group], *key[:2], [setups[cell] for cell in group])
+        def group_errors(size: tuple) -> list:
+            group = groups[size]
+            return _solver_error([a for a, _ in group], *size, [setups[cell] for cell in group])
 
     # one worker, as steps hold the GIL; the executor stays while perfbench's tests patch it
     errors = {}

@@ -46,7 +46,8 @@ loop, which is twice as fast for one system: 19 vs 35 ms at M = 3000 and
 
 Systems that also share the time step can march in lock step:
 ``_stacked_levels`` checks and refines each one's generators into one
-(cells, m, m) stack of inverses or (cells, 2, n/2 + 1) stack of spectra,
+(cells, m, m) stack of doubled inverses or (cells, 2, n/2 + 1) stack of
+spectra,
 a ``_Stack``, and :func:`step` advances a (cells, m) state with one
 stacked product or one set of FFTs along the last axis, each row bit for
 bit its cell's own step.  A stack's forcing takes many times at once and
@@ -179,23 +180,27 @@ class SteppingSystem:
     Both are m x m Toeplitz matrices (m = M - 1).  ``column`` and ``row``
     hold the first column and row of lhs on both paths.
 
-    Dense path (M < ``_TOEPLITZ_MIN_M``): ``inverse`` holds 2 lhs^-1,
+    Both paths hold what a step applies, 2 lhs^-1, not lhs^-1: the factor
+    2 of ``u+ = 2 y - u`` is folded in.  So the fields are named after the
+    step, ``step_matrix`` and ``step_spectra``.
+
+    Dense path (M < ``_TOEPLITZ_MIN_M``): ``step_matrix`` holds 2 lhs^-1,
     expanded from the Gohberg-Semencul generators (see the module
     docstring) and doubled, ``lhs`` and ``B`` the dense matrices expanded
-    from ``column`` and ``row``, and ``spectra`` is None.  The system
+    from ``column`` and ``row``, and ``step_spectra`` is None.  The system
     holds three m x m arrays.
 
-    Toeplitz path (M >= ``_TOEPLITZ_MIN_M``): ``inverse``, ``lhs`` and
-    ``B`` are None, and ``spectra`` holds the FFT spectra of the
+    Toeplitz path (M >= ``_TOEPLITZ_MIN_M``): ``step_matrix``, ``lhs``
+    and ``B`` are None, and ``step_spectra`` holds the FFT spectra of the
     Gohberg-Semencul factors, the lower ones doubled, so that
     ``_gohberg_semencul_solve`` with them applies 2 lhs^-1; everything
     held is O(M).
 
-    :func:`step` reads only ``inverse`` or ``spectra``, ``tau``,
+    :func:`step` reads only ``step_matrix`` or ``step_spectra``, ``tau``,
     ``x_interior`` and ``source``; the rest is kept for checks.
     """
 
-    inverse: Optional[np.ndarray]
+    step_matrix: Optional[np.ndarray]
     lhs: Optional[np.ndarray]
     B: Optional[np.ndarray]
     grid: GridSpec1D
@@ -204,7 +209,7 @@ class SteppingSystem:
     x_interior: np.ndarray
     column: Optional[np.ndarray] = None
     row: Optional[np.ndarray] = None
-    spectra: Optional[tuple] = None
+    step_spectra: Optional[tuple] = None
 
     @property
     def source(self) -> Callable[[np.ndarray, float], np.ndarray]:
@@ -215,15 +220,15 @@ class SteppingSystem:
 class _Stack(NamedTuple):
     """Systems on one grid and one time step, to be marched in lock step:
     what :func:`step` reads of a ``SteppingSystem``, with the cells on a
-    leading axis.  ``inverse`` is (cells, m, m), each 2 lhs^-1, below
-    ``_TOEPLITZ_MIN_M`` and ``spectra`` holds two (cells, 2, n/2 + 1)
+    leading axis.  ``step_matrix`` is (cells, m, m), each 2 lhs^-1, below
+    ``_TOEPLITZ_MIN_M`` and ``step_spectra`` holds two (cells, 2, n/2 + 1)
     arrays, the lower ones doubled, from there on.
     In place of a per-level source, ``forcing(x, times)`` returns the
     (cells, len(times), len(x)) forcing at many times, which
     :func:`_march` samples once per block of levels."""
 
-    inverse: Optional[np.ndarray]
-    spectra: Optional[tuple]
+    step_matrix: Optional[np.ndarray]
+    step_spectra: Optional[tuple]
     grid: GridSpec1D
     tau: float
     x_interior: np.ndarray
@@ -261,16 +266,16 @@ def assemble_system(
     """
     ((problem, grid, tau, column, row, generators),) = _setups([(problem, N)], M)
     x_interior = grid.nodes()[1:M]
-    inverse, spectra = _step_operator(_checked_generators(column, row, generators), M)
-    if spectra is not None:
+    step_matrix, step_spectra = _step_operator(_checked_generators(column, row, generators), M)
+    if step_spectra is not None:
         return SteppingSystem(
-            None, None, None, grid, tau, problem, x_interior, column, row, spectra
+            None, None, None, grid, tau, problem, x_interior, column, row, step_spectra
         )
     lhs = _toeplitz(column, row)
     # 2 - lhs_ii is exact for 1 <= lhs_ii < 2**53, so lhs + B = 2I bit for bit
     B = np.negative(lhs)
     np.fill_diagonal(B, 2.0 - column[0])
-    return SteppingSystem(inverse, lhs, B, grid, tau, problem, x_interior, column, row)
+    return SteppingSystem(step_matrix, lhs, B, grid, tau, problem, x_interior, column, row)
 
 
 class _Setup(NamedTuple):
@@ -552,7 +557,7 @@ def _fft_length(m: int) -> int:
 
 
 def _step_operator(generators: np.ndarray, M: int) -> tuple:
-    """``(inverse, spectra)``, what :func:`step` applies on M intervals,
+    """``(step_matrix, step_spectra)``, what :func:`step` applies on M intervals,
     from checked and refined generators (stacked ones give stacks): below
     ``_TOEPLITZ_MIN_M`` the dense 2 lhs^-1 and None, from there on None and
     the Gohberg-Semencul spectra with the lower ones doubled.  The factor 2
@@ -617,9 +622,9 @@ def step(
         half = system.tau / 2.0
         forcing = half * np.asarray(system.source(system.x_interior, t_k + half), dtype=float)
     v = u_k + forcing
-    if system.spectra is not None:
-        return _gohberg_semencul_solve(system.spectra, v) - u_k
-    return np.matmul(system.inverse, v[..., None])[..., 0] - u_k
+    if system.step_spectra is not None:
+        return _gohberg_semencul_solve(system.step_spectra, v) - u_k
+    return np.matmul(system.step_matrix, v[..., None])[..., 0] - u_k
 
 
 def _march(system: SteppingSystem, u: np.ndarray, N: int):
@@ -704,9 +709,9 @@ def _stacked_levels(setups: list, forcing: Callable, N: int):
     or B."""
     grid, tau = setups[0].grid, setups[0].tau
     generators = np.stack([_checked_generators(s.column, s.row, s.generators) for s in setups])
-    inverse, spectra = _step_operator(generators, grid.M)
+    step_matrix, step_spectra = _step_operator(generators, grid.M)
     nodes = grid.nodes()
-    system = _Stack(inverse, spectra, grid, tau, nodes[1 : grid.M], forcing)
+    system = _Stack(step_matrix, step_spectra, grid, tau, nodes[1 : grid.M], forcing)
     return system, _march(system, np.stack([_initial_data(s.problem, nodes) for s in setups]), N)
 
 

@@ -130,3 +130,23 @@ def test_rows_span_blocks(rows):
     _g17.write_rows(out, values, _g17.padded(prefixes))
     assert out.getvalue() == "".join(map(str.__add__, prefixes, expected))
     assert out.writes == -(-rows // _g17.BLOCK_ROWS)
+
+
+def test_prefix_tables_in_product_order():
+    # row i * len(xs) + j starts with ts[i] and xs[j], across block bounds
+    ts = [f"{i}," for i in range(3)]
+    xs = [f"x{j}," for j in range(_g17.BLOCK_ROWS // 2 + 1)]
+    values = np.arange(len(ts) * len(xs), dtype=float)[:, None]
+    out = io.StringIO()
+    _g17.write_rows(out, values, _g17.padded(ts), _g17.padded(xs))
+    rows = [t + x for t in ts for x in xs]
+    assert out.getvalue() == "".join("%s%.17g\n" % (p, v) for p, v in zip(rows, values[:, 0]))
+
+
+@pytest.mark.parametrize("lengths", [(4,), (6,), (2, 2), (2, 3), (3, 1)])
+def test_prefix_tables_that_miss_the_row_count_are_refused(lengths):
+    # tables whose lengths do not multiply to the 5 rows would wrap around
+    # or drop prefixes
+    tables = [_g17.padded(["p,"] * length) for length in lengths]
+    with pytest.raises(ValueError, match="rows do not give 5 rows"):
+        _g17.write_rows(io.StringIO(), np.zeros((5, 2)), *tables)

@@ -475,27 +475,6 @@ class TestSolverError:
         assert groups == [([1.5, 1.7], M, 2000) for M in (10, 20, 40)]
         assert most[0] == 1
 
-    def test_dense_groups_over_the_stack_budget_split(self, monkeypatch):
-        # four dense inverses stack whole up to M = 203; above that a group
-        # exceeds ``_STACK_BYTES`` and marches as smaller stacks, each its
-        # own ``_solver_error`` call, with the errors of the whole stack
-        real = rieszfd.harness._solver_error
-        calls = []
-
-        def recorded(alphas, M, N, setups):
-            calls.append((list(alphas), M))
-            return real(alphas, M, N, setups)
-
-        monkeypatch.setattr(rieszfd.harness, "_solver_error", recorded)
-        alphas = list(rieszfd.harness.TABLE3_ALPHAS)
-        resolutions = [1 / 200, 1 / 250, 1 / 300]
-        report = convergence_study("spatial_table3", alphas=alphas, resolutions=resolutions)
-        singles = [([alpha], 300) for alpha in alphas]
-        assert calls == [(alphas, 200), (alphas[:2], 250), (alphas[2:], 250), *singles]
-        for M in (250, 300):
-            whole = real(alphas, M, 2000)
-            assert [row.error for row in report.rows if row.resolution == 1 / M] == whole
-
 
 class TestErrorSurface:
     def test_structure(self):

@@ -138,7 +138,7 @@ class TestAssembly:
         system = assemble_system(example42_problem(1.6), 10, 5)
         e1 = np.zeros(9)
         e1[0] = 1.0
-        x = system.inverse / 2.0 @ e1  # the stored operator is 2 lhs^-1
+        x = system.step_matrix / 2.0 @ e1  # step_matrix is 2 lhs^-1
         assert np.max(np.abs(system.lhs @ x - e1)) <= 1e-12
 
     def test_integer_order_is_classical_stencil(self):
@@ -176,7 +176,7 @@ class TestAssembly:
         monkeypatch.setattr(rieszfd.pde, "_toeplitz", no_dense)
         problem = example42_problem(1.5)
         system = assemble_system(problem, CROSSOVER, 10)
-        assert system.inverse is system.lhs is system.B is None
+        assert system.step_matrix is system.lhs is system.B is None
         u = step(system, problem.initial(system.x_interior), 0.0)
         assert u.shape == (CROSSOVER - 1,) and np.all(np.isfinite(u))
 
@@ -188,9 +188,9 @@ class TestAssembly:
         # (alpha 1.99), ||lhs G - I||_inf up to 4.0e-12 (alpha 2, K = 0);
         # the LU inverse's own residual is 5e-13 to 2.1e-12 there
         system = assemble_system(dataclasses.replace(_sine_problem(alpha), K=K), M, 50)
-        assert M < CROSSOVER and system.spectra is None
+        assert M < CROSSOVER and system.step_spectra is None
         reference = lu_solve(lu_factor(system.lhs), np.eye(M - 1))
-        inverse = system.inverse / 2.0  # the stored operator is 2 lhs^-1
+        inverse = system.step_matrix / 2.0  # step_matrix is 2 lhs^-1
         assert np.max(np.abs(inverse - reference)) <= 1e-12 * np.max(np.abs(reference))
         residual = np.max(np.sum(np.abs(system.lhs @ inverse - np.eye(M - 1)), axis=1))
         assert residual <= 1e-10
@@ -342,7 +342,7 @@ class TestToeplitzPath:
                 problem = dataclasses.replace(_sine_problem(alpha), K=K)
                 system = assemble_system(problem, M, N)
                 dense = _dense_system(monkeypatch, problem, M, N)
-                assert system.lhs is None and dense.spectra is None
+                assert system.lhs is None and dense.step_spectra is None
                 lhs, _ = _reference_dense_assembly(problem, M, N)
                 assert np.array_equal(system.column, lhs[:, 0])
                 assert np.array_equal(system.row, lhs[0])
@@ -395,7 +395,7 @@ class TestToeplitzPath:
 
     def test_holds_only_linear_memory(self):
         system = assemble_system(example42_problem(1.5), 3000, 300)
-        held = [system.column, system.row, *system.spectra]
+        held = [system.column, system.row, *system.step_spectra]
         assert sum(a.nbytes for a in held) < 64 * 3000 * 8
 
     def test_perturbed_generators_are_refused(self, monkeypatch, capsys):
@@ -451,10 +451,10 @@ class TestFftLength:
         m = M - 1
         n = rieszfd.pde._fft_length(m)
         assert n < 1 << (2 * m - 1).bit_length()
-        assert [spectrum.shape for spectrum in system.spectra] == [(2, n // 2 + 1)] * 2
+        assert [spectrum.shape for spectrum in system.step_spectra] == [(2, n // 2 + 1)] * 2
         b = np.random.default_rng(M).standard_normal(m)
         # the stored lower spectra are doubled: the solve gives 2 lhs^-1 b
-        x = rieszfd.pde._gohberg_semencul_solve(system.spectra, b) / 2.0
+        x = rieszfd.pde._gohberg_semencul_solve(system.step_spectra, b) / 2.0
         reference = np.linalg.solve(rieszfd.pde._toeplitz(system.column, system.row), b)
         assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
@@ -703,14 +703,14 @@ class TestLockStep:
     def test_stack_holds_the_lone_inverses_and_spectra(self):
         setups = rieszfd.pde._setups(_table2_cells(N=(5,)), 40)
         system, _ = rieszfd.pde._stacked_levels(setups, None, 5)
-        assert system.inverse.shape == (4, 39, 39) and system.spectra is None
+        assert system.step_matrix.shape == (4, 39, 39) and system.step_spectra is None
         lone = assemble_system(setups[1].problem, 40, 5)
-        assert np.array_equal(system.inverse[1], lone.inverse)
+        assert np.array_equal(system.step_matrix[1], lone.step_matrix)
         setups = rieszfd.pde._setups(_table2_cells(N=(5,)), CROSSOVER)
         system, _ = rieszfd.pde._stacked_levels(setups, None, 5)
-        assert system.inverse is None
+        assert system.step_matrix is None
         lone = assemble_system(setups[3].problem, CROSSOVER, 5)
-        for stacked, alone in zip(system.spectra, lone.spectra):
+        for stacked, alone in zip(system.step_spectra, lone.step_spectra):
             assert stacked.shape == (4, *alone.shape)
             assert np.array_equal(stacked[3], alone)
 
