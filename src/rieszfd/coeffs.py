@@ -17,7 +17,6 @@ rate, boundedness, zero-sum tail).
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -281,84 +280,25 @@ def _kappa_convolution(a: np.ndarray, alpha: float, count: int) -> np.ndarray:
     return a[0] ** alpha * np.convolve(gl, inner)[: count + 1]
 
 
-def _grows(a: np.ndarray) -> bool:
-    """True when the polynomial ``sum a_k z**k``, which vanishes at z = 1,
-    has another root, farther than 1e-6 from z = 1, of modulus at most
-    1 + 1e-9, i.e. when the coefficients of its fractional powers do not
-    decay: they grow geometrically for a root inside the unit disk, and
-    for one just outside it too slowly to matter at any admitted count.
-    The p = 2 polynomial at alpha = 1 + 1e-13 has such a root, of modulus
-    1 + O(alpha - 1).
-
-    The other roots are those of the quotient by z - 1, of degree at most
-    3, from Python float arithmetic alone (``_roots``); zero leading
-    coefficients are dropped first, as the p = 2 polynomial at alpha = 2
-    is 1 - z.  ``np.roots`` takes the same decisions through LAPACK's
-    eigenvalue solver, whose first call maps about 1.1 MB."""
-    c = a.tolist()[::-1]  # highest degree first
-    while c and c[0] == 0.0:
-        del c[0]
-    quotient = list(itertools.accumulate(c[:-1]))  # synthetic division by z - 1
-    return any(abs(r - 1.0) > 1e-6 and abs(r) <= 1.0 + 1e-9 for r in _roots(quotient))
-
-
-def _roots(q: list) -> list:
-    """The roots of the polynomial with coefficients ``q``, highest degree
-    first and ``q[0] != 0``, of degree at most 3: the one root of a line,
-    the stable quadratic formula for a quadratic, and for a cubic its real
-    root (``_real_root``) and the roots of the quadratic left after
-    dividing it out."""
-    if len(q) == 4:
-        r = _real_root(q)
-        b = q[1] + r * q[0]
-        return [r, *_roots([q[0], b, q[2] + r * b])]
-    if len(q) == 3:
-        a, b, c = q
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            re, im = -b / (2.0 * a), math.sqrt(-disc) / (2.0 * abs(a))
-            return [complex(re, im), complex(re, -im)]
-        s = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        return [s / a, c / s] if s else [0.0, 0.0]
-    if len(q) == 2:
-        return [-q[1] / q[0]]
-    return []
-
-
-def _real_root(q: list) -> float:
-    """A real root of the cubic with coefficients ``q``, highest degree
-    first: Newton's iteration on the monic cubic, kept inside a bracket
-    that starts at the Cauchy bound on the roots, with a bisection step
-    whenever Newton's would leave it.  Every step shrinks the bracket, and
-    the iteration stops when a step no longer moves the iterate."""
-    _, b, c, d = (v / q[0] for v in q)
-    hi = 1.0 + max(abs(b), abs(c), abs(d))
-    lo = -hi  # the monic cubic is negative at lo and positive at hi
-    z = 0.0
-    for _ in range(100):
-        value = ((z + b) * z + c) * z + d
-        if value == 0.0:
-            break
-        if value < 0.0:
-            lo = z
-        else:
-            hi = z
-        slope = (3.0 * z + 2.0 * b) * z + c
-        guess = z - value / slope if slope else lo
-        if not lo < guess < hi:
-            guess = 0.5 * (lo + hi)
-        if guess == z or not lo < guess < hi:
-            break
-        z = guess
-    return z
+# The first float alpha, per p, whose kappa weights decay.  Below it the
+# generating polynomial W has a root other than z = 1 (farther than 1e-6
+# from it) of modulus at most 1 + 1e-9, so the coefficients of its
+# fractional powers grow geometrically, or for a root just outside the unit
+# circle too slowly to matter at any admitted count.  Each value is a
+# closed form offset by that 1e-9 modulus tolerance: for p = 2 the second
+# root a0/a2 has modulus 1 + O(alpha - 1), so the closed form is 1; for
+# p = 3 and 4 it is where W(-1) = 0, the root of 5a^2 - 9a + 3, i.e.
+# (9 + sqrt(21))/10, and of (2a - 1)(2a^2 - 4a + 1), i.e. 1 + 1/sqrt(2).
+# The stored floats sit 2.5e-10, 4.6e-10 and 6.4e-10 above those.
+_FIRST_DECAYING_ALPHA = {2: 1.0000000002500002, 3: 1.3582575699568, 4: 1.7071067818240322}
 
 
 def _decaying_polynomial(p: int, alpha: float) -> np.ndarray:
     """``kappa_polynomial(p, alpha)``, refused when its weights do not
-    decay (``_grows``): no operator can use them, nor can unit-circle
-    samples represent them."""
+    decay (alpha below ``_FIRST_DECAYING_ALPHA[p]``): no operator can use
+    them, nor can unit-circle samples represent them."""
     a = kappa_polynomial(p, alpha)
-    if _grows(a):
+    if alpha < _FIRST_DECAYING_ALPHA[p]:
         raise DomainError(
             f"kappa weights for p={p}, alpha={alpha} do not decay: the "
             "generating polynomial has a root other than z = 1 of modulus "

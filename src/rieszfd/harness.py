@@ -127,7 +127,8 @@ _TABLE1_REF = {
     ],
 }
 
-# Temporal study: h = 1/1000 fixed, tau = 1/5 .. 1/80, max error at T = 1.
+# Temporal study: h = 1/1000 fixed, tau = 1/5 .. 1/80, max error over
+# every time level up to T = 1.
 TABLE2_ALPHAS = (1.2, 1.4, 1.6, 1.8)
 TABLE2_RESOLUTIONS = (1 / 5, 1 / 10, 1 / 20, 1 / 40, 1 / 80)
 _TABLE2_REF = {
@@ -161,7 +162,8 @@ _TABLE2_REF = {
     ],
 }
 
-# Spatial study: tau = 1/2000 fixed, h = 1/10 .. 1/160, max error at T = 1.
+# Spatial study: tau = 1/2000 fixed, h = 1/10 .. 1/160, max error over
+# every time level up to T = 1.
 TABLE3_ALPHAS = (1.2, 1.4, 1.6, 1.8)
 TABLE3_RESOLUTIONS = (1 / 10, 1 / 20, 1 / 40, 1 / 80, 1 / 160)
 _TABLE3_REF = {
@@ -416,10 +418,11 @@ def convergence_study(
     """Run one of the three convergence studies.
 
     ``operator_table1``: static point error at x = 0.5 versus mesh size.
-    ``temporal_table2``: solver error at T = 1 with h = 1/1000 fixed and
-    the time step varying.  ``spatial_table3``: solver error with
-    tau = 1/2000 fixed and the mesh size varying.  Resolutions must halve
-    successively for the observed orders to be meaningful.
+    ``temporal_table2``: solver error, the maximum over every time level
+    up to T = 1, with h = 1/1000 fixed and the time step varying.
+    ``spatial_table3``: the same error with tau = 1/2000 fixed and the
+    mesh size varying.  Resolutions must halve successively for the
+    observed orders to be meaningful.
 
     Every resolution and alpha is checked before any cell runs.  The
     solver cells that share M are set up together, and those that also

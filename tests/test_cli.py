@@ -333,7 +333,8 @@ class TestSolve:
 
     def test_alpha_next_to_one_is_refused_as_not_decaying(self, capsys):
         # the second root of the p = 2 polynomial has modulus 1 + 4e-13 here,
-        # outside the unit disk but within the root test's 1e-9 of it
+        # outside the unit disk but within the decay rule's 1e-9 of it, so
+        # alpha is below the rule's p = 2 threshold, 1 + 2.5e-10
         argv = ["solve", "--alpha", "1.0000000000001", "--M", "20", "--N", "5"]
         code, out, err = _run_capture(capsys, argv)
         assert (code, out) == (1, "")
@@ -577,14 +578,25 @@ def _refuse_lapack(monkeypatch):
         ["solve", "--alpha", "1.5", "--M", "600", "--N", "20"],
         ["surface", "--alpha", "1.5", "--M", "40", "--N", "20"],
         *(["convergence", "--table", table, "--alphas", "1.5"] for table in "123"),
+        ["deriv", "--alpha", "1.8", "--p", "4"],
+        ["coeffs", "--alpha", "1.5", "--method", "fft"],
     ],
-    ids=["solve-dense", "solve-toeplitz", "surface", "table1", "table2", "table3"],
+    ids=["solve-dense", "solve-toeplitz", "surface", "table1", "table2", "table3", "deriv-p4", "coeffs-fft"],
 )
 def test_runs_need_no_lapack(monkeypatch, argv):
     # the weight-decay check ran np.roots, whose first LAPACK call maps
     # about 1.1 MB, on every run
     _refuse_lapack(monkeypatch)
     assert run(argv + ["--out", os.devnull]) == 0
+
+
+def test_refusal_needs_no_lapack(monkeypatch, capsys):
+    # p = 4 weights decay only from alpha = 1 + 1/sqrt(2) on
+    _refuse_lapack(monkeypatch)
+    code, out, err = _run_capture(capsys, ["deriv", "--alpha", "1.5", "--p", "4"])
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "do not decay" in lines[0]
 
 
 def test_surface_calls_exact_once_per_block(monkeypatch, tmp_path):

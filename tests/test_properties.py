@@ -3,10 +3,9 @@ Riesz operator against its dense matrix, its alpha -> 2 limit, the
 Crank-Nicolson identity ``lhs + B = 2I``, a non-increasing energy norm without a
 source, the stacked Levinson-Trench recursion against the scalar one and
 the stacked example-4.2 forcing against each alpha's own, and the
-LAPACK-free weight-decay check against the ``np.roots`` rule it replaced.
-Derandomized, so every run draws the same examples."""
+weight-decay check, one table of alpha thresholds, against the
+``np.roots`` rule.  Derandomized, so every run draws the same examples."""
 
-import itertools
 import math
 
 import numpy as np
@@ -26,7 +25,8 @@ from rieszfd import (
     riesz_matrix,
     step,
 )
-from rieszfd.coeffs import _grows, _roots
+from rieszfd.coeffs import _FIRST_DECAYING_ALPHA, _decaying_polynomial
+from rieszfd.errors import DomainError
 from rieszfd.harness import _example42
 from rieszfd.pde import _levinson_generators, _setups, _stacked_levinson_generators
 
@@ -36,10 +36,21 @@ orders = st.integers(2, 4)
 alphas = st.floats(1.01, 1.99)
 
 
+def _grows(p, alpha):
+    """The weight-decay check as the operators take it: True when
+    ``_decaying_polynomial`` refuses (p, alpha) as not decaying."""
+    try:
+        _decaying_polynomial(p, alpha)
+    except DomainError as error:
+        assert "do not decay" in str(error)
+        return True
+    return False
+
+
 @PROPERTY
 @given(p=orders, alpha=alphas, count=st.integers(2, 300))
 def test_recursion_convolution_fft_agree_on_decaying_weights(p, alpha, count):
-    assume(not _grows(kappa_polynomial(p, alpha)))
+    assume(not _grows(p, alpha))
     rec = kappa_weights(p, alpha, count, method="recursion").values
     conv = kappa_weights(p, alpha, count, method="convolution").values
     fft = kappa_weights(p, alpha, count, method="fft", samples=2**16).values
@@ -48,8 +59,8 @@ def test_recursion_convolution_fft_agree_on_decaying_weights(p, alpha, count):
 
 
 def _grows_by_roots(a):
-    """The decay check before it went LAPACK-free: every root by
-    ``np.roots``, LAPACK's eigenvalue solver on the companion matrix."""
+    """The decay rule by every root of the polynomial: ``np.roots``,
+    LAPACK's eigenvalue solver on the companion matrix."""
     roots = np.roots(a[::-1])
     roots = roots[np.abs(roots - 1.0) > 1e-6]
     return bool(roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-9)
@@ -59,31 +70,7 @@ def _grows_by_roots(a):
 @given(p=orders, alpha=st.floats(1.0, 2.0, exclude_min=True))
 def test_decay_check_agrees_with_the_roots_rule(p, alpha):
     a = kappa_polynomial(p, alpha)
-    assert _grows(a) == _grows_by_roots(a)
-
-
-@PROPERTY
-@given(
-    real=st.floats(-4.0, 4.0),
-    centre=st.floats(-4.0, 4.0),
-    spread=st.floats(-4.0, 4.0),
-    scale=st.floats(0.1, 10.0),
-)
-def test_cubic_roots_match_numpy(real, centre, spread, scale):
-    # a real root and a pair, complex for spread < 0, real otherwise; the
-    # kappa polynomials' pairs never decide, so their roots are checked here
-    root = math.sqrt(abs(spread))
-    pair = [complex(centre, root), complex(centre, -root)] if spread < 0 else [centre - root, centre + root]
-    # well-separated roots, each found to far better than the tolerance
-    assume(min(abs(a - b) for a, b in itertools.combinations([real, *pair], 2)) > 0.05)
-    q = (scale * np.poly([real, *pair]).real).tolist()
-    expected = np.roots(q)
-    roots = np.array(_roots(q), dtype=complex)
-    assert len(roots) == 3
-    # the roots are 0.05 apart, so each has one match within the tolerance
-    distances = np.abs(roots[:, None] - expected[None, :])
-    assert np.all(np.sort(distances, axis=1)[:, 0] <= 1e-6 * np.maximum(1.0, np.abs(roots)))
-    assert sorted(np.argmin(distances, axis=1)) == [0, 1, 2]
+    assert _grows(p, alpha) == _grows_by_roots(a)
 
 
 # alpha = 2 drops the p = 2 polynomial to 1 - z; the weights stop growing
@@ -108,7 +95,44 @@ def test_cubic_roots_match_numpy(real, centre, spread, scale):
 )
 def test_decay_check_cases(p, alpha, grows):
     a = kappa_polynomial(p, alpha)
-    assert _grows(a) is _grows_by_roots(a) is grows
+    assert _grows(p, alpha) is _grows_by_roots(a) is grows
+
+
+def _bits(x):
+    """The float64 x as an integer; adjacent floats differ by 1."""
+    return int(np.float64(x).view(np.int64))
+
+
+def _float(bits):
+    return float(np.int64(bits).view(np.float64))
+
+
+# where W(-1) = 0: 5a^2 - 9a + 3 (p = 3) and (2a - 1)(2a^2 - 4a + 1) (p = 4)
+@pytest.mark.parametrize(
+    "p, closed_form", [(2, 1.0), (3, (9.0 + math.sqrt(21.0)) / 10.0), (4, 1.0 + 1.0 / math.sqrt(2.0))]
+)
+def test_decay_threshold_is_the_roots_rule_boundary(p, closed_form):
+    threshold = _FIRST_DECAYING_ALPHA[p]
+    # the closed form offset by the rule's 1 + 1e-9 modulus tolerance
+    assert closed_form < threshold < closed_form + 1e-9
+    # the first float the check admits
+    assert not _grows(p, threshold) and _grows(p, _float(_bits(threshold) - 1))
+
+    def oracle(bits):
+        return _grows_by_roots(kappa_polynomial(p, _float(bits)))
+
+    # bisect the oracle over the floats in (1, 2]: it grows at lo, decays at hi
+    lo, hi = _bits(1.0) + 1, _bits(2.0)
+    assert oracle(lo) and not oracle(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if oracle(mid) else (lo, mid)
+    # np.roots is not monotone within a few ulps of the threshold
+    assert abs(hi - _bits(threshold)) <= 8
+    for k in range(8, 65):
+        below, above = _bits(threshold) - k, _bits(threshold) + k
+        assert oracle(below) is _grows(p, _float(below)) is True
+        assert oracle(above) is _grows(p, _float(above)) is False
 
 
 @st.composite
@@ -123,7 +147,7 @@ def dirichlet_functions(draw):
 def test_riesz_apply_matches_riesz_matrix(u, p, alpha):
     # np.convolve against the dense Toeplitz matrix product, entry by
     # entry within a few roundoffs of the summed term magnitudes
-    assume(not _grows(kappa_polynomial(p, alpha)))
+    assume(not _grows(p, alpha))
     grid = GridSpec1D(0.0, 1.0, len(u) - 1)
     interior = u[1 : grid.M]
     matrix = riesz_matrix(alpha, p, grid)
@@ -207,7 +231,7 @@ def shared_grid_systems(draw):
         )
         for alpha, K, tau in cells
     ]
-    assume(not any(_grows(kappa_polynomial(2, problem.alpha)) for problem in problems))
+    assume(not any(_grows(2, problem.alpha) for problem in problems))
     return _setups([(problem, 1) for problem in problems], M)
 
 
