@@ -29,7 +29,6 @@ infinity: a non-finite value is a numerical-domain error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import stat
@@ -139,6 +138,8 @@ def _replacing(target: str, mode: int | None):
 
 
 def _write_json(payload, path: str | None) -> None:
+    import json  # here, not at module level: the CSV commands never load it
+
     try:
         text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:

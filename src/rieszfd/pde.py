@@ -33,16 +33,21 @@ intervals M picks one of two step kernels:
   not the next power of two, which can be almost twice that: 6000 at
   M = 3000, not 8192.
 
-A failed setup raises SingularMatrixError.  The module needs only numpy.
+A failed setup raises SingularMatrixError.  More than 10**6 time steps
+(``coeffs._MAX_COUNT``) is refused with SizeLimitError before any work.
+The module needs only numpy.
 
 Systems on one M can share their setup: the private ``_setups`` builds
 the column and row of each (the Riesz column once per alpha) and, for
 two or more systems, runs one Levinson-Trench recursion over their
 (systems, m) stack, which gives each system the bits of its own scalar
 recursion.  The convergence studies set up the cells of each grid this
-way.  A lone system (``assemble_system``, every solve) keeps the scalar
-loop, which is twice as fast for one system: 19 vs 35 ms at M = 3000 and
-5.3 vs 11 ms at M = 1000 on a 2-vCPU x86 machine.
+way.  The recursion writes each order's update products into one scratch
+allocated up front, and the residual check transforms one generator row
+at a time in a reused buffer, so neither grows fresh temporaries.  A lone
+system (``assemble_system``, every solve) keeps the scalar loop, which is
+twice as fast for one system: 19 vs 35 ms at M = 3000 and 5.3 vs 11 ms at
+M = 1000 on a 2-vCPU x86 machine.
 
 Systems that also share the time step can march in lock step:
 ``_stacked_levels`` checks and refines each one's generators into one
@@ -75,6 +80,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 would load it on first use, mid-solve
 
+from .coeffs import _MAX_COUNT
 from .errors import DomainError, SingularMatrixError, SizeLimitError
 from .operators import GridSpec1D, _riesz_column, _toeplitz
 from .operators import riesz_matrix  # noqa: F401  unused; kept while perfbench's tests pin it
@@ -260,9 +266,10 @@ def assemble_system(
     generators are checked and refined by ``_checked_generators``, and
     ``_step_operator`` turns them into what a step applies.
 
-    Raises SizeLimitError before any quadratic work when M exceeds
-    ``_TOEPLITZ_MAX_M``, and SingularMatrixError when the generator
-    recursion breaks down or the generators fail their residual check.
+    Raises SizeLimitError before any work when M exceeds
+    ``_TOEPLITZ_MAX_M`` or N exceeds ``_MAX_COUNT``, and
+    SingularMatrixError when the generator recursion breaks down or the
+    generators fail their residual check.
     """
     ((problem, grid, tau, column, row, generators),) = _setups([(problem, N)], M)
     x_interior = grid.nodes()[1:M]
@@ -299,14 +306,16 @@ def _setups(cells: list, M: int) -> list:
     two or more systems one recursion over the stack gives every generator
     pair (``_stacked_levinson_generators``); a lone system runs
     ``_levinson_generators``.  Both give the same bits.  Raises as
-    ``assemble_system`` does, before any quadratic work for a bad size,
-    and SingularMatrixError for a recursion that breaks down.
+    ``assemble_system`` does, before any work for a bad size, and
+    SingularMatrixError for a recursion that breaks down.
     """
     if M < 4:
         raise DomainError(f"solver requires M >= 4, got M={M}")
     for _, N in cells:
         if N < 1:
             raise DomainError(f"solver requires N >= 1, got N={N}")
+        if N > _MAX_COUNT:
+            raise SizeLimitError(f"N={N} exceeds the cap of {_MAX_COUNT} time steps")
     if M > _TOEPLITZ_MAX_M:
         raise SizeLimitError(
             f"M={M} exceeds {_TOEPLITZ_MAX_M}: the Toeplitz setup (Levinson "
@@ -330,7 +339,7 @@ def _setups(cells: list, M: int) -> list:
     if len(cells) > 1:
         generators = _stacked_levinson_generators(reversed_columns, rows)
     else:
-        generators = [_levinson_generators(c, r) for c, r in zip(columns, rows)]
+        generators = map(_levinson_generators, columns, rows)
     return [
         _Setup(*part, column, row, pair)
         for part, column, row, pair in zip(parts, columns, rows, generators)
@@ -452,16 +461,21 @@ def _stacked_levinson_generators(
     stack instead of for one system.  Every operation is the scalar one,
     row by row, and the dot products are stacked ``np.matmul`` of
     (cells, 1, k) by (cells, k, 1), which runs numpy's dot kernel, so each
-    entry is bit-equal to ``_levinson_generators`` on its system alone.  A
-    system that breaks down (its running scale ends at 0 or non-finite)
-    or whose generators overflow is rerun alone through
-    ``_levinson_generators``, which raises its SingularMatrixError.
+    entry is bit-equal to ``_levinson_generators`` on its system alone.
+    The update's two products go into one (2, cells * m) scratch, allocated
+    once and viewed at order k as contiguous (cells, k + 1) arrays: fresh
+    products, up to 20 x 999 for table 2, cost about 0.1 MB of peak RSS,
+    and strided (2, cells, m) windows 5% of table 2's time.  A system
+    that breaks down (its running scale ends at 0 or non-finite) or whose
+    generators overflow is rerun alone through ``_levinson_generators``,
+    which raises its SingularMatrixError.
     """
     cells, m = rows.shape
     generators = np.zeros((cells, 2, m))
     f, b = generators[:, 0], generators[:, 1]
     f[:, 0] = b[:, -1] = 1.0
-    matmul = np.matmul
+    matmul, multiply = np.matmul, np.multiply
+    products = np.empty((2, cells * m))
     scale = np.ones(cells)
     pivot = reversed_columns[:, -1]
     # a broken-down system goes on with a zero or non-finite scale, which
@@ -474,8 +488,9 @@ def _stacked_levinson_generators(
             e_f = scale * matmul(reversed_columns[:, None, m - 1 - k :], fk[:, :, None])[:, 0, 0]
             e_b = scale * matmul(rows[:, None, : k + 1], bk[:, :, None])[:, 0, 0]
             pivot = 1.0 - e_f * e_b
-            shifted = bk * e_f[:, None]
-            bk -= fk * e_b[:, None]
+            shifted, product = products[:, : cells * (k + 1)].reshape(2, cells, k + 1)
+            multiply(bk, e_f[:, None], out=shifted)
+            bk -= multiply(fk, e_b[:, None], out=product)
             fk -= shifted
         scale /= pivot
         generators *= scale[:, None, None]
@@ -491,7 +506,13 @@ def _generator_residual(
     """Rows ``lhs x - e_0`` and ``lhs y - e_{m-1}``, from an FFT product with
     the length-n circulant that embeds lhs.  It runs in long double:
     a float64 residual is as inexact as the generators and refines nothing
-    (where long double is float64, the refinement gains nothing)."""
+    (where long double is float64, the refinement gains nothing).
+
+    The rows go through one at a time: once the spectrum of lhs is taken,
+    each row is copied into the buffer that embedded lhs, and the inverse
+    FFT is written back into it.  The traced peak is about 4.5 n long
+    doubles (146 KiB at M = 1000, 561 KiB at 3000) against 6-8 n for both
+    rows at once, with the same bits."""
     m = len(column)
     # n >= 2m: no circular wrap.  It stays a power of two, unlike
     # ``_fft_length``: these FFTs run once per setup, and the 5-smooth
@@ -502,11 +523,17 @@ def _generator_residual(
     embedding = np.zeros(n, dtype=np.longdouble)
     embedding[:m] = column
     embedding[n - m + 1 :] = row[:0:-1]
-    spectrum = np.fft.rfft(embedding) * np.fft.rfft(generators.astype(np.longdouble), n)
-    product = np.fft.irfft(spectrum, n)[:, :m]
-    product[0, 0] -= 1.0
-    product[1, -1] -= 1.0
-    return product.astype(float)
+    lhs_spectrum = np.fft.rfft(embedding)
+    residual = np.empty(generators.shape)
+    for generator, unit, out in zip(generators, (0, m - 1), residual):
+        embedding[:m] = generator
+        embedding[m:] = 0.0
+        spectrum = np.fft.rfft(embedding)
+        spectrum *= lhs_spectrum
+        np.fft.irfft(spectrum, n, out=embedding)
+        embedding[unit] -= 1.0
+        out[:] = embedding[:m]
+    return residual
 
 
 def _factors(generators: np.ndarray) -> tuple:
@@ -529,10 +556,12 @@ def _factor_spectra(generators: np.ndarray) -> tuple:
     x_0, rows of ``upper`` the conjugated FFTs of J y and Z J x
     (conjugation turns the circular convolution into the correlation that
     an upper triangular Toeplitz product is), all at length
-    ``_fft_length(m)``; stacked generators give stacked spectra."""
-    lower, upper = _factors(generators)
-    n = _fft_length(lower.shape[-1])
-    return np.fft.rfft(lower, n) / lower[..., :1, :1], np.conj(np.fft.rfft(upper, n))
+    ``_fft_length(m)``; stacked generators give stacked spectra.  The
+    division and the conjugation run in place, on the fresh spectra."""
+    n = _fft_length(generators.shape[-1])
+    lower, upper = (np.fft.rfft(factor, n) for factor in _factors(generators))
+    lower /= generators[..., :1, :1]
+    return lower, np.conj(upper, out=upper)
 
 
 def _fft_length(m: int) -> int:

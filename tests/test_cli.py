@@ -344,6 +344,17 @@ class TestSolve:
         code, out, _ = _run_capture(capsys, argv)
         assert code == 0 and len(out.splitlines()) == 1 + 21
 
+    def test_step_count_above_the_cap_is_exit_1(self, capsys):
+        # N = 10**12 kept stepping until it was killed; with --keep all the
+        # physical-memory check refuses it first
+        for keep in ("final", "all"):
+            argv = ["solve", "--alpha", "1.5", "--M", "10", "--N", str(10**12), "--keep", keep]
+            code, out, err = _run_capture(capsys, argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            if keep == "final":
+                assert err == "error: N=1000000000000 exceeds the cap of 1000000 time steps\n"
+
 
 class TestSpectrum:
     def test_record_and_csv(self, tmp_path, capsys):

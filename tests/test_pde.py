@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,28 @@ class TestAssembly:
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert "quadratic" in captured.err
 
+    def test_step_count_cap_refuses_before_setup(self, monkeypatch):
+        class SetupStarted(Exception):
+            pass
+
+        def no_setup(*args):
+            raise SetupStarted
+
+        cap = rieszfd.pde._MAX_COUNT
+        assert cap == 10**6
+        monkeypatch.setattr(rieszfd.pde, "_riesz_column", no_setup)
+        problem = example42_problem(1.5)
+        for N in (cap + 1, 10**12):
+            with pytest.raises(SizeLimitError, match=f"N={N} exceeds the cap"):
+                assemble_system(problem, 10, N)
+            with pytest.raises(SizeLimitError, match=f"N={N} exceeds the cap"):
+                solve(problem, 10, N)
+        # a study's stack is refused before any of its cells is set up
+        with pytest.raises(SizeLimitError):
+            rieszfd.pde._setups([(problem, 5), (problem, cap + 1)], 10)
+        with pytest.raises(SetupStarted):
+            assemble_system(problem, 10, cap)
+
 
 def _explicit_matrix_step(system, u, t):
     """The explicit-matrix step ``lhs^-1 (B u + tau f)``, kept as the
@@ -392,6 +415,38 @@ class TestToeplitzPath:
         T = np.array([[4.0, -1.0, 0.25], [1.0, 4.0, -1.0], [0.5, 1.0, 4.0]])
         np.testing.assert_allclose(T @ x, [1.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(T @ y, [0.0, 0.0, 1.0], atol=1e-15)
+
+    @pytest.mark.parametrize("M", (40, 1000))
+    def test_generator_residual_has_the_bits_of_both_rows_at_once(self, M):
+        (setup,) = rieszfd.pde._setups([(example42_problem(1.5), 10)], M)
+        m, n = M - 1, 1 << (2 * (M - 1) - 1).bit_length()
+        embedding = np.zeros(n, dtype=np.longdouble)
+        embedding[:m] = setup.column
+        embedding[n - m + 1 :] = setup.row[:0:-1]
+        for generators in (setup.generators, np.random.default_rng(M).standard_normal((2, m))):
+            both = np.fft.rfft(embedding) * np.fft.rfft(generators.astype(np.longdouble), n)
+            product = np.fft.irfft(both, n)[:, :m]
+            product[0, 0] -= 1.0
+            product[1, -1] -= 1.0
+            residual = rieszfd.pde._generator_residual(setup.column, setup.row, generators)
+            np.testing.assert_array_equal(residual, product.astype(float))
+
+    @pytest.mark.parametrize("M", (1000, 3000))
+    def test_generator_residual_memory(self, M):
+        # both rows transformed at once peaked at 257 KiB (8.1 n long
+        # doubles) at M = 1000 and 770 KiB (6.0 n) at M = 3000; row by row,
+        # into the reused embedding, 146 and 561 KiB
+        (setup,) = rieszfd.pde._setups([(example42_problem(1.5), 10)], M)
+        n = 1 << (2 * (M - 1) - 1).bit_length()
+        residual = rieszfd.pde._generator_residual
+        residual(setup.column, setup.row, setup.generators)  # FFT plans built
+        tracemalloc.start()
+        try:
+            residual(setup.column, setup.row, setup.generators)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * n * np.dtype(np.longdouble).itemsize, f"peak {peak / 1024:.0f} KiB"
 
     def test_holds_only_linear_memory(self):
         system = assemble_system(example42_problem(1.5), 3000, 300)
