@@ -51,8 +51,8 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 
 def _split(v):
     """v = big + small, each with at most 26 significant bits."""
-    t = v * _SPLIT
-    big = t - (t - v)
+    big = v * _SPLIT
+    big -= big - v
     return big, v - big
 
 
@@ -106,8 +106,8 @@ def _frames():
     words = _words(frame)
     lead = np.array([[_word(bytes(at) + bytes([d]) + bytes(7 - at)) for d in b"0123456789"]
                      for at in (6, 7)])
-    keep = np.where(fixed & (x >= 0), x + 1, 1)
-    point = np.where(fixed, np.where(x >= 0, x + 1, 17), 1)
+    keep = np.where(fixed & (x >= 0), x + 1, 1).astype(np.uint8)
+    point = np.where(fixed, np.where(x >= 0, x + 1, 17), 1).astype(np.uint8)
     head = words[:, :1] | lead[small.astype(np.intp)]
     return head.ravel(), words[:, 3].copy(), keep, point
 
@@ -148,16 +148,30 @@ def _tables() -> _Tables:
     return _Tables(*_frames(), *_digit_tables(), _powers())
 
 
-def _scaled(a, a1, a2, i, power):
+def _scaled(a, i, power):
     """floor(a 10**(16 - X)) as int64 and its fractional part, for table
-    rows i = X - _XMIN; a = a1 + a2 is the Veltkamp split of a."""
-    hi, lo, h1, h2 = (row[i] for row in power)
-    p = a * hi
-    err = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2
-    rest = err + a * lo
-    whole = np.floor(rest)
+    rows i = X - _XMIN.  Each table row is gathered where it is first used
+    and each product goes into an array that is dead after it, so at most
+    eight arrays of a's size are alive, a and i included."""
+    a1, a2 = _split(a)
+    p = power[0][i]
+    p *= a
+    h1 = power[2][i]
+    err = a1 * h1
+    err -= p
+    h1 *= a2
+    h2 = power[3][i]
+    a1 *= h2
+    err += a1
+    err += h1
+    h2 *= a2
+    err += h2
+    del a1, a2, h1, h2
+    err += a * power[1][i]
+    whole = np.floor(err)
+    err -= whole
     # p >= 2**53 is an integer whenever the result is in [10**16, 10**17)
-    return p.astype(np.int64) + whole.astype(np.int64), rest - whole
+    return p.astype(np.int64) + whole.astype(np.int64), err
 
 
 def padded(strings: list[str], width: int | None = None) -> np.ndarray:
@@ -171,49 +185,58 @@ def padded(strings: list[str], width: int | None = None) -> np.ndarray:
 def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
     """Write ``"%.17g" % v`` for each float64 v of ``values`` into the
     cells ``out`` (uint64, shape ``values.shape + (4,)``), leaving their
-    separator bytes 0."""
+    separator bytes 0.  Each value-sized intermediate is freed after its
+    last reader or overwritten in place, so at most eight are alive at
+    once."""
     tab = _tables()
     a = np.abs(values)
     zero = a == 0
     fast = (a >= _MIN) & (a < _MAX)  # NaN fails
     a[~fast] = 1.0
     i = (np.log10(a) - _XMIN).astype(np.intp)  # floor: the sum is positive
-    a1, a2 = _split(a)
-    whole, frac = _scaled(a, a1, a2, i, tab.power)
-    off = (whole < 10**16) | (whole >= 10**17)  # log10 was one off
+    digits, frac = _scaled(a, i, tab.power)
+    off = (digits < 10**16) | (digits >= 10**17)  # log10 was one off
     if off.any():
         redo = np.nonzero(off)
-        i[redo] += np.where(whole[redo] < 10**16, -1, 1)
-        whole[redo], frac[redo] = _scaled(a[redo], a1[redo], a2[redo], i[redo], tab.power)
-        fast[redo] &= (whole[redo] >= 10**16) & (whole[redo] < 10**17)
+        i[redo] += np.where(digits[redo] < 10**16, -1, 1)
+        digits[redo], frac[redo] = _scaled(a[redo], i[redo], tab.power)
+        fast[redo] &= (digits[redo] >= 10**16) & (digits[redo] < 10**17)
+    del a
     exact = (fast | zero) & (np.abs(frac - 0.5) > _TIE)
-    digits = whole + (frac > 0.5)
+    digits += frac > 0.5
+    del frac
     digits[zero] = 0  # "0", or "-0" with the sign
     carry = digits == 10**17  # rounds to 1 at the next X
     if carry.any():
         digits[carry] = 10**16
         i[carry] += 1
 
+    # each quotient's remainder overwrites its dividend
     lead = digits // 10**16
-    rest = digits - lead * 10**16
-    high = rest // 10**8
-    low = rest - high * 10**8
-    q0 = high // 10**4
-    q1 = high - q0 * 10**4
-    q2 = low // 10**4
-    q3 = low - q2 * 10**4
+    digits -= lead * 10**16
+    point, keep = tab.point[i], tab.keep[i]
+    out[..., 0] = tab.head[i * 10 + lead] | _MINUS * np.signbit(values)
+    out[..., 3] = tab.last[i]
+    del i, lead
+    q0 = digits // 10**12
+    digits -= q0 * 10**12
+    q1 = digits // 10**8
+    digits -= q1 * 10**8
+    q2 = digits // 10**4
+    q3 = digits
+    q3 -= q2 * 10**4
     zeros = tab.trailing[q1] + (q1 == 0) * tab.trailing[q0]
     zeros = tab.trailing[q2] + (q2 == 0) * zeros
     significant = 17 - (tab.trailing[q3] + (q3 == 0) * zeros)
-    point = tab.point[i]
     dotted = significant > point
-
-    sign = _MINUS * np.signbit(values)
-    out[..., 0] = tab.head[i * 10 + lead] | sign | _DOT * (dotted & (point == 1))
-    kept = np.maximum(significant, tab.keep[i]) - 1
-    np.bitwise_and(tab.quads[0][q0] | tab.quads[1][q1], tab.mask[0][kept], out=out[..., 1])
-    np.bitwise_and(tab.quads[0][q2] | tab.quads[1][q3], tab.mask[1][kept], out=out[..., 2])
-    out[..., 3] = tab.last[i]
+    out[..., 0] |= _DOT * (dotted & (point == 1))
+    kept = np.maximum(significant, keep, dtype=np.intp)
+    kept -= 1
+    for word, high, low in ((1, q0, q1), (2, q2, q3)):
+        quads = tab.quads[0][high]
+        quads |= tab.quads[1][low]
+        quads &= tab.mask[word - 1][kept]
+        out[..., word] = quads
     # fixed notation from 10 up: digits 1..X move one byte left, into the
     # point slot, and the point follows them
     shifted = dotted & (point > 1)
@@ -225,8 +248,8 @@ def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
             text[rows + (slice(7, 6 + k),)] = text[rows + (slice(8, 7 + k),)]
             text[rows + (6 + k,)] = ord(".")
 
-    slow = np.nonzero(~exact)
-    if slow[0].size:
+    if not exact.all():  # ties and extreme magnitudes only, almost never
+        slow = np.nonzero(~exact)
         out[slow] = _words(padded(["%.17g" % v for v in values[slow].tolist()], _CELL))
 
 

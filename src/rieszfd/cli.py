@@ -12,9 +12,10 @@ stdout.  Numeric output uses 17 significant digits and LF line endings so
 repeated runs are byte-identical.
 
 ``solve --keep all`` and ``surface`` stream their CSV as the stepping
-core produces the levels: each block of whole time levels it yields is
-formatted and written as it comes, in writes of at most
-``_g17.BLOCK_ROWS`` rows, so their memory is O(M) whatever N is: neither
+core produces the levels: the levels' values are staged level by level,
+as many whole levels as fit in one write of ``_g17.BLOCK_ROWS`` rows (or
+one longer level), and each staging is formatted and written when the
+next level does not fit, so their memory is O(M) whatever N is: neither
 the (N+1) x (M+1) float array nor a string per cell exists.  Both still
 refuse, before assembly, a size whose (N+1) x (M+1) array would exceed
 physical memory.  An ``--out`` regular file is replaced only when the
@@ -155,24 +156,41 @@ def _write_levels(out, header: list[str], x: np.ndarray, tau: float, blocks, col
     ``x``, boundaries included; ``columns`` returns one array per remaining
     column given ``x``, the level's time ``tau * k`` and its values, and is
     called once per level.  The ``x`` cells are formatted once and the
-    ``t`` cells once per level.  Each block goes out in one
-    ``_g17.write_rows`` call as it arrives: its levels' columns are copied
-    into one (rows, k) value array that every block reuses, and the writer
-    copies the ``t`` and ``x`` cells of each row straight into its buffer
-    of ``_g17.BLOCK_ROWS`` rows, so memory stays O(M) whatever the number
-    of levels."""
+    ``t`` cells once per level.
+
+    The columns are copied level by level into one value staging of
+    ``max(1, _g17.BLOCK_ROWS // len(x))`` levels, which goes out in one
+    ``_g17.write_rows`` call when the next level does not fit (and at the
+    end).  So each write holds ``_g17.BLOCK_ROWS // len(x)`` whole levels
+    (the last write may hold fewer), or, for levels longer than a block,
+    each level goes out in writes of ``_g17.BLOCK_ROWS`` rows whose last is
+    short.  The staging
+    holds at most ``max(_g17.BLOCK_ROWS, len(x))`` rows whatever the march
+    blocks are, and the writer copies the ``t`` and ``x`` cells of each row
+    straight into its buffer, so memory stays O(M) whatever the number of
+    levels."""
     out.write(",".join(header) + "\n")
     xs = _g17.padded([_fmt(v) + "," for v in x.tolist()])
-    values = None
+    staging = None
+    count = 0  # levels staged
+
+    def flush(end: int) -> None:  # the staged levels end before level ``end``
+        ts = _g17.padded([_fmt(tau * j) + "," for j in range(end - count, end)])
+        _g17.write_rows(out, staging[:count].reshape(-1, staging.shape[-1]), ts, xs)
+
     for k, block in blocks:
-        for i, u in enumerate(block):
-            row = columns(x, tau * (k + i), u)
-            if values is None:  # the first block is the longest
-                values = np.empty((len(block), len(x), len(row)))
+        for j, u in enumerate(block, k):
+            row = columns(x, tau * j, u)
+            if staging is None:
+                staging = np.empty((max(1, _g17.BLOCK_ROWS // len(x)), len(x), len(row)))
+            elif count == len(staging):
+                flush(j)
+                count = 0
             for c, column in enumerate(row):
-                values[i, :, c] = column
-        ts = _g17.padded([_fmt(tau * j) + "," for j in range(k, k + len(block))])
-        _g17.write_rows(out, values[: len(block)].reshape(-1, values.shape[-1]), ts, xs)
+                staging[count, :, c] = column
+            count += 1
+    if count:
+        flush(j + 1)
 
 
 def _float_list(text: str) -> list[float]:

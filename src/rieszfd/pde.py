@@ -64,8 +64,8 @@ its per-level ``problem.source`` call.
 Every run goes through one stepping loop, the private generator
 ``_march``: it calls :func:`step` once per level and hands the levels,
 level 0 first and zero boundary values included, over in blocks of at
-most ``_BLOCK_BYTES``, so :func:`solve`, the convergence studies and the
-CLI's CSV writer reduce, copy or format many levels per numpy call.
+most ``_BLOCK_BYTES``, so :func:`solve` and the convergence studies
+reduce or copy many levels per numpy call.
 ``_levels`` does the assembly, the initial data and the march of a lone
 system, and ``_stacked_levels`` those of a lock-step stack.
 """
@@ -110,12 +110,12 @@ _TOEPLITZ_MIN_M = 500
 _TOEPLITZ_MAX_M = 100_000
 
 # Largest block of levels that ``_march`` yields at once (at least one
-# level).  The CLI formats each block in one call, so this also sets the
-# CSV rows per call: about 8192 (eight ``_g17.BLOCK_ROWS`` writes, of which
-# only the last is short).  Larger blocks cost peak memory and gain
-# nothing: with 256 KiB blocks the table-3 study took as long and 0.7 MB
-# more peak RSS, and with 128 KiB ``solve --M 1000 --N 1000 --keep all``
-# peaked about 1.1 MB higher.
+# level).  The CLI copies the levels out of each block one at a time into
+# its own staging of one ``_g17.BLOCK_ROWS`` write, so this does not set
+# the CSV writes.  Larger blocks cost peak memory and gain nothing: with
+# 256 KiB blocks the table-3 study took as long and 0.7 MB more peak RSS,
+# and with 128 KiB ``solve --M 1000 --N 1000 --keep all`` peaked about
+# 1.1 MB higher.
 _BLOCK_BYTES = 64 * 1024
 
 # Largest accepted ||lhs [x y] - [e_0 e_{m-1}]||_inf relative to

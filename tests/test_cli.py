@@ -474,7 +474,7 @@ class TestByteIdentity:
             ["surface", "--alpha", "1.7", "--M", "25", "--N", "11"],
             lambda: _reference_surface(1.7, 25, 11),
         ),
-        # Toeplitz path; 8 levels of 601 rows, one call of five CSV blocks
+        # Toeplitz path; 8 levels of 601 rows, one level per write
         (
             ["solve", "--alpha", "1.5", "--M", "600", "--N", "7", "--keep", "all"],
             lambda: _reference_solve(example42_problem(1.5), 600, 7, "all"),
@@ -483,17 +483,17 @@ class TestByteIdentity:
             ["surface", "--alpha", "1.9", "--M", "600", "--N", "7"],
             lambda: _reference_surface(1.9, 600, 7),
         ),
-        # levels of 1101 rows, longer than a block, so blocks end inside levels
+        # levels of 1101 rows, longer than a block, so writes end inside levels
         (
             ["solve", "--alpha", "1.5", "--M", "1100", "--N", "2", "--keep", "all"],
             lambda: _reference_solve(example42_problem(1.5), 1100, 2, "all"),
         ),
-        # 101 levels of 101 rows go out in calls of 81 and 20 levels
+        # 101 levels of 101 rows go out in writes of 10 levels, the last of one
         (
             ["surface", "--alpha", "1.3", "--M", "100", "--N", "100"],
             lambda: _reference_surface(1.3, 100, 100),
         ),
-        # levels of 8201 rows, more than eight blocks: one call each
+        # levels of 8201 rows, more than eight blocks: nine writes each
         (
             ["solve", "--alpha", "1.5", "--M", "8200", "--N", "1", "--keep", "all"],
             lambda: _reference_solve(example42_problem(1.5), 8200, 1, "all"),
@@ -532,6 +532,35 @@ def test_short_levels_share_blocks():
     assert out.writes == 1 + 3  # the header, then 26 levels of 101 rows in three blocks
 
 
+@pytest.mark.parametrize(
+    "M, N, rows",
+    [
+        # levels of 11 rows span march blocks of 744 levels: 93 levels per write
+        (10, 5000, [93 * 11] * 53 + [72 * 11]),
+        # levels of 3001 rows, longer than a block: each in writes of 1024 rows
+        (3000, 2, [1024, 1024, 953] * 3),
+    ],
+    ids=["short-levels", "long-levels"],
+)
+def test_writes_follow_the_staging_rule(monkeypatch, M, N, rows):
+    # each write holds BLOCK_ROWS // (M + 1) whole levels (the last write
+    # may hold fewer), or a longer level goes out in writes of BLOCK_ROWS rows
+    class Recorder(io.StringIO):
+        def write(self, text):
+            self.rows.append(text.count("\n"))
+            return super().write(text)
+
+    out = Recorder()
+    out.rows = []
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["solve", "--alpha", "1.5", "--M", str(M), "--N", str(N), "--keep", "all"]
+    assert run(argv) == 0
+    _assert_identical(out.getvalue(), _reference_solve(example42_problem(1.5), M, N, "all"))
+    fit = max(1, rieszfd.cli._g17.BLOCK_ROWS // (M + 1))
+    assert rows[0] == min(fit * (M + 1), rieszfd.cli._g17.BLOCK_ROWS)
+    assert out.rows == [1] + rows  # the header, then the value rows
+
+
 @pytest.mark.parametrize("M, N", [(1000, 1000), (100, 6000)])
 @pytest.mark.parametrize("argv", [["solve", "--keep", "all"], ["surface"]], ids=["solve", "surface"])
 def test_streamed_csv_memory_is_independent_of_the_level_count(argv, M, N):
@@ -551,13 +580,16 @@ def test_streamed_csv_memory_is_independent_of_the_level_count(argv, M, N):
     assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
-@pytest.mark.parametrize("argv, bound", [(["solve", "--keep", "all"], 1.3), (["surface"], 0.8)],
+@pytest.mark.parametrize("argv, bound", [(["solve", "--keep", "all"], 0.85), (["surface"], 0.55)],
                          ids=["solve", "surface"])
 def test_writer_stages_no_prefix_array(argv, bound):
     # the writer staged each march block's t and x text as one (levels,
     # M + 1, w) array and its values as per-level column_stacks joined by
-    # vstack: peaks of 1.47 MiB (solve) and 0.99 MiB (surface) here, against
-    # 1.16 and 0.60 MiB with the text copied from the cells per write block
+    # vstack: peaks of 1.47 MiB (solve) and 0.99 MiB (surface) here.  With
+    # the text copied from the cells per write block, but the values of a
+    # whole march block staged and every formatter temporary alive until
+    # it returned, they were 1.16 and 0.58 MiB; one write block of values
+    # and a formatter that frees its temporaries read 0.73 and 0.50 MiB
     size = ["--alpha", "1.5", "--M", "1000", "--N", "100", "--out", os.devnull]
     tiny = ["--alpha", "1.5", "--M", "10", "--N", "3", "--out", os.devnull]
     assert run(argv + tiny) == 0  # the formatter's tables are built once per process
@@ -651,7 +683,7 @@ def test_keep_all_refusal_matches_the_library(monkeypatch, capsys):
 
 def _nan_after_half(monkeypatch):
     """Make example 4.2's source NaN from t = 0.5 on: at M 20, N 2000 the
-    streamed CSV has written levels 0-779 when the run fails."""
+    streamed CSV has written levels 0-767 when the run fails."""
     real = rieszfd.harness.example42_problem
 
     def nan_after_half(alpha):
@@ -668,8 +700,8 @@ def _nan_after_half(monkeypatch):
 def test_non_finite_level_stops_the_stream_before_its_rows(monkeypatch, tmp_path, capsys):
     _nan_after_half(monkeypatch)
     path = tmp_path / "u.csv"
-    # blocks of 390 levels, one write each: levels 0-779 go out before
-    # the block that holds level 1001, the first NaN, is refused
+    # writes of 48 levels: levels 0-767 go out before the march block
+    # that holds level 1001, the first NaN, is refused
     argv = ["solve", "--alpha", "1.5", "--M", "20", "--N", "2000", "--keep", "all"]
     assert run(argv + ["--out", str(path)]) == 1
     err = capsys.readouterr().err
