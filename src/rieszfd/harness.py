@@ -3,9 +3,11 @@
 Two manufactured benchmarks drive everything: a static one (the Riesz
 derivative of ``x**2 (1-x)**2`` evaluated at x = 0.5, whose exact value is
 known in closed form) and a time-dependent advection-diffusion problem
-with exact solution ``cos(alpha t**2) x**4 (1-x)**4``.  The convergence
-studies sweep resolutions, estimate observed orders, and compare both
-errors and orders against stored reference values.
+with exact solution ``cos(alpha t**2) x**4 (1-x)**4``, whose forcing and
+exact solution ``_example42`` writes once for any number of alphas
+(``example42_problem`` is its one-alpha case).  The convergence studies
+sweep resolutions, estimate observed orders, and compare both errors and
+orders against stored reference values.
 
 Every study checks each resolution and alpha before any cell runs.  A
 solver study then sets up the cells that share M together
@@ -270,38 +272,27 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
     K = 2, K_alpha = alpha**2, and exact solution
     ``cos(alpha t**2) x**4 (1-x)**4``.
 
-    ``source`` and ``exact`` compute their t-independent space factors
-    once per node array and reuse them while called with equal nodes;
-    ``exact(x, t)`` also takes a sequence t and returns one row per time.
+    ``source`` and ``exact`` are the one-alpha case of ``_example42``,
+    which holds the benchmark's arithmetic: ``source(x, t)`` is
+    ``forcing(x, [t])[0, 0]``, and ``exact(x, t)`` also takes a sequence t
+    and returns one row per time.
     """
     if not 1.0 < alpha < 2.0:
         raise DomainError(f"benchmark requires alpha in (1, 2), got {alpha}")
-    k_alpha = alpha * alpha
-    cos_half = math.cos(math.pi * alpha / 2.0)
-    space_factors = _node_cached(
-        lambda x: (k_alpha * _bump_half_sum(alpha, 4, x), _bump(x), _bump_dx(x))
-    )
+    forcing, stacked_exact = _example42([alpha])
 
     def exact(x: np.ndarray, t: float | Sequence[float]) -> np.ndarray:
-        _, bump_x, _ = space_factors(np.asarray(x, dtype=float))
         if np.ndim(t) == 0:
-            return math.cos(alpha * t * t) * bump_x
-        return np.multiply.outer([math.cos(alpha * s * s) for s in t], bump_x)
+            return stacked_exact(x, [t])[0, 0]
+        return stacked_exact(x, t)[0]
 
     def source(x: np.ndarray, t: float) -> np.ndarray:
-        scaled_frac, bump_x, bump_dx_x = space_factors(np.asarray(x, dtype=float))
-        ct = math.cos(alpha * t * t)
-        st = math.sin(alpha * t * t)
-        return (
-            scaled_frac * ct / cos_half
-            - 2.0 * alpha * t * st * bump_x
-            + 2.0 * ct * bump_dx_x
-        )
+        return forcing(x, [t])[0, 0]
 
     return AdvectionDiffusionProblem(
         alpha=alpha,
         K=2.0,
-        K_alpha=k_alpha,
+        K_alpha=alpha * alpha,
         domain=(0.0, 1.0),
         T=1.0,
         source=source,
@@ -311,18 +302,14 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
 
 
 def _example42(alphas: Sequence[float]) -> tuple:
-    """``(forcing, exact)`` of ``example42_problem`` for every alpha in
-    ``alphas`` and many times at once: for 1-D nodes x, both
-    ``forcing(x, times)`` and ``exact(x, times)`` are
-    (alphas, len(times), len(x)).  Every entry comes from one alpha's
-    scalar operations in the problem's order (``alpha * t * t``, then
-    ``math.cos`` and ``math.sin``, then ``2.0 * alpha * t * sin``), so
-    ``forcing(x, times)[i, j]`` is bit for bit
-    ``example42_problem(alphas[i]).source(x, times[j])``.  A lock-step
-    group samples it once per block of levels (``pde._march``) instead of
-    once per level, which saved about 50 ms of table 3's 0.16 s on a
-    2-vCPU x86 machine.  The lone problem keeps its per-level scalar
-    source, which its ``solve`` calls once per level."""
+    """``(forcing, exact)`` of example 4.2 for every alpha in ``alphas``
+    and many times at once: for 1-D nodes x, both ``forcing(x, times)``
+    and ``exact(x, times)`` are (alphas, len(times), len(x)), and row i is
+    bit for bit ``_example42([alphas[i]])``'s, as it uses only that alpha's
+    scalars (the time factors in Python floats).  The space factors are
+    computed once per node array.  A lock-step group samples the forcing
+    once per block of levels (``pde._march``) instead of once per level,
+    which saved about 50 ms of table 3's 0.16 s on a 2-vCPU x86 machine."""
     alphas = list(alphas)
     cos_halves = np.array([math.cos(math.pi * alpha / 2.0) for alpha in alphas])[:, None, None]
     space_factors = _node_cached(
@@ -340,11 +327,9 @@ def _example42(alphas: Sequence[float]) -> tuple:
 
     def forcing(x: np.ndarray, times: Sequence[float]) -> np.ndarray:
         scaled_fracs, bump_x, bump_dx_x = space_factors(np.asarray(x, dtype=float))
-        # numpy's products round as the scalar ones do; its cos and sin need not
-        angles = (np.multiply.outer(alphas, times) * times).tolist()
-        ct = np.array([list(map(math.cos, row)) for row in angles])[..., None]
-        sines = np.array([list(map(math.sin, row)) for row in angles])
-        st = (np.multiply.outer(np.multiply(2.0, alphas), times) * sines)[..., None]
+        angles = [[(alpha * t * t, 2.0 * alpha * t) for t in times] for alpha in alphas]
+        ct = np.array([[math.cos(angle) for angle, _ in row] for row in angles])[..., None]
+        st = np.array([[rate * math.sin(angle) for angle, rate in row] for row in angles])[..., None]
         return scaled_fracs[:, None] * ct / cos_halves - st * bump_x + 2.0 * ct * bump_dx_x
 
     return forcing, exact
@@ -390,19 +375,14 @@ def _error_blocks(system, blocks, exact):
     return itertools.starmap(error, blocks)
 
 
-def _solver_error(
-    alphas: Sequence[float], M: int, N: int, setups: Optional[list] = None
-) -> list:
+def _solver_error(alphas: Sequence[float], M: int, N: int, setups: list) -> list:
     """Maximum absolute nodal error over every time level of the
     manufactured benchmark, one per alpha in ``alphas`` (the solution
     amplitude oscillates in time, so the worst level is generally not the
     final one).  The alphas march in lock step (``pde._stacked_levels``),
     each with the bits of its own run, under one ``_example42`` forcing,
-    sampled once per block of levels.  ``setups``, the ``pde._setups``
-    entries of ``(example42_problem(alpha), N)`` on M for each alpha,
-    finish them; without them the group sets itself up."""
-    if setups is None:
-        setups = _setups([(example42_problem(alpha), N) for alpha in alphas], M)
+    sampled once per block of levels.  ``setups`` are the ``pde._setups``
+    entries of ``(example42_problem(alpha), N)`` on M for each alpha."""
     forcing, exact = _example42(alphas)
     worst = np.zeros(len(setups))
     for _, error in _error_blocks(*_stacked_levels(setups, forcing, N), exact):
@@ -498,7 +478,8 @@ def error_surface(alpha: float, M: int, N: int) -> np.ndarray:
     SizeLimitError before assembly if that array exceeds physical memory."""
     problem = example42_problem(alpha)
     _check_all_levels_fit(M, N)
+    system, blocks = _levels(problem, M, N)  # refuses a bad M or N before the allocation
     surface = np.empty((N + 1, M + 1))
-    for k, error in _error_blocks(*_levels(problem, M, N), problem.exact):
+    for k, error in _error_blocks(system, blocks, problem.exact):
         surface[k : k + len(error)] = error
     return surface

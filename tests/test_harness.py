@@ -129,15 +129,28 @@ def _reference_half_sum_n4(alpha, x):
 
 class TestExample42Problem:
     def test_cached_space_factors_are_bit_identical(self):
-        alpha = 1.7
+        # the lone problem and every row of a stacked _example42 against the
+        # verbatim formula; (alpha t) t != alpha (t t) for alpha 1.013 and
+        # 1.996 at t = 0.837 and 0.47
+        alphas = (1.7, 1.013, 1.996)
+        times = (0.0, 0.41, 0.9, 0.837, 0.47)
+        alpha = alphas[0]
         problem = example42_problem(alpha)
+        forcing, exact = rieszfd.harness._example42(alphas)
         first = np.linspace(0.0, 1.0, 33)[1:-1]
         other = np.linspace(0.0, 1.0, 41)[1:-1]
 
         def check(x):
-            for t in (0.0, 0.41, 0.9):
+            for t in times:
                 assert np.array_equal(problem.source(x, t), _reference_source(alpha, x, t))
                 assert np.array_equal(problem.exact(x, t), _reference_exact(alpha, x, t))
+            if x.ndim == 1:  # the stack takes 1-D nodes
+                stacked_forcing, stacked_exact = forcing(x, times), exact(x, times)
+                for i, alpha_i in enumerate(alphas):
+                    for j, t in enumerate(times):
+                        source, exact_t = stacked_forcing[i, j], stacked_exact[i, j]
+                        assert np.array_equal(source, _reference_source(alpha_i, x, t))
+                        assert np.array_equal(exact_t, _reference_exact(alpha_i, x, t))
 
         check(first)
         check(other)
@@ -361,11 +374,19 @@ class TestConvergenceStudy:
         monkeypatch.setattr(rieszfd.harness, "_example42", stack_nan_after_half)
         monkeypatch.setattr(rieszfd.harness, "example42_problem", nan_after_half)
         with pytest.raises(NumericsError):
-            rieszfd.harness._solver_error([1.5], 10, 20)
+            _group_error([1.5], 10, 20)
         with pytest.raises(NumericsError):
-            rieszfd.harness._solver_error([1.5, 1.7], 10, 20)
+            _group_error([1.5, 1.7], 10, 20)
         argv = ["solve", "--alpha", "1.5", "--M", "10", "--N", "20"]
         assert rieszfd.cli.run(argv + ["--out", str(tmp_path / "u.csv")]) == 1
+
+
+def _group_error(alphas, M, N):
+    """``_solver_error`` of one group, set up as ``convergence_study`` sets
+    up its groups: one ``pde._setups`` entry per alpha on M."""
+    problems = [rieszfd.harness.example42_problem(alpha) for alpha in alphas]
+    setups = rieszfd.pde._setups([(problem, N) for problem in problems], M)
+    return rieszfd.harness._solver_error(alphas, M, N, setups)
 
 
 def _reference_solver_error(alpha, M, N):
@@ -405,7 +426,7 @@ _SOLVER_ERROR_CASES = [
 class TestSolverError:
     @pytest.mark.parametrize("alpha, M, N", _SOLVER_ERROR_CASES)
     def test_matches_reference_loop(self, alpha, M, N):
-        errors = rieszfd.harness._solver_error([alpha], M, N)
+        errors = _group_error([alpha], M, N)
         assert errors == [_reference_solver_error(alpha, M, N)]
 
     def test_reference_cases_cover_every_block_shape(self):
@@ -430,7 +451,7 @@ class TestSolverError:
         monkeypatch.setattr(rieszfd.harness, "_example42", nan_forcing)
         assert len(_block_lengths(40, 300)) > 1
         with pytest.raises(DomainError, match="not finite"):
-            rieszfd.harness._solver_error([1.5], 40, 300)
+            _group_error([1.5], 40, 300)
 
     def test_forcing_memory_is_independent_of_the_level_count(self):
         # the group's forcing is sampled one march block at a time; a
@@ -441,7 +462,7 @@ class TestSolverError:
         for N in (2000, 8000):
             tracemalloc.start()
             try:
-                rieszfd.harness._solver_error(rieszfd.harness.TABLE3_ALPHAS, 160, N)
+                _group_error(rieszfd.harness.TABLE3_ALPHAS, 160, N)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -497,6 +518,12 @@ class TestErrorSurface:
             assert peak < 1.3 * surface.nbytes
             assert np.array_equal(surface, _reference_error_surface(alpha, M, N))
 
+    def test_negative_sizes_are_domain_errors(self):
+        # the surface was allocated before the sizes were checked, and a
+        # negative one raised numpy's bare ValueError
+        for M, N in ((10, -5), (-10, 5)):
+            with pytest.raises(DomainError):
+                error_surface(1.5, M, N)
 
     def test_refuses_more_than_physical_memory_before_assembly(self, monkeypatch):
         class AssemblyStarted(Exception):

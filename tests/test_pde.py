@@ -25,6 +25,7 @@ from rieszfd import (
     solve,
     step,
 )
+from test_harness import _group_error
 
 CROSSOVER = rieszfd.pde._TOEPLITZ_MIN_M
 
@@ -791,7 +792,7 @@ def _assert_study_cells_match_lone_cells(monkeypatch, kind, resolutions, recursi
     for row in report.rows:
         n = round(1 / row.resolution)
         M, N = (1000, n) if kind == "temporal_table2" else (n, 2000)
-        assert [row.error] == real([row.alpha], M, N)
+        assert [row.error] == _group_error([row.alpha], M, N)
 
 
 class TestStackedSetup:
