@@ -35,7 +35,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .operators import (
     point_riesz_derivative,
     spectral_bounds,
 )
-from .pde import AdvectionDiffusionProblem, _check_all_levels_fit, _levels
+from .pde import AdvectionDiffusionProblem, _levels
 from .pde import solve as _solve
 
 __all__ = ["run", "main"]
@@ -342,8 +342,7 @@ def _cmd_solve(args) -> None:
         sol = _solve(problem, args.M, args.N, keep="final")
         grid, tau, blocks = sol.grid, sol.tau, [(args.N, sol.snapshots)]
     else:
-        _check_all_levels_fit(args.M, args.N)
-        system, blocks = _levels(problem, args.M, args.N)
+        system, blocks = _levels(problem, args.M, args.N, "all")
         grid, tau = system.grid, system.tau
     with _open_out(args.out) as out:
         _write_levels(out, header, grid.nodes(), tau, blocks, columns)
@@ -370,18 +369,11 @@ def _cmd_convergence(args) -> None:
     if args.format == "json":
         _write_json([asdict(row) for row in report.rows], args.out)
         return
-    header = ["alpha", "resolution", "error", "order", "ref_error", "ref_order", "pass"]
-    lines = [",".join(header)]
+    lines = ["alpha,resolution,error,order,ref_error,ref_order,pass"]
     for row in report.rows:
-        cells = [
-            _fmt(row.alpha),
-            _fmt(row.resolution),
-            _fmt(row.error),
-            _fmt(row.observed_order) if row.observed_order is not None else "",
-            _fmt(row.ref_error) if row.ref_error is not None else "",
-            _fmt(row.ref_order) if row.ref_order is not None else "",
-            "" if row.passed is None else str(row.passed).lower(),
-        ]
+        # a bool before _fmt, which would write True as 1
+        cells = ("" if v is None else str(v).lower() if isinstance(v, bool) else _fmt(v)
+                 for v in astuple(row))
         lines.append(",".join(cells))
     with _open_out(args.out) as out:
         out.write("\n".join(lines) + "\n")
@@ -389,11 +381,10 @@ def _cmd_convergence(args) -> None:
 
 def _cmd_surface(args) -> None:
     problem = _harness.example42_problem(args.alpha)
-    _check_all_levels_fit(args.M, args.N)
-    blocks = _harness._error_blocks(*_levels(problem, args.M, args.N), problem.exact)
-    x = GridSpec1D(*problem.domain, args.M).nodes()
+    system, blocks = _levels(problem, args.M, args.N, "all")
+    blocks = _harness._error_blocks(system, blocks, problem.exact)
     with _open_out(args.out) as out:
-        _write_levels(out, ["t", "x", "abs_error"], x, problem.T / args.N, blocks,
+        _write_levels(out, ["t", "x", "abs_error"], system.grid.nodes(), system.tau, blocks,
                       lambda x, t, u: (u,))
 
 

@@ -15,13 +15,16 @@ solver study then sets up the cells that share M together
 Levinson-Trench recursion (55-75 ms against 103-183 ms one at a time on a
 2-vCPU x86 machine), and table 3's four alphas share each M.  The cells
 that also share N, the four alphas of each table-2 time step and of each
-table-3 mesh, form a group, and ``_solver_error`` marches a group in lock
-step (``pde._stacked_levels``) under one stacked example-4.2 forcing
-(``_example42``), every cell with the bits of its own run.  The march
-samples that forcing once per block of levels, for every cell and every
-level of the block in one call, so a group makes no per-level source
-call and holds no more forcing than one block.  The groups run one at a
-time, so only one group's inverses or spectra are held at once.
+table-3 mesh, form a group, and ``_solver_error`` marches a group's setups
+in lock step (``pde._stacked_levels``) under one stacked example-4.2
+forcing (``_example42``) of their problems' alphas, every cell with the
+bits of its own run.  The march samples that forcing once per block of
+levels, for every cell and every level of the block in one call, so a
+group makes no per-level source call and holds no more forcing than one
+block.  The groups run one at a time, so only one group's inverses or
+spectra are held at once.  Each cell parameter is decided once: solver
+cells take their alphas from their setups, and operator cells the M that
+the resolution check gave.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, SizeLimitError
 from .operators import _MAX_GRID_M, GridSpec1D, point_riesz_derivative
-from .pde import AdvectionDiffusionProblem, _check_all_levels_fit, _levels, _setups
+from .pde import AdvectionDiffusionProblem, _levels, _setups
 from .pde import _stacked_levels
 from .pde import step  # noqa: F401  unused; kept while perfbench's tests pin harness.step
 
@@ -346,8 +349,7 @@ def _resolution_to_m(h: float) -> int:
     return m
 
 
-def _operator_error(alpha: float, h: float) -> float:
-    m = _resolution_to_m(h)
+def _operator_error(alpha: float, m: int) -> float:
     if m % 2 != 0:
         raise DomainError(f"point error at x = 0.5 needs an even node count, M={m}")
     grid = GridSpec1D(0.0, 1.0, m)
@@ -375,15 +377,15 @@ def _error_blocks(system, blocks, exact):
     return itertools.starmap(error, blocks)
 
 
-def _solver_error(alphas: Sequence[float], M: int, N: int, setups: list) -> list:
+def _solver_error(setups: list, N: int) -> list:
     """Maximum absolute nodal error over every time level of the
-    manufactured benchmark, one per alpha in ``alphas`` (the solution
+    manufactured benchmark, one per entry of ``setups``, the ``pde._setups``
+    entries of ``(example42_problem(alpha), N)`` on one M (the solution
     amplitude oscillates in time, so the worst level is generally not the
-    final one).  The alphas march in lock step (``pde._stacked_levels``),
-    each with the bits of its own run, under one ``_example42`` forcing,
-    sampled once per block of levels.  ``setups`` are the ``pde._setups``
-    entries of ``(example42_problem(alpha), N)`` on M for each alpha."""
-    forcing, exact = _example42(alphas)
+    final one).  The cells march in lock step (``pde._stacked_levels``),
+    each with the bits of its own run, under one ``_example42`` forcing of
+    their problems' alphas, sampled once per block of levels."""
+    forcing, exact = _example42([setup.problem.alpha for setup in setups])
     worst = np.zeros(len(setups))
     for _, error in _error_blocks(*_stacked_levels(setups, forcing, N), exact):
         np.maximum(worst, error.max(axis=(-2, -1)), out=worst)
@@ -423,7 +425,7 @@ def convergence_study(
         groups = {cell: [cell] for cell in cells}
 
         def group_errors(cell: tuple) -> list:
-            return [_operator_error(*cell)]
+            return [_operator_error(cell[0], counts[cell[1]])]
 
     else:
         problems = {alpha: example42_problem(alpha) for alpha in alphas}  # likewise
@@ -438,8 +440,7 @@ def convergence_study(
             setups.update(zip([cell for cell, _ in shared], entries))
 
         def group_errors(size: tuple) -> list:
-            group = groups[size]
-            return _solver_error([a for a, _ in group], *size, [setups[cell] for cell in group])
+            return _solver_error([setups[cell] for cell in groups[size]], size[1])
 
     # one worker, as steps hold the GIL; the executor stays while perfbench's tests patch it
     errors = {}
@@ -474,11 +475,11 @@ def convergence_study(
 def error_surface(alpha: float, M: int, N: int) -> np.ndarray:
     """Pointwise absolute error |U - u_exact| of the manufactured
     benchmark over the full (N+1) x (M+1) space-time grid, filled block by
-    block of levels (the boundaries are exact, so zero).  Raises
-    SizeLimitError before assembly if that array exceeds physical memory."""
+    block of levels (the boundaries are exact, so zero).  ``pde._levels``
+    raises SizeLimitError before assembly if that array exceeds physical
+    memory."""
     problem = example42_problem(alpha)
-    _check_all_levels_fit(M, N)
-    system, blocks = _levels(problem, M, N)  # refuses a bad M or N before the allocation
+    system, blocks = _levels(problem, M, N, "all")  # refuses a bad M or N before the allocation
     surface = np.empty((N + 1, M + 1))
     for k, error in _error_blocks(system, blocks, problem.exact):
         surface[k : k + len(error)] = error

@@ -149,9 +149,7 @@ def assemble_galpha(alpha: float, p: int, M: int) -> np.ndarray:
 def _riesz_column(alpha: float, p: int, grid: GridSpec1D) -> np.ndarray:
     """First column of :func:`riesz_matrix`, in O(M): the matrix is
     symmetric Toeplitz, with entry d of this column on its d-th sub- and
-    superdiagonals."""
-    if not 1.0 < alpha <= 2.0:
-        raise DomainError(f"riesz matrix requires alpha in (1, 2], got {alpha}")
+    superdiagonals.  ``kappa_polynomial`` refuses an alpha outside (1, 2]."""
     k = _operator_weights(p, alpha, grid.M).values
     # entry (d, 0) of G + G^T is kappa_{d+1} plus the first row of G
     column = k[1 : grid.M].copy()

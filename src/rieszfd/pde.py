@@ -225,17 +225,16 @@ class SteppingSystem:
 
 class _Stack(NamedTuple):
     """Systems on one grid and one time step, to be marched in lock step:
-    what :func:`step` reads of a ``SteppingSystem``, with the cells on a
-    leading axis.  ``step_matrix`` is (cells, m, m), each 2 lhs^-1, below
-    ``_TOEPLITZ_MIN_M`` and ``step_spectra`` holds two (cells, 2, n/2 + 1)
-    arrays, the lower ones doubled, from there on.
+    what :func:`step` and :func:`_march` read of a ``SteppingSystem``,
+    with the cells on a leading axis.  ``step_matrix`` is (cells, m, m),
+    each 2 lhs^-1, below ``_TOEPLITZ_MIN_M`` and ``step_spectra`` holds two
+    (cells, 2, n/2 + 1) arrays, the lower ones doubled, from there on.
     In place of a per-level source, ``forcing(x, times)`` returns the
     (cells, len(times), len(x)) forcing at many times, which
     :func:`_march` samples once per block of levels."""
 
     step_matrix: Optional[np.ndarray]
     step_spectra: Optional[tuple]
-    grid: GridSpec1D
     tau: float
     x_interior: np.ndarray
     forcing: Callable[[np.ndarray, list], np.ndarray]
@@ -719,12 +718,18 @@ def _initial_data(problem: AdvectionDiffusionProblem, nodes: np.ndarray) -> np.n
     return u
 
 
-def _levels(problem: AdvectionDiffusionProblem, M: int, N: int):
+def _levels(problem: AdvectionDiffusionProblem, M: int, N: int, keep: str = "final"):
     """Assemble the system for ``problem`` and return it with the
     :func:`_march` of its sampled initial data: an iterator over all N + 1
     levels in blocks, level 0 first.  The assembly runs here, so its
     errors come before any level; initial data that is not finite is a
-    DomainError."""
+    DomainError.  ``keep`` is what the caller retains, "final" or "all"
+    (else DomainError); for "all", an (N+1) x (M+1) array beyond physical
+    memory is a SizeLimitError before anything is assembled."""
+    if keep not in ("all", "final"):
+        raise DomainError(f"keep must be 'all' or 'final', got {keep!r}")
+    if keep == "all":
+        _check_all_levels_fit(M, N)
     system = assemble_system(problem, M, N)
     return system, _march(system, _initial_data(problem, system.grid.nodes()), N)
 
@@ -740,7 +745,7 @@ def _stacked_levels(setups: list, forcing: Callable, N: int):
     generators = np.stack([_checked_generators(s.column, s.row, s.generators) for s in setups])
     step_matrix, step_spectra = _step_operator(generators, grid.M)
     nodes = grid.nodes()
-    system = _Stack(step_matrix, step_spectra, grid, tau, nodes[1 : grid.M], forcing)
+    system = _Stack(step_matrix, step_spectra, tau, nodes[1 : grid.M], forcing)
     return system, _march(system, np.stack([_initial_data(s.problem, nodes) for s in setups]), N)
 
 
@@ -752,17 +757,11 @@ def solve(
 
     ``keep="all"`` retains every time level (for error surfaces) in one
     (N+1) x (M+1) array, filled block by block; ``keep="final"`` retains
-    only t = T to bound memory.
-
-    Raises SizeLimitError, before assembling anything, when the
-    ``keep="all"`` array would need more than the machine's physical
-    memory.
+    only t = T to bound memory.  ``_levels`` refuses any other ``keep``
+    with DomainError and, before assembling anything, a ``keep="all"``
+    array beyond the machine's physical memory with SizeLimitError.
     """
-    if keep not in ("all", "final"):
-        raise DomainError(f"keep must be 'all' or 'final', got {keep!r}")
-    if keep == "all":
-        _check_all_levels_fit(M, N)
-    system, blocks = _levels(problem, M, N)
+    system, blocks = _levels(problem, M, N, keep)
     levels = np.arange(N + 1) if keep == "all" else np.array([N])
     snapshots = np.empty((len(levels), M + 1))
     for k, block in blocks:

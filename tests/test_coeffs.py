@@ -8,6 +8,7 @@ import pytest
 from scipy.special import binom
 
 from rieszfd import (
+    CoefficientTable,
     DomainError,
     Family,
     SeriesError,
@@ -347,6 +348,59 @@ class TestVerifyProperties:
     def test_boundedness_margin(self):
         report = verify_properties(kappa_weights(2, 1.5, 1000))
         assert report.clauses["bounded_by_gl"]
+
+    @pytest.mark.parametrize(
+        "clause, alpha, count, index, edit",
+        [
+            ("leading_positive", 1.5, 1000, 0, lambda k: -k),
+            ("second_negative", 1.5, 1000, 1, lambda k: -k),
+            ("third_sign", 1.5, 1000, 2, lambda k: 1e-3),  # below alpha_star
+            ("third_sign", 1.8, 1000, 2, lambda k: -1e-3),  # above it
+            ("tail_nonnegative", 1.5, 1000, 7, lambda k: -1e-3),
+            ("bounded_by_gl", 1.5, 1000, 10, lambda k: 3.0 * k),
+            ("partial_sum_decay", 1.5, 1000, -1, lambda k: k + 1e-3),
+            ("asymptotic_constant", 1.5, 10**4, -1, lambda k: 1.2 * k),
+        ],
+    )
+    def test_perturbed_weight_fails_its_clause(self, clause, alpha, count, index, edit):
+        values = kappa_weights(2, alpha, count).values.copy()
+        assert verify_properties(CoefficientTable(Family.KAPPA, 2, alpha, values)).passed
+        values[index] = edit(values[index])
+        report = verify_properties(CoefficientTable(Family.KAPPA, 2, alpha, values))
+        assert report.clauses[clause] is False
+
+    @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.7))
+    def test_witnesses(self, alpha):
+        report = verify_properties(kappa_weights(2, alpha, 1000))
+        a = kappa_polynomial(2, alpha)
+        assert report.witnesses["kappa0"] == a[0] ** alpha
+        kappa1 = alpha * a[1] * a[0] ** (alpha - 1.0)
+        assert report.witnesses["kappa1"] == pytest.approx(kappa1, rel=1e-15)  # 1 ulp off at 1.2
+        assert report.witnesses["bound_margin_min"] == _reference_bound_margin_min(alpha, 1000)
+        if alpha == 1.5:
+            assert report.witnesses["bound_margin_min"] == pytest.approx(4.3e-11, rel=0.01)
+
+
+def _reference_bound_margin_min(alpha, upto):
+    """Verbatim copy of the smallest ``scale * M(ell, alpha) * gl_ell - |kappa_ell|``
+    over ell = 4..upto that ``verify_properties`` reports, for alpha < 2."""
+    k = kappa_weights(2, alpha, upto).values
+    gl = gl_weights(alpha, upto).values
+    q = (2.0 - alpha) / (3.0 * alpha - 2.0)
+    ell = np.arange(4, upto + 1, dtype=float)
+    m_ell = (
+        (1.0 + q**ell)
+        + alpha * (q + q ** (ell - 1.0)) * ell / (ell - 1.0 - alpha)
+        + alpha
+        * (3.0 * alpha - 2.0)
+        / 8.0
+        * q**2
+        * ell
+        * (ell - 1.0)
+        / ((ell - 1.0 - alpha) * (ell - 2.0 - alpha))
+    )
+    scale = ((3.0 * alpha - 2.0) / (2.0 * alpha)) ** alpha
+    return float(np.min(scale * m_ell * gl[4:] - np.abs(k[4 : upto + 1])))
 
 
 def test_csv_roundtrip():

@@ -386,7 +386,7 @@ def _group_error(alphas, M, N):
     up its groups: one ``pde._setups`` entry per alpha on M."""
     problems = [rieszfd.harness.example42_problem(alpha) for alpha in alphas]
     setups = rieszfd.pde._setups([(problem, N) for problem in problems], M)
-    return rieszfd.harness._solver_error(alphas, M, N, setups)
+    return rieszfd.harness._solver_error(setups, N)
 
 
 def _reference_solver_error(alpha, M, N):
@@ -480,7 +480,7 @@ class TestSolverError:
             with lock:
                 running[0] += 1
                 most[0] = max(most[0], running[0])
-                groups.append(args[:3])
+                groups.append(([s.problem.alpha for s in args[0]], args[0][0].grid.M, args[1]))
             try:
                 time.sleep(0.01)  # widen the window for an overlapping group
                 return real(*args)

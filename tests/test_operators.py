@@ -230,7 +230,7 @@ class TestMatrix:
 
     def test_matrix_alpha_domain(self):
         grid = GridSpec1D(0.0, 1.0, 8)
-        for alpha in (1.0, 2.1):
+        for alpha in (1.0, 2.1, math.nan):
             with pytest.raises(DomainError):
                 riesz_matrix(alpha, 2, grid)
 

@@ -784,11 +784,11 @@ def _assert_study_cells_match_lone_cells(monkeypatch, kind, resolutions, recursi
     real = rieszfd.harness._solver_error
     groups = []
     monkeypatch.setattr(
-        rieszfd.harness, "_solver_error", lambda *args: groups.append(args[:3]) or real(*args)
+        rieszfd.harness, "_solver_error", lambda *args: groups.append(args[0]) or real(*args)
     )
     report = rieszfd.harness.convergence_study(kind, resolutions=resolutions)
     assert sizes == recursions
-    assert [len(alphas) for alphas, _, _ in groups] == [4, 4]
+    assert [len(setups) for setups in groups] == [4, 4]
     for row in report.rows:
         n = round(1 / row.resolution)
         M, N = (1000, n) if kind == "temporal_table2" else (n, 2000)
@@ -894,7 +894,7 @@ class TestStackedSetup:
         with pytest.raises(SingularMatrixError, match="residual"):
             rieszfd.harness.convergence_study("temporal_table2", resolutions=[1 / 5, 1 / 10])
         # the bad cell is in the second group of four: every cell is reached
-        assert [len(alphas) for alphas, *_ in cells] == [4, 4]
+        assert [len(setups) for setups, _ in cells] == [4, 4]
         argv = ["convergence", "--table", "2", "--alphas", "1.2,1.4,1.6,1.8"]
         assert rieszfd.cli.run(argv) == 1
         captured = capsys.readouterr()

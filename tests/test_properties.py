@@ -2,7 +2,7 @@
 Riesz operator against its dense matrix, its alpha -> 2 limit, the
 Crank-Nicolson identity ``lhs + B = 2I``, a non-increasing energy norm without a
 source, the stacked Levinson-Trench recursion against the scalar one and
-the stacked example-4.2 forcing against each alpha's own, and the
+the stacked example-4.2 forcing against its verbatim formula, and the
 weight-decay check, one table of alpha thresholds, against the
 ``np.roots`` rule.  Derandomized, so every run draws the same examples."""
 
@@ -29,6 +29,7 @@ from rieszfd.coeffs import _FIRST_DECAYING_ALPHA, _decaying_polynomial
 from rieszfd.errors import DomainError
 from rieszfd.harness import _example42
 from rieszfd.pde import _levinson_generators, _setups, _stacked_levinson_generators
+from test_harness import _reference_exact, _reference_source
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -256,6 +257,8 @@ def test_stacked_levinson_equals_each_system_alone(setups):
 @example(alphas=[1.013, 1.5], times=[0.837], M=40, tau=1 / 2000)
 @example(alphas=[1.2, 1.996, 1.836], times=[0.1, 0.47, 0.837], M=160, tau=1 / 80)
 def test_stacked_example42_is_each_alpha_alone(alphas, times, M, tau):
+    # each row against the formula as first written, not against the
+    # one-alpha stack, which is the same code
     x = GridSpec1D(0.0, 1.0, M).nodes()
     forcing, exact = _example42(alphas)
     stacked_forcing = forcing(x[1:M], times)
@@ -268,9 +271,8 @@ def test_stacked_example42_is_each_alpha_alone(alphas, times, M, tau):
     rows = tau / 2.0 * stacked_forcing
     u = np.sin(17.0 * x[1:M])
     for alpha, f, v, exact_rows in zip(alphas, stacked_forcing, rows, stacked_exact):
-        problem = example42_problem(alpha)
-        for t, f_t, v_t in zip(times, f, v):
-            source = problem.source(x[1:M], t)
+        for t, f_t, v_t, exact_t in zip(times, f, v, exact_rows):
+            source = _reference_source(alpha, x[1:M], t)
             assert np.array_equal(f_t, source)
             assert np.array_equal(u + v_t, u + half * source)
-        assert np.array_equal(exact_rows, problem.exact(x, times))
+            assert np.array_equal(exact_t, _reference_exact(alpha, x, t))
