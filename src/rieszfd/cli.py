@@ -23,8 +23,9 @@ run succeeds, so a failed run leaves no partial file (see ``_open_out``).
 Their value cells, and the CSVs of ``coeffs`` and ``spectrum --out``, are
 formatted by the vectorized ``_g17`` module, whose bytes equal
 ``"%.17g" % v``: a value whose digits its fast path cannot settle goes
-through ``"%.17g" % v`` itself.  JSON output never carries NaN or
-infinity: a non-finite value is a numerical-domain error.
+through ``"%.17g" % v`` itself.  Only this module writes CSV and imports
+``_g17``; the numerical modules format nothing.  JSON output never
+carries NaN or infinity: a non-finite value is a numerical-domain error.
 """
 
 from __future__ import annotations
@@ -153,25 +154,25 @@ def _write_levels(out, header: list[str], x: np.ndarray, tau: float, blocks, col
     """Write time levels as long-format CSV: a row ``t,x,*columns(x, t, u)``
     per node and level.  ``blocks`` yields ``(k, levels)`` in order of k,
     row i of ``levels`` holding the values of level k + i at the nodes
-    ``x``, boundaries included; ``columns`` returns one array per remaining
-    column given ``x``, the level's time ``tau * k`` and its values, and is
-    called once per level.  The ``x`` cells are formatted once and the
-    ``t`` cells once per level.
+    ``x``, boundaries included; ``columns`` returns one array per column
+    of ``header`` after ``t,x``, given ``x``, the level's time ``tau * k``
+    and its values, and is called once per level.  The ``x`` cells are
+    formatted once and the ``t`` cells once per level.
 
     The columns are copied level by level into one value staging of
-    ``max(1, _g17.BLOCK_ROWS // len(x))`` levels, which goes out in one
-    ``_g17.write_rows`` call when the next level does not fit (and at the
-    end).  So each write holds ``_g17.BLOCK_ROWS // len(x)`` whole levels
-    (the last write may hold fewer), or, for levels longer than a block,
-    each level goes out in writes of ``_g17.BLOCK_ROWS`` rows whose last is
-    short.  The staging
-    holds at most ``max(_g17.BLOCK_ROWS, len(x))`` rows whatever the march
-    blocks are, and the writer copies the ``t`` and ``x`` cells of each row
-    straight into its buffer, so memory stays O(M) whatever the number of
-    levels."""
+    ``max(1, _g17.BLOCK_ROWS // len(x))`` levels and ``len(header) - 2``
+    columns, allocated up front, which goes out in one ``_g17.write_rows``
+    call when the next level does not fit (and at the end).  So each write
+    holds ``_g17.BLOCK_ROWS // len(x)`` whole levels (the last write may
+    hold fewer), or, for levels longer than a block, each level goes out
+    in writes of ``_g17.BLOCK_ROWS`` rows whose last is short.  The
+    staging holds at most ``max(_g17.BLOCK_ROWS, len(x))`` rows whatever
+    the march blocks are, and the writer copies the ``t`` and ``x`` cells
+    of each row straight into its buffer, so memory stays O(M) whatever
+    the number of levels."""
     out.write(",".join(header) + "\n")
     xs = _g17.padded([_fmt(v) + "," for v in x.tolist()])
-    staging = None
+    staging = np.empty((max(1, _g17.BLOCK_ROWS // len(x)), len(x), len(header) - 2))
     count = 0  # levels staged
 
     def flush(end: int) -> None:  # the staged levels end before level ``end``
@@ -181,9 +182,7 @@ def _write_levels(out, header: list[str], x: np.ndarray, tau: float, blocks, col
     for k, block in blocks:
         for j, u in enumerate(block, k):
             row = columns(x, tau * j, u)
-            if staging is None:
-                staging = np.empty((max(1, _g17.BLOCK_ROWS // len(x)), len(x), len(row)))
-            elif count == len(staging):
+            if count == len(staging):
                 flush(j)
                 count = 0
             for c, column in enumerate(row):
@@ -287,8 +286,11 @@ def _cmd_coeffs(args) -> None:
         }
         _write_json(payload, args.out)
     else:
+        # "%.17g" of a float index below 10**17 is "%d" of the index
+        ell = np.arange(len(table.values), dtype=np.float64)
         with _open_out(args.out) as out:
-            table.write_csv(out)
+            out.write("ell,value\n")
+            _g17.write_rows(out, np.column_stack([ell, table.values]))
 
 
 def _cmd_deriv(args) -> None:
@@ -353,6 +355,7 @@ def _cmd_spectrum(args) -> None:
         raise SizeLimitError(
             f"--symbol-samples={args.symbol_samples} exceeds the cap of {_coeffs._MAX_SAMPLES}"
         )
+    generating_symbol(args.alpha, 0.0, args.p)  # refuses an alpha outside (1, 2) before any work
     lo, hi = spectral_bounds(args.alpha, args.p, args.M)
     if args.out is not None:
         xs = np.linspace(-math.pi, math.pi, args.symbol_samples)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _g17
 from .errors import DomainError, SeriesError, SizeLimitError, UnsupportedOrderError
 
 __all__ = [
@@ -75,13 +74,6 @@ class CoefficientTable:
     @property
     def truncation(self) -> int:
         return len(self.values) - 1
-
-    def write_csv(self, stream) -> None:
-        """Write the table as ``ell,value`` rows, 17 significant digits."""
-        stream.write("ell,value\n")
-        # "%.17g" of a float index below 10**17 is "%d" of the index
-        ell = np.arange(len(self.values), dtype=np.float64)
-        _g17.write_rows(stream, np.column_stack([ell, self.values]))
 
 
 @dataclass(frozen=True)

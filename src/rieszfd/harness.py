@@ -9,22 +9,22 @@ exact solution ``_example42`` writes once for any number of alphas
 sweep resolutions, estimate observed orders, and compare both errors and
 orders against stored reference values.
 
-Every study checks each resolution and alpha before any cell runs.  A
-solver study then sets up the cells that share M together
-(``pde._setups``): table 2's 20 cells share M = 1000 and one stacked
-Levinson-Trench recursion (55-75 ms against 103-183 ms one at a time on a
-2-vCPU x86 machine), and table 3's four alphas share each M.  The cells
-that also share N, the four alphas of each table-2 time step and of each
-table-3 mesh, form a group, and ``_solver_error`` marches a group's setups
-in lock step (``pde._stacked_levels``) under one stacked example-4.2
-forcing (``_example42``) of their problems' alphas, every cell with the
-bits of its own run.  The march samples that forcing once per block of
-levels, for every cell and every level of the block in one call, so a
-group makes no per-level source call and holds no more forcing than one
-block.  The groups run one at a time, so only one group's inverses or
-spectra are held at once.  Each cell parameter is decided once: solver
-cells take their alphas from their setups, and operator cells the M that
-the resolution check gave.
+Every study checks each resolution and alpha before any cell runs, and a
+solver study each cell's generator pair too: it sets up the cells that
+share M together (``pde._setups``, which checks and refines the pairs).
+Table 2's 20 cells share M = 1000 and one stacked Levinson-Trench recursion
+(55-75 ms against 103-183 ms one at a time on a 2-vCPU x86 machine), and
+table 3's four alphas share each M.  The cells that also share N, the four
+alphas of each table-2 time step and of each table-3 mesh, form a group,
+and ``_solver_error`` marches a group's setups in lock step
+(``pde._stacked_levels``) under one stacked example-4.2 forcing
+(``_example42``) of their problems' alphas, every cell with the bits of its
+own run.  The march samples that forcing once per block of levels, for
+every cell and every level of the block in one call, so a group makes no
+per-level source call and holds no more forcing than one block.  The groups
+run one at a time, so only one group's inverses or spectra are held at
+once.  Each cell parameter is decided once: solver cells take their alphas
+from their setups, and operator cells the M that the resolution check gave.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .coeffs import _MAX_COUNT
 from .errors import DomainError, SizeLimitError
-from .operators import _MAX_GRID_M, GridSpec1D, point_riesz_derivative
+from .operators import GridSpec1D, point_riesz_derivative
 from .pde import AdvectionDiffusionProblem, _levels, _setups
 from .pde import _stacked_levels
 from .pde import step  # noqa: F401  unused; kept while perfbench's tests pin harness.step
@@ -341,8 +342,8 @@ def _example42(alphas: Sequence[float]) -> tuple:
 def _resolution_to_m(h: float) -> int:
     if not 0.0 < h < math.inf:  # NaN fails too
         raise DomainError(f"resolution must be finite and > 0, got {h}")
-    if not 1.0 / h <= _MAX_GRID_M + 0.5:  # an overflow to inf fails too
-        raise SizeLimitError(f"resolution {h} is too small: 1/h exceeds {_MAX_GRID_M}")
+    if not 1.0 / h <= _MAX_COUNT + 0.5:  # an overflow to inf fails too
+        raise SizeLimitError(f"resolution {h} is too small: 1/h exceeds {_MAX_COUNT}")
     m = round(1.0 / h)
     if abs(m * h - 1.0) > 1e-9:
         raise DomainError(f"resolution {h} is not the reciprocal of an integer")

@@ -31,16 +31,11 @@ __all__ = [
 ]
 
 
-# Largest M of any grid: the weight-count cap, since its weights 0..M come
-# from an O(M) Python recursion (``deriv --M 1000000`` takes 1.4 s and 93 MB
-# on a 2-vCPU x86 machine).
-_MAX_GRID_M = _MAX_COUNT
-
-
 @dataclass(frozen=True)
 class GridSpec1D:
     """Uniform grid x_j = a + j*h, j = 0..M, with h = (b - a)/M; M above
-    ``_MAX_GRID_M`` is refused, before any node array or weight exists."""
+    ``coeffs._MAX_COUNT``, the cap of its weights 0..M, is refused before
+    any node array or weight exists."""
 
     a: float
     b: float
@@ -51,8 +46,8 @@ class GridSpec1D:
             raise DomainError(f"grid requires b > a, got a={self.a}, b={self.b}")
         if self.M < 4:
             raise DomainError(f"grid requires M >= 4, got M={self.M}")
-        if self.M > _MAX_GRID_M:
-            raise SizeLimitError(f"grid M={self.M} exceeds the cap of {_MAX_GRID_M} intervals")
+        if self.M > _MAX_COUNT:
+            raise SizeLimitError(f"grid M={self.M} exceeds the cap of {_MAX_COUNT} intervals")
 
     @property
     def h(self) -> float:

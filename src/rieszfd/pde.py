@@ -41,19 +41,20 @@ Systems on one M can share their setup: the private ``_setups`` builds
 the column and row of each (the Riesz column once per alpha) and, for
 two or more systems, runs one Levinson-Trench recursion over their
 (systems, m) stack, which gives each system the bits of its own scalar
-recursion.  The convergence studies set up the cells of each grid this
-way.  The recursion writes each order's update products into one scratch
-allocated up front, and the residual check transforms one generator row
-at a time in a reused buffer, so neither grows fresh temporaries.  A lone
-system (``assemble_system``, every solve) keeps the scalar loop, which is
-twice as fast for one system: 19 vs 35 ms at M = 3000 and 5.3 vs 11 ms at
-M = 1000 on a 2-vCPU x86 machine.
+recursion, and then checks and refines every pair in place
+(``_checked_generators``), so a bad pair is refused during setup, before
+any system steps.  The convergence studies set up the cells of each grid
+this way.  The recursion writes each order's update products into one
+scratch allocated up front, and the residual check transforms one
+generator row at a time in a reused buffer, so neither grows fresh
+temporaries.  A lone system (``assemble_system``, every solve) keeps the
+scalar loop, which is twice as fast for one system: 19 vs 35 ms at
+M = 3000 and 5.3 vs 11 ms at M = 1000 on a 2-vCPU x86 machine.
 
 Systems that also share the time step can march in lock step:
-``_stacked_levels`` checks and refines each one's generators into one
-(cells, m, m) stack of doubled inverses or (cells, 2, n/2 + 1) stack of
-spectra,
-a ``_Stack``, and :func:`step` advances a (cells, m) state with one
+``_stacked_levels`` turns their generators into one (cells, m, m) stack
+of doubled inverses or (cells, 2, n/2 + 1) stack of spectra, a
+``_Stack``, and :func:`step` advances a (cells, m) state with one
 stacked product or one set of FFTs along the last axis, each row bit for
 bit its cell's own step.  A stack's forcing takes many times at once and
 is sampled once per block of levels, not once per level.  The
@@ -184,17 +185,18 @@ class SteppingSystem:
     ``B = I - (tau/2)(K C - K_alpha R)``, where C is the central
     difference matrix and R the Riesz operator matrix; lhs + B = 2I.
     Both are m x m Toeplitz matrices (m = M - 1).  ``column`` and ``row``
-    hold the first column and row of lhs on both paths.
+    hold the first column and row of lhs on both paths, so both are
+    required.
 
     Both paths hold what a step applies, 2 lhs^-1, not lhs^-1: the factor
     2 of ``u+ = 2 y - u`` is folded in.  So the fields are named after the
     step, ``step_matrix`` and ``step_spectra``.
 
     Dense path (M < ``_TOEPLITZ_MIN_M``): ``step_matrix`` holds 2 lhs^-1,
-    expanded from the Gohberg-Semencul generators (see the module
-    docstring) and doubled, ``lhs`` and ``B`` the dense matrices expanded
-    from ``column`` and ``row``, and ``step_spectra`` is None.  The system
-    holds three m x m arrays.
+    expanded from the Gohberg-Semencul generators that ``_setups`` checked
+    and refined (see the module docstring) and doubled, ``lhs`` and ``B``
+    the dense matrices expanded from ``column`` and ``row``, and
+    ``step_spectra`` is None.  The system holds three m x m arrays.
 
     Toeplitz path (M >= ``_TOEPLITZ_MIN_M``): ``step_matrix``, ``lhs``
     and ``B`` are None, and ``step_spectra`` holds the FFT spectra of the
@@ -203,7 +205,7 @@ class SteppingSystem:
     held is O(M).
 
     :func:`step` reads only ``step_matrix`` or ``step_spectra``, ``tau``,
-    ``x_interior`` and ``source``; the rest is kept for checks.
+    ``x_interior`` and ``problem.source``; the rest is kept for checks.
     """
 
     step_matrix: Optional[np.ndarray]
@@ -213,14 +215,9 @@ class SteppingSystem:
     tau: float
     problem: AdvectionDiffusionProblem
     x_interior: np.ndarray
-    column: Optional[np.ndarray] = None
-    row: Optional[np.ndarray] = None
+    column: np.ndarray
+    row: np.ndarray
     step_spectra: Optional[tuple] = None
-
-    @property
-    def source(self) -> Callable[[np.ndarray, float], np.ndarray]:
-        """``problem.source``, which :func:`step` samples."""
-        return self.problem.source
 
 
 class _Stack(NamedTuple):
@@ -261,9 +258,9 @@ def assemble_system(
     """Build and invert the Crank-Nicolson stepping system: checked and
     refined Levinson-Trench generators at every M, expanded to the dense
     inverse below ``_TOEPLITZ_MIN_M`` and turned into FFT spectra from
-    there on.  It finishes the one-cell case of ``_setups``: the
-    generators are checked and refined by ``_checked_generators``, and
-    ``_step_operator`` turns them into what a step applies.
+    there on.  It finishes the one-cell case of ``_setups``, which checks
+    and refines the generators: ``_step_operator`` turns them into what a
+    step applies.
 
     Raises SizeLimitError before any work when M exceeds
     ``_TOEPLITZ_MAX_M`` or N exceeds ``_MAX_COUNT``, and
@@ -272,7 +269,7 @@ def assemble_system(
     """
     ((problem, grid, tau, column, row, generators),) = _setups([(problem, N)], M)
     x_interior = grid.nodes()[1:M]
-    step_matrix, step_spectra = _step_operator(_checked_generators(column, row, generators), M)
+    step_matrix, step_spectra = _step_operator(generators, M)
     if step_spectra is not None:
         return SteppingSystem(
             None, None, None, grid, tau, problem, x_interior, column, row, step_spectra
@@ -287,7 +284,7 @@ def assemble_system(
 class _Setup(NamedTuple):
     """One system of ``_setups``: its problem and time step on the grid,
     the first column and row of its lhs, and its Levinson-Trench
-    generators, not yet checked.  (A named tuple: a frozen dataclass
+    generators, checked and refined.  (A named tuple: a frozen dataclass
     costs about 0.5 ms more at import.)"""
 
     problem: AdvectionDiffusionProblem
@@ -304,9 +301,10 @@ def _setups(cells: list, M: int) -> list:
     The Riesz column is computed once per distinct (alpha, domain).  For
     two or more systems one recursion over the stack gives every generator
     pair (``_stacked_levinson_generators``); a lone system runs
-    ``_levinson_generators``.  Both give the same bits.  Raises as
-    ``assemble_system`` does, before any work for a bad size, and
-    SingularMatrixError for a recursion that breaks down.
+    ``_levinson_generators``.  Both give the same bits, and each pair is
+    checked and refined in place (``_checked_generators``).  Raises as
+    ``assemble_system`` does: before any work for a bad size, and
+    SingularMatrixError for a breakdown or a pair that fails its check.
     """
     if M < 4:
         raise DomainError(f"solver requires M >= 4, got M={M}")
@@ -340,7 +338,7 @@ def _setups(cells: list, M: int) -> list:
     else:
         generators = map(_levinson_generators, columns, rows)
     return [
-        _Setup(*part, column, row, pair)
+        _Setup(*part, column, row, _checked_generators(column, row, pair))
         for part, column, row, pair in zip(parts, columns, rows, generators)
     ]
 
@@ -374,8 +372,8 @@ def _checked_generators(
     Levinson-Trench recursion gave for the Toeplitz matrix T with this
     first column and row.  Their residual rows ``T [x y] - [e_0 e_{m-1}]``
     must not exceed ``_GENERATOR_RTOL ||T||_inf max|[x y]|`` in max norm,
-    and one step of iterative refinement with them gives the rows
-    returned."""
+    and one step of iterative refinement with them refines the rows in
+    place, so a stack's pairs need no second stack; they are returned."""
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails below
         residual = _generator_residual(column, row, generators)
     error = float(np.max(np.abs(residual)))
@@ -390,7 +388,8 @@ def _checked_generators(
     # Levinson generators with 6e-13 relative error gave a step 2e-12 off,
     # the refined ones 7e-15
     spectra = _factor_spectra(generators)
-    return generators - [_gohberg_semencul_solve(spectra, r) for r in residual]
+    generators -= [_gohberg_semencul_solve(spectra, r) for r in residual]
+    return generators
 
 
 def _levinson_generators(column: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -639,16 +638,16 @@ def _gohberg_semencul_solve(spectra: tuple, b: np.ndarray) -> np.ndarray:
 def step(
     system: SteppingSystem, u_k: np.ndarray, t_k: float, forcing: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Advance interior values one time level, sampling the source at the
-    half level t_k + tau/2: ``2 y - u_k`` with ``lhs y = u_k + (tau/2) f``,
-    as one product with the stored ``2 lhs^-1`` and one subtraction.
-    ``forcing``, if given, is that ``(tau/2) f``, already sampled, and the
-    source is not called; this is how :func:`_march` feeds a ``_Stack``,
-    whose ``u_k`` and forcing are (cells, m), and each row gets the bits
-    of its cell's own step."""
+    """Advance interior values one time level, sampling
+    ``system.problem.source`` at the half level t_k + tau/2: ``2 y - u_k``
+    with ``lhs y = u_k + (tau/2) f``, as one product with the stored
+    ``2 lhs^-1`` and one subtraction.  ``forcing``, if given, is that
+    ``(tau/2) f``, already sampled, and the source is not called; this is
+    how :func:`_march` feeds a ``_Stack``, whose ``u_k`` and forcing are
+    (cells, m), and each row gets the bits of its cell's own step."""
     if forcing is None:
         half = system.tau / 2.0
-        forcing = half * np.asarray(system.source(system.x_interior, t_k + half), dtype=float)
+        forcing = half * np.asarray(system.problem.source(system.x_interior, t_k + half), float)
     v = u_k + forcing
     if system.step_spectra is not None:
         return _gohberg_semencul_solve(system.step_spectra, v) - u_k
@@ -738,12 +737,10 @@ def _stacked_levels(setups: list, forcing: Callable, N: int):
     """``_levels`` of the ``_setups`` entries ``setups``, which share one
     grid and one time step, in lock step: their ``_Stack``, with
     ``forcing`` as its block forcing, and the :func:`_march` of their
-    stacked initial data.  Each entry's generators are checked and refined
-    (``_checked_generators``) straight into one stack; no cell builds lhs
-    or B."""
+    stacked initial data.  The entries' generators, which ``_setups``
+    checked and refined, go into one stack; no cell builds lhs or B."""
     grid, tau = setups[0].grid, setups[0].tau
-    generators = np.stack([_checked_generators(s.column, s.row, s.generators) for s in setups])
-    step_matrix, step_spectra = _step_operator(generators, grid.M)
+    step_matrix, step_spectra = _step_operator(np.stack([s.generators for s in setups]), grid.M)
     nodes = grid.nodes()
     system = _Stack(step_matrix, step_spectra, tau, nodes[1 : grid.M], forcing)
     return system, _march(system, np.stack([_initial_data(s.problem, nodes) for s in setups]), N)

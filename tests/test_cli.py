@@ -417,6 +417,22 @@ class TestSpectrum:
         assert len(path.read_text().splitlines()) == 1 + 7
 
 
+    def test_alpha_outside_the_symbol_domain_is_refused_before_any_work(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # alpha = 2 printed its eigenvalue extremes, and failed only with --out
+        def no_eigensolve(*args):
+            raise AssertionError("the eigensolve ran")
+
+        monkeypatch.setattr(rieszfd.cli, "spectral_bounds", no_eigensolve)
+        path = tmp_path / "s.csv"
+        for extra in ([], ["--out", str(path)]):
+            code, out, err = _run_capture(capsys, ["spectrum", "--alpha", "2", *extra])
+            assert (code, out) == (1, "")
+            assert err == "error: generating symbol requires alpha in (1, 2), got 2.0\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConvergence:
     def test_table1_row(self, capsys):
         code, out, _ = _run_capture(
@@ -737,7 +753,7 @@ class TestWholeOutputFiles:
     def test_failed_write_keeps_the_earlier_file(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "k.csv"
         path.write_bytes(b"earlier,bytes\n")
-        monkeypatch.setattr(rieszfd.coeffs._g17, "write_rows", _raise_enospc)
+        monkeypatch.setattr(rieszfd._g17, "write_rows", _raise_enospc)
         code, out, err = _run_capture(
             capsys, ["coeffs", "--alpha", "1.5", "--out", str(path)]
         )
@@ -913,6 +929,22 @@ class TestOutputErrors:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+def test_only_the_cli_loads_the_formatter():
+    # the numerics format nothing: the %.17g writer comes with the CLI
+    script = (
+        "import sys\n"
+        "import rieszfd\n"
+        "print('rieszfd._g17' in sys.modules)\n"
+        "import rieszfd.cli\n"
+        "print('rieszfd._g17' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rieszfd.cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_runtime_imports_no_scipy(tmp_path):

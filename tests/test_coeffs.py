@@ -1,6 +1,5 @@
 """Tests for the weight-family generators and series engine."""
 
-import io
 import math
 
 import numpy as np
@@ -23,6 +22,7 @@ from rieszfd import (
     verify_properties,
     wsgd_weights,
 )
+from rieszfd.coeffs import _fft_samples
 
 ALPHA_GRID = (1.1, 1.3, 1.5, 1.7, 1.9)
 
@@ -255,6 +255,12 @@ class TestKappaWeights:
         with pytest.raises(DomainError):
             kappa_weights(2, 1.5, 512, method="fft", samples=512)
 
+    def test_fft_sample_count_boundary(self):
+        # 2 * count samples are the fewest accepted
+        assert _fft_samples(512, 1024) == 1024
+        with pytest.raises(DomainError, match="at least 2\\*count=1024 samples, got 1023"):
+            _fft_samples(512, 1023)
+
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             kappa_weights(2, 1.5, 8, method="magic")
@@ -317,6 +323,10 @@ class TestExpansionCoefficients:
     def test_length(self):
         assert len(expansion_coefficients(1.3, 7)) == 7
 
+    @pytest.mark.parametrize("n", (2, 12))
+    def test_order_domain_ends_are_accepted(self, n):
+        assert len(expansion_coefficients(1.5, n)) == n
+
 
 class TestVerifyProperties:
     def test_low_alpha_all_pass(self):
@@ -348,6 +358,21 @@ class TestVerifyProperties:
     def test_boundedness_margin(self):
         report = verify_properties(kappa_weights(2, 1.5, 1000))
         assert report.clauses["bounded_by_gl"]
+
+    def test_bound_clause_starts_at_four(self):
+        # the comparison bound is checked from ell = 4 on, so a table needs index 4
+        assert "bounded_by_gl" not in verify_properties(kappa_weights(2, 1.5, 3)).clauses
+        assert "bounded_by_gl" in verify_properties(kappa_weights(2, 1.5, 4)).clauses
+
+    def test_partial_sum_bound_applies_at_ten_thousand(self):
+        # the partial sums still shrink (0.0100008 at ell = 5000, 0.0100003 at
+        # 10**4) but stay above 1e-3, which 10**4 weights must reach
+        values = kappa_weights(2, 1.5, 10**4).values.copy()
+        values[3] -= 0.01
+        report = verify_properties(CoefficientTable(Family.KAPPA, 2, 1.5, values))
+        assert report.witnesses["partial_sum_final"] == pytest.approx(0.0100003, abs=1e-7)
+        assert report.clauses["partial_sum_decay"] is False
+        assert [c for c, passed in report.clauses.items() if not passed] == ["partial_sum_decay"]
 
     @pytest.mark.parametrize(
         "clause, alpha, count, index, edit",
@@ -401,17 +426,6 @@ def _reference_bound_margin_min(alpha, upto):
     )
     scale = ((3.0 * alpha - 2.0) / (2.0 * alpha)) ** alpha
     return float(np.min(scale * m_ell * gl[4:] - np.abs(k[4 : upto + 1])))
-
-
-def test_csv_roundtrip():
-    table = kappa_weights(2, 1.5, 8)
-    buf = io.StringIO()
-    table.write_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "ell,value"
-    assert len(lines) == 10
-    parsed = np.array([float(line.split(",")[1]) for line in lines[1:]])
-    np.testing.assert_array_equal(parsed, table.values)
 
 
 def test_zero_sum_tail_monotone():

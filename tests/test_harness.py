@@ -330,9 +330,13 @@ class TestConvergenceStudy:
             raise AssertionError("weights computed for a refused grid")
 
         monkeypatch.setattr(rieszfd.operators, "kappa_weights", refuse)
-        for bad in (1e-320, 1e-300, 1e-9, 1 / 1000002):
+        for bad in (1e-320, 1e-300, 1e-9, 1 / 1000001, 1 / 1000002):
             with pytest.raises(SizeLimitError):
                 convergence_study("operator_table1", alphas=[1.5], resolutions=[bad])
+
+    def test_grid_at_the_cap_is_accepted(self):
+        # 10**6 intervals, the cap; 1/1000001 (1/h = 1000000.9999999999) is refused above
+        assert rieszfd.harness._resolution_to_m(1e-6) == 10**6
 
     @pytest.mark.parametrize("kind", ["temporal_table2", "spatial_table3"])
     def test_step_count_above_the_cap_is_refused_before_any_cell(self, kind, monkeypatch):

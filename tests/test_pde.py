@@ -872,7 +872,7 @@ class TestStackedSetup:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, "perturbed"])
     def test_corrupted_generators_are_refused_on_the_study_path(self, bad, monkeypatch, capsys):
         # the last of eight stacked cells; the first seven pass their checks,
-        # and the first group of four marches
+        # and the setup refuses the eighth before any group marches
         stacked = rieszfd.pde._stacked_levinson_generators
         cells = []
 
@@ -893,8 +893,7 @@ class TestStackedSetup:
         monkeypatch.setattr(rieszfd.harness, "_solver_error", counted)
         with pytest.raises(SingularMatrixError, match="residual"):
             rieszfd.harness.convergence_study("temporal_table2", resolutions=[1 / 5, 1 / 10])
-        # the bad cell is in the second group of four: every cell is reached
-        assert [len(setups) for setups, _ in cells] == [4, 4]
+        assert cells == []
         argv = ["convergence", "--table", "2", "--alphas", "1.2,1.4,1.6,1.8"]
         assert rieszfd.cli.run(argv) == 1
         captured = capsys.readouterr()
