@@ -36,21 +36,21 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 
 from . import _g17
 from . import coeffs as _coeffs
 from . import harness as _harness
-from .errors import NumericsError, SizeLimitError
+from .errors import DomainError, NumericsError, SizeLimitError
 from .operators import (
     GridSpec1D,
     generating_symbol,
     point_riesz_derivative,
     spectral_bounds,
 )
-from .pde import AdvectionDiffusionProblem, _levels
+from .pde import _levels
 from .pde import solve as _solve
 
 __all__ = ["run", "main"]
@@ -267,6 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coeffs(args) -> None:
+    if args.family != "kappa" and (args.method != "recursion" or args.samples is not None):
+        raise DomainError(f"--method and --samples apply only to --family kappa, not {args.family}")
     if args.family == "kappa":
         table = _coeffs.kappa_weights(
             args.p, args.alpha, args.count, method=args.method, samples=args.samples
@@ -313,23 +315,12 @@ def _cmd_deriv(args) -> None:
     _write_json(payload, args.out)
 
 
-def _zero_problem(alpha: float) -> AdvectionDiffusionProblem:
-    return AdvectionDiffusionProblem(
-        alpha=alpha,
-        K=2.0,
-        K_alpha=alpha * alpha,
-        domain=(0.0, 1.0),
-        T=1.0,
-        source=lambda x, t: np.zeros_like(x),
-        initial=lambda x: np.zeros_like(x),
-    )
-
-
 def _cmd_solve(args) -> None:
-    if args.problem == "example42":
-        problem = _harness.example42_problem(args.alpha)
-    else:
-        problem = _zero_problem(args.alpha)
+    problem = _harness.example42_problem(args.alpha)
+    if args.problem == "zero":  # example 4.2's coefficients, domain and horizon; zero data
+        problem = replace(
+            problem, source=lambda x, t: np.zeros_like(x), initial=np.zeros_like, exact=None
+        )
     header = ["t", "x", "u_numeric"]
     if problem.exact is not None:
         header += ["u_exact", "error"]
@@ -355,7 +346,6 @@ def _cmd_spectrum(args) -> None:
         raise SizeLimitError(
             f"--symbol-samples={args.symbol_samples} exceeds the cap of {_coeffs._MAX_SAMPLES}"
         )
-    generating_symbol(args.alpha, 0.0, args.p)  # refuses an alpha outside (1, 2) before any work
     lo, hi = spectral_bounds(args.alpha, args.p, args.M)
     if args.out is not None:
         xs = np.linspace(-math.pi, math.pi, args.symbol_samples)

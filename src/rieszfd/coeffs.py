@@ -100,6 +100,9 @@ _MAX_SAMPLES = 4 * _MAX_COUNT
 
 
 def _check_alpha(alpha: float) -> None:
+    """The one alpha domain of every weight, operator, symbol and problem:
+    (1, 2], NaN refused; at alpha = 2, the classical limit, the p = 2 kappa
+    weights are the second difference."""
     if not 1.0 < alpha <= 2.0:
         raise DomainError(f"alpha={alpha} outside the valid interval (1, 2]")
 
@@ -348,11 +351,14 @@ def kappa_weights(
 
     ``method`` selects one of three mutually validating evaluations:
     ``recursion`` (the production default), ``convolution`` (the closed
-    nested-sum form), or ``fft`` (unit-circle sampling; only available
-    when the weights decay).  Growing weights are returned while finite.
+    nested-sum form), or ``fft`` (unit-circle sampling of ``samples``
+    points; only available when the weights decay, and the only method
+    that takes ``samples``).  Growing weights are returned while finite.
     """
     _check_count(count)
     a = kappa_polynomial(p, alpha)
+    if samples is not None and method != "fft":
+        raise DomainError(f"samples applies only to method 'fft', not {method!r}")
     # growing weights overflow to inf/NaN silently; CoefficientTable refuses them
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "recursion":

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coeffs import _MAX_COUNT
+from .coeffs import _MAX_COUNT, _check_alpha
 from .errors import DomainError, SizeLimitError
 from .operators import GridSpec1D, point_riesz_derivative
 from .pde import AdvectionDiffusionProblem, _levels, _setups
@@ -216,10 +216,9 @@ def example41_exact(alpha: float) -> float:
     """Exact Riesz derivative of ``x**2 (1-x)**2`` at x = 0.5:
     ``-((alpha - 1)(alpha - 3) 2**(alpha-1) / Gamma(5-alpha)) sec(pi alpha / 2)``,
     obtained from the power rule for the left derivative and the symmetry
-    of the function about x = 0.5.
+    of the function about x = 0.5; at alpha = 2 it is ``u''(0.5) = -1``.
     """
-    if not 1.0 < alpha < 2.0:
-        raise DomainError(f"closed form requires alpha in (1, 2), got {alpha}")
+    _check_alpha(alpha)
     sec = 1.0 / math.cos(math.pi * alpha / 2.0)
     return float(
         -((alpha - 1.0) * (alpha - 3.0) * 2.0 ** (alpha - 1.0))
@@ -281,9 +280,6 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
     ``forcing(x, [t])[0, 0]``, and ``exact(x, t)`` also takes a sequence t
     and returns one row per time.
     """
-    if not 1.0 < alpha < 2.0:
-        raise DomainError(f"benchmark requires alpha in (1, 2), got {alpha}")
-    forcing, stacked_exact = _example42([alpha])
 
     def exact(x: np.ndarray, t: float | Sequence[float]) -> np.ndarray:
         if np.ndim(t) == 0:
@@ -293,7 +289,7 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
     def source(x: np.ndarray, t: float) -> np.ndarray:
         return forcing(x, [t])[0, 0]
 
-    return AdvectionDiffusionProblem(
+    problem = AdvectionDiffusionProblem(
         alpha=alpha,
         K=2.0,
         K_alpha=alpha * alpha,
@@ -303,6 +299,9 @@ def example42_problem(alpha: float) -> AdvectionDiffusionProblem:
         initial=_bump,
         exact=exact,
     )
+    # after the problem has refused a bad alpha: math.cos(inf) would raise ValueError
+    forcing, stacked_exact = _example42([alpha])
+    return problem
 
 
 def _example42(alphas: Sequence[float]) -> tuple:

@@ -100,8 +100,6 @@ def _operator_weights(p: int, alpha: float, M: int) -> CoefficientTable:
 def riesz_apply(u: np.ndarray, grid: GridSpec1D, alpha: float, p: int) -> np.ndarray:
     """Order-p Riesz fractional derivative approximation:
     ``C_alpha (left + right)`` with the kappa weights."""
-    if not 1.0 < alpha < 2.0:
-        raise DomainError(f"riesz operator requires alpha in (1, 2), got {alpha}")
     table = _operator_weights(p, alpha, grid.M)
     return riesz_constant(alpha) * (left_apply(u, grid, table) + right_apply(u, grid, table))
 
@@ -109,8 +107,6 @@ def riesz_apply(u: np.ndarray, grid: GridSpec1D, alpha: float, p: int) -> np.nda
 def point_riesz_derivative(u: np.ndarray, grid: GridSpec1D, alpha: float, p: int, j: int) -> float:
     """Single interior entry of :func:`riesz_apply` without materializing
     the full result."""
-    if not 1.0 < alpha < 2.0:
-        raise DomainError(f"riesz operator requires alpha in (1, 2), got {alpha}")
     M = grid.M
     if not 1 <= j <= M - 1:
         raise DomainError(f"index j={j} outside the interior range 1..{M - 1}")
@@ -157,9 +153,8 @@ def _riesz_column(alpha: float, p: int, grid: GridSpec1D) -> np.ndarray:
 def riesz_matrix(alpha: float, p: int, grid: GridSpec1D) -> np.ndarray:
     """Dense interior-node Riesz operator matrix C_alpha h**(-alpha) (G + G^T).
 
-    ``alpha = 2`` is admitted: the p = 2 kappa weights then reduce to the
-    classical second difference exactly.  Only the result is an m x m
-    array; it is expanded from :func:`_riesz_column`.
+    Only the result is an m x m array; it is expanded from
+    :func:`_riesz_column`.
     """
     column = _riesz_column(alpha, p, grid)
     return _toeplitz(column, column)
@@ -174,8 +169,6 @@ def generating_symbol(alpha: float, x, p: int = 2):
     p = 2) certifies that the operator is negative semi-definite.  Growing
     weights are refused, as in :func:`riesz_apply`.
     """
-    if not 1.0 < alpha < 2.0:
-        raise DomainError(f"generating symbol requires alpha in (1, 2), got {alpha}")
     a = _decaying_polynomial(p, alpha)
     z = np.exp(1j * np.asarray(x, dtype=float))
     out = 2.0 * np.real(np.conj(z) * _circle_power(a, alpha, np.atleast_1d(z)))

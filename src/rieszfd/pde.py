@@ -81,7 +81,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 would load it on first use, mid-solve
 
-from .coeffs import _MAX_COUNT
+from .coeffs import _MAX_COUNT, _check_alpha
 from .errors import DomainError, SingularMatrixError, SizeLimitError
 from .operators import GridSpec1D, _riesz_column, _toeplitz
 from .operators import riesz_matrix  # noqa: F401  unused; kept while perfbench's tests pin it
@@ -127,12 +127,7 @@ _GENERATOR_RTOL = 1e-10
 @dataclass(frozen=True)
 class AdvectionDiffusionProblem:
     """Problem data: coefficients, domain, horizon, source, initial data,
-    and an optional exact solution for error measurement.
-
-    ``alpha = 2`` is admitted as the classical (integer-order) limit; the
-    fractional operator then degenerates to the standard second
-    difference.
-    """
+    and an optional exact solution for error measurement."""
 
     alpha: float
     K: float
@@ -144,8 +139,7 @@ class AdvectionDiffusionProblem:
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.alpha <= 2.0:
-            raise DomainError(f"solver requires alpha in (1, 2], got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.K < 0.0:
             raise DomainError(f"advection coefficient K must be >= 0, got {self.K}")
         if self.K_alpha <= 0.0:

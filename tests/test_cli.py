@@ -23,7 +23,8 @@ from rieszfd.coeffs import gl_weights, kappa_weights, lubich_weights, wsgd_weigh
 from rieszfd.errors import SizeLimitError
 from rieszfd.harness import error_surface, example42_problem
 from rieszfd.operators import GridSpec1D, generating_symbol
-from rieszfd.pde import solve
+from rieszfd.pde import AdvectionDiffusionProblem, solve
+from test_operators import BAD_ALPHAS, _no_work
 
 
 def _run_capture(capsys, argv):
@@ -78,6 +79,19 @@ def _reference_solve(problem, M, N, keep):
     return _csv(header, rows)
 
 
+def _zero_problem(alpha):
+    """Verbatim copy of the problem ``solve --problem zero`` runs."""
+    return AdvectionDiffusionProblem(
+        alpha=alpha,
+        K=2.0,
+        K_alpha=alpha * alpha,
+        domain=(0.0, 1.0),
+        T=1.0,
+        source=lambda x, t: np.zeros_like(x),
+        initial=lambda x: np.zeros_like(x),
+    )
+
+
 def _reference_surface(alpha, M, N):
     surface = error_surface(alpha, M, N)
     grid = GridSpec1D(0.0, 1.0, M)
@@ -112,6 +126,61 @@ class TestExitCodes:
             capsys, ["coeffs", "--p", "2", "--alpha", "0.5", "--count", "4"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--family", family, "--alpha"]
+            for family in ("kappa", "gl", "lubich", "wsgd1", "wsgd2")
+        ]
+        + [
+            ["deriv", "--alpha"],
+            ["solve", "--M", "8", "--N", "2", "--alpha"],
+            ["solve", "--M", "8", "--N", "2", "--problem", "zero", "--alpha"],
+            ["surface", "--M", "8", "--N", "2", "--alpha"],
+            ["spectrum", "--out", "s.csv", "--alpha"],
+            ["convergence", "--table", "1", "--alphas"],
+            ["convergence", "--table", "2", "--alphas"],
+            ["convergence", "--table", "3", "--alphas"],
+        ],
+        ids=lambda argv: "-".join(argv[:3]),
+    )
+    def test_one_alpha_domain_for_every_subcommand(self, capsys, monkeypatch, tmp_path, argv):
+        # refused before any weight, sample, eigensolve or cell
+        monkeypatch.chdir(tmp_path)
+        for module, name in (
+            (rieszfd.coeffs, "series_fractional_power"),
+            (rieszfd.coeffs, "_gl_series"),
+            (rieszfd.operators, "kappa_weights"),
+            (rieszfd.operators, "_circle_power"),
+            (np.linalg, "eigvalsh"),
+            (rieszfd.pde, "_setups"),
+            (rieszfd.harness, "_setups"),
+            (rieszfd.harness, "_operator_error"),
+        ):
+            monkeypatch.setattr(module, name, _no_work)
+        for alpha in BAD_ALPHAS:
+            code, out, err = _run_capture(capsys, argv[:-1] + [f"{argv[-1]}={alpha}"])
+            assert (code, out) == (1, "")
+            assert err == f"error: alpha={alpha} outside the valid interval (1, 2]\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["deriv", "--alpha", "2"],
+            ["solve", "--alpha", "2", "--M", "8", "--N", "2", "--keep", "all"],
+            ["surface", "--alpha", "2", "--M", "8", "--N", "2"],
+            ["convergence", "--table", "1", "--alphas", "2"],
+            ["convergence", "--table", "3", "--alphas", "1.5,2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_classical_limit_is_accepted(self, capsys, argv):
+        # spectrum: TestSpectrum.test_classical_limit
+        code, out, err = _run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out
 
     def test_usage_error_is_exit_2(self, capsys):
         assert run(["nonsense"]) == 2
@@ -240,6 +309,29 @@ class TestCoeffs:
         first = float(out.splitlines()[1].split(",")[1])
         assert first == pytest.approx((5.0 / 6.0) ** 1.5, abs=1e-10)
 
+
+    @pytest.mark.parametrize("family", ["gl", "lubich", "wsgd1", "wsgd2"])
+    def test_kappa_options_are_refused_for_other_families(self, capsys, monkeypatch, family):
+        # the table of the family was printed with exit 0, the option ignored
+        for name in ("series_fractional_power", "_gl_series"):
+            monkeypatch.setattr(rieszfd.coeffs, name, _no_work)
+        argv = ["coeffs", "--family", family, "--alpha", "1.5"]
+        for extra in (["--method", "fft"], ["--method", "convolution"], ["--samples", "3"]):
+            code, out, err = _run_capture(capsys, argv + extra)
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: --method and --samples apply only to --family kappa, not {family}\n"
+            )
+
+    @pytest.mark.parametrize("method", ["recursion", "convolution"])
+    def test_samples_are_refused_without_fft(self, capsys, monkeypatch, method):
+        # --samples 3 was ignored: the recursion's table printed with exit 0
+        for name in ("series_fractional_power", "_kappa_convolution"):
+            monkeypatch.setattr(rieszfd.coeffs, name, _no_work)
+        argv = ["coeffs", "--alpha", "1.5", "--count", "4", "--method", method, "--samples", "3"]
+        code, out, err = _run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: samples applies only to method 'fft', not '{method}'\n"
 
     @pytest.mark.parametrize("family", ["kappa", "gl", "lubich", "wsgd1", "wsgd2"])
     def test_count_above_the_cap_is_exit_1_before_the_recursion(
@@ -420,17 +512,32 @@ class TestSpectrum:
     def test_alpha_outside_the_symbol_domain_is_refused_before_any_work(
         self, monkeypatch, tmp_path, capsys
     ):
-        # alpha = 2 printed its eigenvalue extremes, and failed only with --out
-        def no_eigensolve(*args):
-            raise AssertionError("the eigensolve ran")
-
-        monkeypatch.setattr(rieszfd.cli, "spectral_bounds", no_eigensolve)
+        # spectral_bounds makes the refusal, so the eigensolve is what must not run
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_work)
         path = tmp_path / "s.csv"
         for extra in ([], ["--out", str(path)]):
-            code, out, err = _run_capture(capsys, ["spectrum", "--alpha", "2", *extra])
+            code, out, err = _run_capture(capsys, ["spectrum", "--alpha", "2.5", *extra])
             assert (code, out) == (1, "")
-            assert err == "error: generating symbol requires alpha in (1, 2), got 2.0\n"
+            assert err == "error: alpha=2.5 outside the valid interval (1, 2]\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_classical_limit(self, tmp_path, capsys):
+        # G + G^T is twice the second-difference matrix
+        path = tmp_path / "s.csv"
+        records = []
+        for extra in ([], ["--out", str(path)]):
+            code, out, err = _run_capture(capsys, ["spectrum", "--alpha", "2", "--M", "16", *extra])
+            assert (code, err) == (0, "")
+            records.append(json.loads(out))
+        assert records[0] == records[1]
+        c = math.cos(math.pi / 16)
+        assert records[0]["min_eig"] == pytest.approx(2.0 * (-2.0 - 2.0 * c), rel=1e-14)
+        assert records[0]["max_eig"] == pytest.approx(2.0 * (-2.0 + 2.0 * c), rel=1e-12)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        xs = np.array([float(x) for x, _ in rows])
+        fs = np.array([float(f) for _, f in rows])
+        assert len(rows) == 1024 and np.array_equal(xs, np.linspace(-math.pi, math.pi, 1024))
+        np.testing.assert_allclose(fs, 4.0 * np.cos(xs) - 4.0, rtol=0, atol=1e-14)
 
 
 class TestConvergence:
@@ -484,7 +591,7 @@ class TestByteIdentity:
         (
             ["solve", "--alpha", "1.4", "--M", "12", "--N", "5", "--problem", "zero",
              "--keep", "all"],
-            lambda: _reference_solve(rieszfd.cli._zero_problem(1.4), 12, 5, "all"),
+            lambda: _reference_solve(_zero_problem(1.4), 12, 5, "all"),
         ),
         (
             ["surface", "--alpha", "1.7", "--M", "25", "--N", "11"],

@@ -29,6 +29,7 @@ from rieszfd import (
     riesz_apply,
     right_apply,
 )
+from test_operators import ALPHA_DOMAIN, BAD_ALPHAS, _no_work
 
 
 class TestExample41Exact:
@@ -64,8 +65,11 @@ class TestExample41Exact:
         assert left == pytest.approx(right, rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            example41_exact(2.0)
+        # u''(0.5) of x^2 (1-x)^2
+        assert example41_exact(2.0) == -1.0
+        for alpha in BAD_ALPHAS:
+            with pytest.raises(DomainError, match=ALPHA_DOMAIN):
+                example41_exact(alpha)
 
 
 def _reference_source(alpha, x, t):
@@ -252,9 +256,25 @@ class TestExample42Problem:
         residual = u_t + 2 * u_x - alpha**2 * riesz - problem.source(x, t)
         assert np.max(np.abs(residual[1:M])) <= 1e-6
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            example42_problem(2.0)
+    def test_domain(self, monkeypatch):
+        # at alpha = 2 the forcing is u_t + 2 u_x - 4 u_xx, with u_xx
+        # factored, as the expanded sum cancels to 0 at x = 1
+        problem = example42_problem(2.0)
+        x = np.linspace(0.0, 1.0, 1001)
+        b = x**4 * (1 - x) ** 4
+        b_x = 4 * x**3 * (1 - x) ** 3 * (1 - 2 * x)
+        b_xx = 4 * x**2 * (1 - x) ** 2 * (3 * (1 - x) ** 2 - 8 * x * (1 - x) + 3 * x**2)
+        for t in (0.0, 0.3, 0.77, 1.0):
+            ct, st = math.cos(2.0 * t * t), math.sin(2.0 * t * t)
+            expected = -4.0 * t * st * b + 2.0 * ct * b_x - 4.0 * ct * b_xx
+            # 1.8e-13 of the largest value measured: the power-rule sum cancels
+            error = np.max(np.abs(problem.source(x, t) - expected))
+            assert error <= 1e-12 * np.max(np.abs(expected))
+            assert np.array_equal(problem.exact(x, t), ct * b)
+        monkeypatch.setattr(rieszfd.harness, "_example42", _no_work)
+        for alpha in BAD_ALPHAS:
+            with pytest.raises(DomainError, match=ALPHA_DOMAIN):
+                example42_problem(alpha)
 
 
 class TestConvergenceStudy:
@@ -318,10 +338,18 @@ class TestConvergenceStudy:
                 with pytest.raises(DomainError, match="finite and > 0"):
                     convergence_study(kind, alphas=[1.5], resolutions=[0.1, bad])
             # a bad alpha last in the list ran every valid cell first
-            for bad in (math.nan, 2.5, 2.0, 1.0, -math.inf):
-                with pytest.raises(DomainError, match="alpha in"):
+            for bad in BAD_ALPHAS:
+                with pytest.raises(DomainError, match=ALPHA_DOMAIN):
                     convergence_study(kind, alphas=[1.2, 1.4, bad], resolutions=[0.1, 0.05])
         assert calls == []
+
+    def test_classical_limit_operator_study(self):
+        # at alpha = 2 the operator is the second difference, whose error on
+        # x^2 (1-x)^2 is h^2 / 12 times the fourth derivative 24: 2 h^2
+        report = convergence_study("operator_table1", alphas=[2.0])
+        for row in report.rows:
+            assert row.error == pytest.approx(2.0 * row.resolution**2, rel=1e-7)
+            assert row.ref_error is None and row.passed is None
 
     def test_grid_above_the_cap_is_refused(self, monkeypatch):
         # 1e-300 ended in a bare numpy ValueError and 1e-9 (M = 10**9) was

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rieszfd.operators
 from rieszfd import (
     DomainError,
     GridSpec1D,
@@ -139,12 +140,40 @@ class TestApply:
             left_apply(u, grid, table)
 
 
+# Every alpha outside (1, 2], refused by coeffs._check_alpha alone
+BAD_ALPHAS = (math.nan, -math.inf, math.inf, 1.0, 2.5)
+ALPHA_DOMAIN = r"outside the valid interval \(1, 2\]"
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work done for a refused alpha")
+
+
 class TestRiesz:
-    def test_alpha_domain(self):
+    def test_alpha_domain(self, monkeypatch):
+        # refused before any weight
+        monkeypatch.setattr(rieszfd.operators, "kappa_weights", _no_work)
         grid = GridSpec1D(0.0, 1.0, 8)
         u = np.zeros(9)
-        with pytest.raises(DomainError):
-            riesz_apply(u, grid, 2.0, 2)
+        for alpha in BAD_ALPHAS:
+            with pytest.raises(DomainError, match=ALPHA_DOMAIN):
+                riesz_apply(u, grid, alpha, 2)
+            with pytest.raises(DomainError, match=ALPHA_DOMAIN):
+                point_riesz_derivative(u, grid, alpha, 2, 4)
+
+    def test_classical_limit_is_the_second_difference(self):
+        rng = np.random.default_rng(5)
+        grid = GridSpec1D(0.0, 1.0, 64)
+        u = _random_dirichlet(grid, rng)
+        second = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / grid.h**2
+        full = riesz_apply(u, grid, 2.0, 2)
+        # 1.2e-16 of the largest entry measured
+        scale = np.max(np.abs(second))
+        assert full[0] == full[-1] == 0.0
+        assert np.max(np.abs(full[1:-1] - second)) <= 1e-15 * scale
+        assert np.max(np.abs(riesz_matrix(2.0, 2, grid) @ u[1:-1] - second)) <= 1e-15 * scale
+        for j in (1, 20, 32, 63):
+            assert point_riesz_derivative(u, grid, 2.0, 2, j) == pytest.approx(full[j], rel=1e-14)
 
     def test_point_matches_full_apply(self):
         rng = np.random.default_rng(3)
@@ -228,11 +257,16 @@ class TestMatrix:
         lap[idx[1:], idx[1:] - 1] = 1.0
         assert np.array_equal(riesz_matrix(2.0, 2, grid), lap / grid.h**2)
 
-    def test_matrix_alpha_domain(self):
+    def test_matrix_alpha_domain(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_work)
         grid = GridSpec1D(0.0, 1.0, 8)
-        for alpha in (1.0, 2.1, math.nan):
-            with pytest.raises(DomainError):
+        for alpha in (2.1, *BAD_ALPHAS):
+            with pytest.raises(DomainError, match=ALPHA_DOMAIN):
                 riesz_matrix(alpha, 2, grid)
+            with pytest.raises(DomainError, match=ALPHA_DOMAIN):
+                assemble_galpha(alpha, 2, 8)
+            with pytest.raises(DomainError, match=ALPHA_DOMAIN):
+                spectral_bounds(alpha, 2, 8)
 
     def test_toeplitz_diagonals(self):
         g = assemble_galpha(1.7, 3, 12)
@@ -340,9 +374,16 @@ class TestGeneratingSymbol:
             error = np.abs(generating_symbol(alpha, xs, 2) - _closed_form_symbol(alpha, xs))
             assert np.max(error) <= 1e-14 * scale
 
-    def test_alpha_domain(self):
-        with pytest.raises(DomainError):
-            generating_symbol(2.0, 1.0)
+    def test_alpha_domain(self, monkeypatch):
+        # at alpha = 2 the symbol is 2 Re(e^{-ix} (1 - e^{ix})^2) = 4 cos x - 4;
+        # bit-equal on these 9 samples and within 2.7e-15 on 1001 measured
+        xs = np.linspace(-math.pi, math.pi, 9)
+        symbol = generating_symbol(2.0, xs)
+        np.testing.assert_allclose(symbol, 4.0 * np.cos(xs) - 4.0, rtol=0, atol=1e-14)
+        monkeypatch.setattr(rieszfd.operators, "_circle_power", _no_work)
+        for alpha in BAD_ALPHAS:
+            with pytest.raises(DomainError, match=ALPHA_DOMAIN):
+                generating_symbol(alpha, xs)
 
     @pytest.mark.parametrize("p, alpha", [(3, 1.2), (3, 1.35), (4, 1.5), (4, 1.7)])
     def test_growing_weights_are_refused(self, p, alpha):
@@ -377,10 +418,11 @@ class TestSpectralBounds:
         assert (np.max(f) > tol) == (hi > tol)
         assert (np.max(f) > tol) == (alpha < _NONPOSITIVE_FROM[p])
 
-    def test_integer_order_spectrum(self):
-        lo, hi = spectral_bounds(2.0, 2, 8)
-        j = np.arange(1, 8)
-        exact = 2.0 * (2.0 * np.cos(j * np.pi / 8.0) - 2.0)
+    @pytest.mark.parametrize("M", (8, 16, 64))
+    def test_integer_order_spectrum(self, M):
+        lo, hi = spectral_bounds(2.0, 2, M)
+        j = np.arange(1, M)
+        exact = 2.0 * (2.0 * np.cos(j * np.pi / M) - 2.0)
         assert lo == pytest.approx(np.min(exact), rel=1e-12)
         assert hi == pytest.approx(np.max(exact), rel=1e-12)
 

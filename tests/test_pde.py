@@ -26,6 +26,7 @@ from rieszfd import (
     step,
 )
 from test_harness import _group_error
+from test_operators import ALPHA_DOMAIN, BAD_ALPHAS
 
 CROSSOVER = rieszfd.pde._TOEPLITZ_MIN_M
 
@@ -44,10 +45,9 @@ def _zero_problem(alpha, T=1.0, K=2.0):
 
 class TestProblemValidation:
     def test_alpha_out_of_range(self):
-        with pytest.raises(DomainError):
-            _zero_problem(1.0)
-        with pytest.raises(DomainError):
-            _zero_problem(2.1)
+        for alpha in (2.1, *BAD_ALPHAS):
+            with pytest.raises(DomainError, match=ALPHA_DOMAIN):
+                _zero_problem(alpha)
 
     def test_alpha_two_admitted(self):
         _zero_problem(2.0)
