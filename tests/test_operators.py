@@ -418,8 +418,15 @@ class TestSpectralBounds:
         assert (np.max(f) > tol) == (hi > tol)
         assert (np.max(f) > tol) == (alpha < _NONPOSITIVE_FROM[p])
 
-    @pytest.mark.parametrize("M", (8, 16, 64))
-    def test_integer_order_spectrum(self, M):
+    def test_integer_order_spectrum(self):
+        lo, hi = spectral_bounds(2.0, 2, 8)
+        j = np.arange(1, 8)
+        exact = 2.0 * (2.0 * np.cos(j * np.pi / 8.0) - 2.0)
+        assert lo == pytest.approx(np.min(exact), rel=1e-12)
+        assert hi == pytest.approx(np.max(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("M", (16, 64))
+    def test_integer_order_spectrum_larger_grids(self, M):
         lo, hi = spectral_bounds(2.0, 2, M)
         j = np.arange(1, M)
         exact = 2.0 * (2.0 * np.cos(j * np.pi / M) - 2.0)
