@@ -43,13 +43,8 @@ import numpy as np
 from . import _g17
 from . import coeffs as _coeffs
 from . import harness as _harness
-from .errors import DomainError, NumericsError, SizeLimitError
-from .operators import (
-    GridSpec1D,
-    generating_symbol,
-    point_riesz_derivative,
-    spectral_bounds,
-)
+from .errors import DomainError, NumericsError
+from .operators import generating_symbol, spectral_bounds
 from .pde import _levels
 from .pde import solve as _solve
 
@@ -222,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="emit a weight coefficient table")
     p.add_argument("--family", choices=_FAMILIES, default="kappa")
-    p.add_argument("--p", type=int, default=2, help="approximation order")
+    p.add_argument("--p", type=int, help="approximation order, kappa and lubich only (default 2)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--count", type=int, default=256)
     p.add_argument("--method", choices=("recursion", "convolution", "fft"), default="recursion")
@@ -269,14 +264,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_coeffs(args) -> None:
     if args.family != "kappa" and (args.method != "recursion" or args.samples is not None):
         raise DomainError(f"--method and --samples apply only to --family kappa, not {args.family}")
+    if args.family not in ("kappa", "lubich") and args.p is not None:
+        raise DomainError(f"--p applies only to --family kappa and lubich, not {args.family}")
+    p = 2 if args.p is None else args.p
     if args.family == "kappa":
         table = _coeffs.kappa_weights(
-            args.p, args.alpha, args.count, method=args.method, samples=args.samples
+            p, args.alpha, args.count, method=args.method, samples=args.samples
         )
     elif args.family == "gl":
         table = _coeffs.gl_weights(args.alpha, args.count)
     elif args.family == "lubich":
-        table = _coeffs.lubich_weights(args.p, args.alpha, args.count)
+        table = _coeffs.lubich_weights(p, args.alpha, args.count)
     else:
         table = _coeffs.wsgd_weights(int(args.family[-1]), args.alpha, args.count)
     if args.format == "json":
@@ -296,19 +294,10 @@ def _cmd_coeffs(args) -> None:
 
 
 def _cmd_deriv(args) -> None:
-    grid = GridSpec1D(0.0, 1.0, args.M)
-    x = grid.nodes()
     j = args.j if args.j is not None else args.M // 2
-    value = point_riesz_derivative(x**2 * (1.0 - x) ** 2, grid, args.alpha, args.p, j)
-    payload = {
-        "alpha": args.alpha,
-        "p": args.p,
-        "M": args.M,
-        "j": j,
-        "x": float(x[j]),
-        "value": value,
-    }
-    if math.isclose(x[j], 0.5):
+    x, value = _harness._example41_point(args.alpha, args.p, args.M, j)
+    payload = {"alpha": args.alpha, "p": args.p, "M": args.M, "j": j, "x": x, "value": value}
+    if math.isclose(x, 0.5):
         exact = _harness.example41_exact(args.alpha)
         payload["exact"] = exact
         payload["abs_error"] = abs(value - exact)
@@ -342,10 +331,7 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
-    if args.symbol_samples > _coeffs._MAX_SAMPLES:
-        raise SizeLimitError(
-            f"--symbol-samples={args.symbol_samples} exceeds the cap of {_coeffs._MAX_SAMPLES}"
-        )
+    _coeffs._check_size("--symbol-samples", args.symbol_samples, 1, _coeffs._MAX_SAMPLES)
     lo, hi = spectral_bounds(args.alpha, args.p, args.M)
     if args.out is not None:
         xs = np.linspace(-math.pi, math.pi, args.symbol_samples)

@@ -98,6 +98,12 @@ _MAX_COUNT = 10**6
 # Largest fft sample count: the default, 4 * count, at ``_MAX_COUNT``
 _MAX_SAMPLES = 4 * _MAX_COUNT
 
+# Largest count of the kappa convolution method, whose work is O(count**2):
+# 0.11 s at 2 * 10**4, 0.5 s at 5 * 10**4, 1.7-2.0 s at 10**5 (p = 2..4) and
+# 3.0-3.5 s at 1.5 * 10**5 on a 2-vCPU x86 machine, so about 3 minutes at
+# ``_MAX_COUNT``.  The recursion computes 10**5 weights in about 0.1 s.
+_MAX_CONVOLUTION_COUNT = 10**5
+
 
 def _check_alpha(alpha: float) -> None:
     """The one alpha domain of every weight, operator, symbol and problem:
@@ -107,11 +113,14 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha={alpha} outside the valid interval (1, 2]")
 
 
-def _check_count(count: int) -> None:
-    if count < 2:
-        raise DomainError(f"count={count} must be at least 2")
-    if count > _MAX_COUNT:
-        raise SizeLimitError(f"count={count} exceeds the cap of {_MAX_COUNT} weights")
+def _check_size(name: str, value: int, least: int, cap: int) -> None:
+    """The one size rule of every weight count, grid, time step and sample
+    count: ``value`` below ``least`` is a DomainError, above ``cap`` a
+    SizeLimitError, decided before any work."""
+    if value < least:
+        raise DomainError(f"{name}={value} must be at least {least}")
+    if value > cap:
+        raise SizeLimitError(f"{name}={value} exceeds the cap of {cap}")
 
 
 def alpha_star() -> float:
@@ -129,7 +138,7 @@ def gl_weights(alpha: float, count: int) -> CoefficientTable:
     ``w_ell = (1 - (1 + alpha)/ell) w_{ell-1}``.
     """
     _check_alpha(alpha)
-    _check_count(count)
+    _check_size("count", count, 2, _MAX_COUNT)
     values = _gl_series(alpha, count)
     return CoefficientTable(Family.GL, 1, alpha, values)
 
@@ -145,7 +154,7 @@ def lubich_weights(p: int, alpha: float, count: int) -> CoefficientTable:
     if not 1 <= p <= 6:
         raise UnsupportedOrderError(f"Lubich weights require 1 <= p <= 6, got {p}")
     _check_alpha(alpha)
-    _check_count(count)
+    _check_size("count", count, 2, _MAX_COUNT)
     inner = np.zeros(p + 1)
     one_minus_z = np.array([1.0, -1.0])
     power = np.array([1.0])
@@ -166,7 +175,7 @@ def wsgd_weights(variant: int, alpha: float, count: int) -> CoefficientTable:
     if variant not in (1, 2):
         raise DomainError(f"wsgd variant must be 1 or 2, got {variant}")
     _check_alpha(alpha)
-    _check_count(count)
+    _check_size("count", count, 2, _MAX_COUNT)
     w = _gl_series(alpha, count)
     if variant == 1:
         values = (alpha / 2.0) * w
@@ -320,12 +329,7 @@ def _fft_samples(count: int, samples: int | None) -> int:
     and at least 4096; refused below 2 * count or above ``_MAX_SAMPLES``."""
     if samples is None:
         samples = max(4096, 4 * count)
-    if samples < 2 * count:
-        raise DomainError(
-            f"fft extraction needs at least 2*count={2 * count} samples, got {samples}"
-        )
-    if samples > _MAX_SAMPLES:
-        raise SizeLimitError(f"samples={samples} exceeds the cap of {_MAX_SAMPLES}")
+    _check_size("samples", samples, 2 * count, _MAX_SAMPLES)
     return samples
 
 
@@ -351,11 +355,14 @@ def kappa_weights(
 
     ``method`` selects one of three mutually validating evaluations:
     ``recursion`` (the production default), ``convolution`` (the closed
-    nested-sum form), or ``fft`` (unit-circle sampling of ``samples``
-    points; only available when the weights decay, and the only method
-    that takes ``samples``).  Growing weights are returned while finite.
+    nested-sum form, O(count**2) work, so its count is capped at
+    ``_MAX_CONVOLUTION_COUNT``), or ``fft`` (unit-circle sampling of
+    ``samples`` points; only available when the weights decay, and the
+    only method that takes ``samples``).  Growing weights are returned
+    while finite.
     """
-    _check_count(count)
+    cap = _MAX_CONVOLUTION_COUNT if method == "convolution" else _MAX_COUNT
+    _check_size("count", count, 2, cap)
     a = kappa_polynomial(p, alpha)
     if samples is not None and method != "fft":
         raise DomainError(f"samples applies only to method 'fft', not {method!r}")

@@ -349,13 +349,20 @@ def _resolution_to_m(h: float) -> int:
     return m
 
 
+def _example41_point(alpha: float, p: int, M: int, j: int) -> tuple[float, float]:
+    """``(x_j, value)``: node j of the grid of M intervals on (0, 1) and the
+    order-p approximation there of the Riesz derivative of ``x**2 (1-x)**2``
+    (example 4.1), whose exact value at x = 0.5 is ``example41_exact``."""
+    grid = GridSpec1D(0.0, 1.0, M)
+    x = grid.nodes()
+    value = point_riesz_derivative(x**2 * (1.0 - x) ** 2, grid, alpha, p, j)
+    return float(x[j]), value  # x[j] after the derivative has refused a bad j
+
+
 def _operator_error(alpha: float, m: int) -> float:
     if m % 2 != 0:
         raise DomainError(f"point error at x = 0.5 needs an even node count, M={m}")
-    grid = GridSpec1D(0.0, 1.0, m)
-    x = grid.nodes()
-    numeric = point_riesz_derivative(x**2 * (1.0 - x) ** 2, grid, alpha, 2, m // 2)
-    return abs(numeric - example41_exact(alpha))
+    return abs(_example41_point(alpha, 2, m, m // 2)[1] - example41_exact(alpha))
 
 
 def _error_blocks(system, blocks, exact):

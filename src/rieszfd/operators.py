@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import _MAX_COUNT, CoefficientTable, _circle_power, _decaying_polynomial, kappa_weights
-from .errors import DomainError, SizeLimitError, TableError
+from .coeffs import _MAX_COUNT, CoefficientTable, _check_size, _circle_power, _decaying_polynomial
+from .coeffs import kappa_weights
+from .errors import DomainError, TableError
 
 __all__ = [
     "GridSpec1D",
@@ -44,10 +45,7 @@ class GridSpec1D:
     def __post_init__(self) -> None:
         if self.b <= self.a:
             raise DomainError(f"grid requires b > a, got a={self.a}, b={self.b}")
-        if self.M < 4:
-            raise DomainError(f"grid requires M >= 4, got M={self.M}")
-        if self.M > _MAX_COUNT:
-            raise SizeLimitError(f"grid M={self.M} exceeds the cap of {_MAX_COUNT} intervals")
+        _check_size("M", self.M, 4, _MAX_COUNT)
 
     @property
     def h(self) -> float:
@@ -129,8 +127,7 @@ def _toeplitz(column: np.ndarray, row: np.ndarray) -> np.ndarray:
 def assemble_galpha(alpha: float, p: int, M: int) -> np.ndarray:
     """Lower-Hessenberg Toeplitz matrix with entry (i, j) = kappa_{i-j+1}
     over the M-1 interior nodes (first superdiagonal kappa_0)."""
-    if M < 4:
-        raise DomainError(f"assembly requires M >= 4, got M={M}")
+    _check_size("M", M, 4, _MAX_COUNT)
     k = _operator_weights(p, alpha, M).values
     first_row = np.zeros(M - 1)
     first_row[:2] = k[1], k[0]
@@ -177,8 +174,8 @@ def generating_symbol(alpha: float, x, p: int = 2):
 
 def spectral_bounds(alpha: float, p: int, M: int) -> tuple[float, float]:
     """Extreme eigenvalues of G + G^T by dense symmetric eigensolve."""
-    if M > 512:
-        raise SizeLimitError(f"dense eigensolve limited to M <= 512, got M={M}")
+    # the eigensolve is O(M**3) in time and O(M**2) in memory
+    _check_size("M", M, 4, 512)
     g = assemble_galpha(alpha, p, M)
     eigs = np.linalg.eigvalsh(g + g.T)
     return float(eigs[0]), float(eigs[-1])

@@ -81,7 +81,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 would load it on first use, mid-solve
 
-from .coeffs import _MAX_COUNT, _check_alpha
+from .coeffs import _MAX_COUNT, _check_alpha, _check_size
 from .errors import DomainError, SingularMatrixError, SizeLimitError
 from .operators import GridSpec1D, _riesz_column, _toeplitz
 from .operators import riesz_matrix  # noqa: F401  unused; kept while perfbench's tests pin it
@@ -300,18 +300,9 @@ def _setups(cells: list, M: int) -> list:
     ``assemble_system`` does: before any work for a bad size, and
     SingularMatrixError for a breakdown or a pair that fails its check.
     """
-    if M < 4:
-        raise DomainError(f"solver requires M >= 4, got M={M}")
+    _check_size("M", M, 4, _TOEPLITZ_MAX_M)
     for _, N in cells:
-        if N < 1:
-            raise DomainError(f"solver requires N >= 1, got N={N}")
-        if N > _MAX_COUNT:
-            raise SizeLimitError(f"N={N} exceeds the cap of {_MAX_COUNT} time steps")
-    if M > _TOEPLITZ_MAX_M:
-        raise SizeLimitError(
-            f"M={M} exceeds {_TOEPLITZ_MAX_M}: the Toeplitz setup (Levinson "
-            "recursion) is quadratic in M, about 25 s at M=100000"
-        )
+        _check_size("N", N, 1, _MAX_COUNT)
     # the columns are stored reversed, as the stacked recursion reads them,
     # which saves it a copy; every other reader gets the reversed view
     reversed_columns = np.empty((len(cells), M - 1))

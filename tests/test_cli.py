@@ -323,6 +323,25 @@ class TestCoeffs:
                 f"error: --method and --samples apply only to --family kappa, not {family}\n"
             )
 
+    @pytest.mark.parametrize("family", ["gl", "wsgd1", "wsgd2"])
+    def test_order_is_refused_for_families_without_one(self, capsys, monkeypatch, family):
+        # --p 4 was ignored: the family's own table printed with exit 0
+        for name in ("series_fractional_power", "_gl_series"):
+            monkeypatch.setattr(rieszfd.coeffs, name, _no_work)
+        for p in ("2", "4", "6"):
+            argv = ["coeffs", "--family", family, "--alpha", "1.5", "--count", "3", "--p", p]
+            code, out, err = _run_capture(capsys, argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: --p applies only to --family kappa and lubich, not {family}\n"
+
+    @pytest.mark.parametrize("family", ["kappa", "lubich"])
+    def test_order_defaults_to_two(self, capsys, family):
+        argv = ["coeffs", "--family", family, "--alpha", "1.5", "--count", "5"]
+        code, out, _ = _run_capture(capsys, argv)
+        assert code == 0
+        assert _run_capture(capsys, argv + ["--p", "2"]) == (0, out, "")
+        assert _run_capture(capsys, argv + ["--p", "3"])[1] != out
+
     @pytest.mark.parametrize("method", ["recursion", "convolution"])
     def test_samples_are_refused_without_fft(self, capsys, monkeypatch, method):
         # --samples 3 was ignored: the recursion's table printed with exit 0
@@ -350,7 +369,7 @@ class TestCoeffs:
             code, out, err = _run_capture(capsys, argv + [count])
             assert code == 1
             assert out == ""
-            assert err == f"error: count={count} exceeds the cap of 1000000 weights\n"
+            assert err == f"error: count={count} exceeds the cap of 1000000\n"
         with pytest.raises(RecursionEntered):
             run(argv + ["1000000"])
 
@@ -386,6 +405,16 @@ class TestDeriv:
         payload = json.loads(out)
         assert "exact" not in payload
 
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 2.0])
+    def test_midpoint_is_the_operator_study_cell(self, capsys, alpha):
+        # example 4.1 is written once: deriv's error is the study's, bit for bit
+        code, out, _ = _run_capture(capsys, ["deriv", "--alpha", str(alpha), "--M", "40"])
+        assert code == 0
+        (row,) = rieszfd.harness.convergence_study(
+            "operator_table1", alphas=[alpha], resolutions=[1 / 40]
+        ).rows
+        assert json.loads(out)["abs_error"] == row.error
+
     def test_grid_above_the_cap_is_exit_1(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("weights computed for a refused grid")
@@ -395,8 +424,7 @@ class TestDeriv:
             code, out, err = _run_capture(capsys, ["deriv", "--alpha", "1.5", "--M", M])
             assert code == 1
             assert out == ""
-            assert err.startswith("error: grid M=") and "exceeds the cap" in err
-            assert err.count("\n") == 1
+            assert err == f"error: M={M} exceeds the cap of 1000000\n"
 
 
 class TestSolve:
@@ -445,7 +473,7 @@ class TestSolve:
             assert (code, out) == (1, "")
             assert err.startswith("error: ") and err.count("\n") == 1
             if keep == "final":
-                assert err == "error: N=1000000000000 exceeds the cap of 1000000 time steps\n"
+                assert err == "error: N=1000000000000 exceeds the cap of 1000000\n"
 
 
 class TestSpectrum:

@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve, solve_toeplitz
 
 import rieszfd.cli
+import rieszfd.coeffs
 import rieszfd.harness
 import rieszfd.pde
 from rieszfd import (
@@ -247,7 +248,7 @@ class TestAssembly:
         assert limit == 10**5
         monkeypatch.setattr(rieszfd.pde, "_levinson_generators", no_setup)
         problem = example42_problem(1.5)
-        with pytest.raises(SizeLimitError, match="quadratic"):
+        with pytest.raises(SizeLimitError, match=f"M={limit + 1} exceeds the cap of {limit}$"):
             assemble_system(problem, limit + 1, 1)
         with pytest.raises(SetupStarted):
             assemble_system(problem, limit, 1)
@@ -257,7 +258,7 @@ class TestAssembly:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-            assert "quadratic" in captured.err
+            assert captured.err.endswith(f" exceeds the cap of {limit}\n")
 
     def test_step_count_cap_refuses_before_setup(self, monkeypatch):
         class SetupStarted(Exception):
@@ -266,7 +267,7 @@ class TestAssembly:
         def no_setup(*args):
             raise SetupStarted
 
-        cap = rieszfd.pde._MAX_COUNT
+        cap = rieszfd.coeffs._MAX_COUNT
         assert cap == 10**6
         monkeypatch.setattr(rieszfd.pde, "_riesz_column", no_setup)
         problem = example42_problem(1.5)
