@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import _MAX_COUNT, CoefficientTable, _check_size, _circle_power, _decaying_polynomial
-from .coeffs import kappa_weights
+from .coeffs import _MAX_APPLY_M, _MAX_COUNT, CoefficientTable, _check_size, _circle_power
+from .coeffs import _decaying_polynomial, kappa_weights
 from .errors import DomainError, TableError
 
 __all__ = [
@@ -34,17 +34,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec1D:
-    """Uniform grid x_j = a + j*h, j = 0..M, with h = (b - a)/M; M above
-    ``coeffs._MAX_COUNT``, the cap of its weights 0..M, is refused before
-    any node array or weight exists."""
+    """Uniform grid x_j = a + j*h, j = 0..M, with h = (b - a)/M; ends not
+    finite with a < b, and M above ``coeffs._MAX_COUNT``, the cap of its
+    weights 0..M, are refused before any node or weight exists."""
 
     a: float
     b: float
     M: int
 
     def __post_init__(self) -> None:
-        if self.b <= self.a:
-            raise DomainError(f"grid requires b > a, got a={self.a}, b={self.b}")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise DomainError(f"grid requires finite b > a, got a={self.a}, b={self.b}")
         _check_size("M", self.M, 4, _MAX_COUNT)
 
     @property
@@ -76,6 +76,7 @@ def left_apply(u: np.ndarray, grid: GridSpec1D, table: CoefficientTable) -> np.n
     only the shifted difference cancels that factor z (unshifted, the kappa
     operators drop to first order)."""
     _check_operand(u, grid, table)
+    _check_size("M", grid.M, 4, _MAX_APPLY_M)
     M = grid.M
     out = np.zeros(M + 1)
     out[1:M] = grid.h ** (-table.alpha) * np.convolve(table.values[: M + 1], u)[2 : M + 1]
@@ -96,8 +97,9 @@ def _operator_weights(p: int, alpha: float, M: int) -> CoefficientTable:
 
 
 def riesz_apply(u: np.ndarray, grid: GridSpec1D, alpha: float, p: int) -> np.ndarray:
-    """Order-p Riesz fractional derivative approximation:
-    ``C_alpha (left + right)`` with the kappa weights."""
+    """Order-p Riesz derivative approximation ``C_alpha (left + right)``
+    with the kappa weights, refused above ``coeffs._MAX_APPLY_M``."""
+    _check_size("M", grid.M, 4, _MAX_APPLY_M)
     table = _operator_weights(p, alpha, grid.M)
     return riesz_constant(alpha) * (left_apply(u, grid, table) + right_apply(u, grid, table))
 

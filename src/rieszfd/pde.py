@@ -44,10 +44,7 @@ two or more systems, runs one Levinson-Trench recursion over their
 recursion, and then checks and refines every pair in place
 (``_checked_generators``), so a bad pair is refused during setup, before
 any system steps.  The convergence studies set up the cells of each grid
-this way.  The recursion writes each order's update products into one
-scratch allocated up front, and the residual check transforms one
-generator row at a time in a reused buffer, so neither grows fresh
-temporaries.  A lone system (``assemble_system``, every solve) keeps the
+this way.  A lone system (``assemble_system``, every solve) keeps the
 scalar loop, which is twice as fast for one system: 19 vs 35 ms at
 M = 3000 and 5.3 vs 11 ms at M = 1000 on a 2-vCPU x86 machine.
 
@@ -56,19 +53,17 @@ Systems that also share the time step can march in lock step:
 of doubled inverses or (cells, 2, n/2 + 1) stack of spectra, a
 ``_Stack``, and :func:`step` advances a (cells, m) state with one
 stacked product or one set of FFTs along the last axis, each row bit for
-bit its cell's own step.  A stack's forcing takes many times at once and
-is sampled once per block of levels, not once per level.  The
-convergence studies march each group of cells with one (M, N) this way;
-a lone system is the one-cell case and keeps its ``SteppingSystem`` and
-its per-level ``problem.source`` call.
+bit its cell's own step.  The convergence studies march each group of
+cells with one (M, N) this way.
 
 Every run goes through one stepping loop, the private generator
-``_march``: it calls :func:`step` once per level and hands the levels,
-level 0 first and zero boundary values included, over in blocks of at
+``_march``: it samples the run's forcing once per block of levels, calls
+:func:`step` once per level and hands the levels over in blocks of at
 most ``_BLOCK_BYTES``, so :func:`solve` and the convergence studies
-reduce or copy many levels per numpy call.
-``_levels`` does the assembly, the initial data and the march of a lone
-system, and ``_stacked_levels`` those of a lock-step stack.
+reduce or copy many levels per numpy call.  ``_levels`` does the
+assembly, the initial data and the march of a lone system, whose forcing
+calls ``problem.source`` once per level, and ``_stacked_levels`` those
+of a lock-step stack.
 """
 
 from __future__ import annotations
@@ -140,16 +135,14 @@ class AdvectionDiffusionProblem:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if self.K < 0.0:
-            raise DomainError(f"advection coefficient K must be >= 0, got {self.K}")
-        if self.K_alpha <= 0.0:
-            raise DomainError(
-                f"diffusion coefficient K_alpha must be > 0, got {self.K_alpha}"
-            )
-        if self.domain[1] <= self.domain[0]:
-            raise DomainError(f"invalid domain {self.domain}")
-        if self.T <= 0.0:
-            raise DomainError(f"time horizon must be > 0, got {self.T}")
+        if not 0.0 <= self.K < math.inf:  # NaN fails too
+            raise DomainError(f"K must be in [0, inf), got {self.K}")
+        if not 0.0 < self.K_alpha < math.inf:
+            raise DomainError(f"K_alpha must be in (0, inf), got {self.K_alpha}")
+        if not -math.inf < self.domain[0] < self.domain[1] < math.inf:
+            raise DomainError(f"domain must have finite ends a < b, got {self.domain}")
+        if not 0.0 < self.T < math.inf:
+            raise DomainError(f"T must be in (0, inf), got {self.T}")
 
 
 @dataclass(frozen=True)
@@ -198,8 +191,8 @@ class SteppingSystem:
     ``_gohberg_semencul_solve`` with them applies 2 lhs^-1; everything
     held is O(M).
 
-    :func:`step` reads only ``step_matrix`` or ``step_spectra``, ``tau``,
-    ``x_interior`` and ``problem.source``; the rest is kept for checks.
+    :func:`step` reads only ``step_matrix`` or ``step_spectra``, and
+    :func:`_march` ``tau`` and ``x_interior``; the rest is kept for checks.
     """
 
     step_matrix: Optional[np.ndarray]
@@ -219,16 +212,12 @@ class _Stack(NamedTuple):
     what :func:`step` and :func:`_march` read of a ``SteppingSystem``,
     with the cells on a leading axis.  ``step_matrix`` is (cells, m, m),
     each 2 lhs^-1, below ``_TOEPLITZ_MIN_M`` and ``step_spectra`` holds two
-    (cells, 2, n/2 + 1) arrays, the lower ones doubled, from there on.
-    In place of a per-level source, ``forcing(x, times)`` returns the
-    (cells, len(times), len(x)) forcing at many times, which
-    :func:`_march` samples once per block of levels."""
+    (cells, 2, n/2 + 1) arrays, the lower ones doubled, from there on."""
 
     step_matrix: Optional[np.ndarray]
     step_spectra: Optional[tuple]
     tau: float
     x_interior: np.ndarray
-    forcing: Callable[[np.ndarray, list], np.ndarray]
 
 
 def _physical_memory_bytes() -> int:
@@ -264,15 +253,14 @@ def assemble_system(
     ((problem, grid, tau, column, row, generators),) = _setups([(problem, N)], M)
     x_interior = grid.nodes()[1:M]
     step_matrix, step_spectra = _step_operator(generators, M)
-    if step_spectra is not None:
-        return SteppingSystem(
-            None, None, None, grid, tau, problem, x_interior, column, row, step_spectra
-        )
-    lhs = _toeplitz(column, row)
-    # 2 - lhs_ii is exact for 1 <= lhs_ii < 2**53, so lhs + B = 2I bit for bit
-    B = np.negative(lhs)
-    np.fill_diagonal(B, 2.0 - column[0])
-    return SteppingSystem(step_matrix, lhs, B, grid, tau, problem, x_interior, column, row)
+    lhs = B = None
+    if step_spectra is None:
+        lhs = _toeplitz(column, row)
+        # 2 - lhs_ii is exact for 1 <= lhs_ii < 2**53, so lhs + B = 2I bit for bit
+        B = np.negative(lhs)
+        np.fill_diagonal(B, 2.0 - column[0])
+    return SteppingSystem(step_matrix, lhs, B, grid, tau, problem, x_interior, column, row,
+                          step_spectra)
 
 
 class _Setup(NamedTuple):
@@ -620,26 +608,19 @@ def _gohberg_semencul_solve(spectra: tuple, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(difference, n)[..., :m]
 
 
-def step(
-    system: SteppingSystem, u_k: np.ndarray, t_k: float, forcing: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Advance interior values one time level, sampling
-    ``system.problem.source`` at the half level t_k + tau/2: ``2 y - u_k``
-    with ``lhs y = u_k + (tau/2) f``, as one product with the stored
-    ``2 lhs^-1`` and one subtraction.  ``forcing``, if given, is that
-    ``(tau/2) f``, already sampled, and the source is not called; this is
-    how :func:`_march` feeds a ``_Stack``, whose ``u_k`` and forcing are
+def step(system: SteppingSystem, u_k: np.ndarray, *, forcing: np.ndarray) -> np.ndarray:
+    """Advance interior values one time level: ``2 y - u_k`` with
+    ``lhs y = u_k + forcing``, as one product with the stored ``2 lhs^-1``
+    and one subtraction.  ``forcing`` is ``(tau/2) f`` at the half level,
+    as :func:`_march` samples it.  A ``_Stack``'s ``u_k`` and forcing are
     (cells, m), and each row gets the bits of its cell's own step."""
-    if forcing is None:
-        half = system.tau / 2.0
-        forcing = half * np.asarray(system.problem.source(system.x_interior, t_k + half), float)
     v = u_k + forcing
     if system.step_spectra is not None:
         return _gohberg_semencul_solve(system.step_spectra, v) - u_k
     return np.matmul(system.step_matrix, v[..., None])[..., 0] - u_k
 
 
-def _march(system: SteppingSystem, u: np.ndarray, N: int):
+def _march(system: SteppingSystem, forcing: Callable, u: np.ndarray, N: int):
     """Advance the interior values ``u`` of level 0 through N levels with
     :func:`step` and yield ``(k, block)`` for all N + 1 levels, level 0
     first, where row i of ``block`` holds level k + i with zero boundary
@@ -649,11 +630,12 @@ def _march(system: SteppingSystem, u: np.ndarray, N: int):
     overwrite its interior values too; the last block yielded stays as the
     caller left it.
 
-    A ``_Stack`` marches its (cells, m) ``u`` with one :func:`step` per
-    level, and ``block`` is then (cells, levels, M + 1).  Its forcing is
-    sampled once per block, ``(tau/2) forcing(x, times)`` at the half
-    levels of the block's steps, and each :func:`step` gets its level's
-    row, so only one block of forcing is held whatever N is.
+    ``forcing(x, times)`` is the source at the nodes x and many times,
+    (len(times), len(x)) per cell; a ``_Stack``'s ``u`` is (cells, m) and
+    its blocks (cells, levels, M + 1).  It is sampled once per block, at
+    the half levels of the block's steps and scaled by tau/2, and each
+    :func:`step` gets its level's row, so one block of forcing is held
+    whatever N is.
 
     Raises DomainError, in place of yielding it, for a block whose last
     level is not finite, naming the time of the block's first level that
@@ -672,7 +654,6 @@ def _march(system: SteppingSystem, u: np.ndarray, N: int):
     # ``solve --M 1000 --N 1000 --keep all`` 0.3-0.4 MB higher in peak RSS
     buffer = np.empty((*cells, rows, width))
     buffer[..., [0, -1]] = 0.0
-    stacked = isinstance(system, _Stack)
     for k in range(N + 1):
         i = k % rows
         buffer[..., i, 1:-1] = u
@@ -687,10 +668,10 @@ def _march(system: SteppingSystem, u: np.ndarray, N: int):
                 )
             yield k - i, block
         if k < N:
-            if stacked and i == 0:
+            if i == 0:
                 times = [j * tau + tau / 2.0 for j in range(k, min(k + rows, N))]
-                forcing = tau / 2.0 * system.forcing(system.x_interior, times)
-            u = step(system, u, k * tau, forcing[..., i, :] if stacked else None)
+                sampled = tau / 2.0 * forcing(system.x_interior, times)
+            u = step(system, u, forcing=sampled[..., i, :])
 
 
 def _initial_data(problem: AdvectionDiffusionProblem, nodes: np.ndarray) -> np.ndarray:
@@ -704,8 +685,9 @@ def _initial_data(problem: AdvectionDiffusionProblem, nodes: np.ndarray) -> np.n
 
 def _levels(problem: AdvectionDiffusionProblem, M: int, N: int, keep: str = "final"):
     """Assemble the system for ``problem`` and return it with the
-    :func:`_march` of its sampled initial data: an iterator over all N + 1
-    levels in blocks, level 0 first.  The assembly runs here, so its
+    :func:`_march` of its sampled initial data under a forcing that calls
+    ``problem.source`` once per level: an iterator over all N + 1 levels
+    in blocks, level 0 first.  The assembly runs here, so its
     errors come before any level; initial data that is not finite is a
     DomainError.  ``keep`` is what the caller retains, "final" or "all"
     (else DomainError); for "all", an (N+1) x (M+1) array beyond physical
@@ -715,20 +697,28 @@ def _levels(problem: AdvectionDiffusionProblem, M: int, N: int, keep: str = "fin
     if keep == "all":
         _check_all_levels_fit(M, N)
     system = assemble_system(problem, M, N)
-    return system, _march(system, _initial_data(problem, system.grid.nodes()), N)
+
+    def forcing(x, times):
+        sampled = np.empty((len(times), len(x)))
+        for row, t in zip(sampled, times):
+            row[:] = problem.source(x, t)  # a scalar or broadcastable value too
+        return sampled
+
+    return system, _march(system, forcing, _initial_data(problem, system.grid.nodes()), N)
 
 
 def _stacked_levels(setups: list, forcing: Callable, N: int):
     """``_levels`` of the ``_setups`` entries ``setups``, which share one
-    grid and one time step, in lock step: their ``_Stack``, with
-    ``forcing`` as its block forcing, and the :func:`_march` of their
-    stacked initial data.  The entries' generators, which ``_setups``
-    checked and refined, go into one stack; no cell builds lhs or B."""
+    grid and one time step, in lock step: their ``_Stack`` and the
+    :func:`_march` of their stacked initial data under ``forcing``.  The
+    entries' generators, which ``_setups`` checked and refined, go into one
+    stack; no cell builds lhs or B."""
     grid, tau = setups[0].grid, setups[0].tau
     step_matrix, step_spectra = _step_operator(np.stack([s.generators for s in setups]), grid.M)
     nodes = grid.nodes()
-    system = _Stack(step_matrix, step_spectra, tau, nodes[1 : grid.M], forcing)
-    return system, _march(system, np.stack([_initial_data(s.problem, nodes) for s in setups]), N)
+    system = _Stack(step_matrix, step_spectra, tau, nodes[1 : grid.M])
+    u = np.stack([_initial_data(s.problem, nodes) for s in setups])
+    return system, _march(system, forcing, u, N)
 
 
 def solve(

@@ -537,6 +537,24 @@ class TestSpectrum:
         assert len(path.read_text().splitlines()) == 1 + 7
 
 
+    def test_symbol_memory_grows_only_by_its_x_samples(self, tmp_path, capsys):
+        # the symbol goes out one write of rows at a time.  The whole (n, 2)
+        # array and the symbol's complex temporaries grew the peak by about
+        # 105 bytes per sample (8.5 MB at 80,000 samples); only the x grid,
+        # 8 bytes per sample, is held whole now.
+        argv = ["spectrum", "--alpha", "1.5", "--out", str(tmp_path / "s.csv"), "--symbol-samples"]
+        assert run(argv + ["1000"]) == 0  # the formatter's tables are built once per process
+        peaks = []
+        for n in (20_000, 80_000):
+            tracemalloc.start()
+            try:
+                assert run(argv + [str(n)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] - peaks[0] <= 8 * 60_000 + 64 * 1024, f"peaks {peaks} bytes"
+
     def test_alpha_outside_the_symbol_domain_is_refused_before_any_work(
         self, monkeypatch, tmp_path, capsys
     ):

@@ -48,6 +48,14 @@ class TestGridSpec:
             with pytest.raises(SizeLimitError, match="exceeds the cap"):
                 GridSpec1D(0.0, 1.0, M)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                                      (-math.inf, 1.0), (math.inf, math.inf)])
+    def test_non_finite_ends_are_refused(self, a, b):
+        # (nan, 1) once made point_riesz_derivative return NaN, and (0, inf)
+        # made it return 0.0, both silently
+        with pytest.raises(DomainError, match="grid requires finite b > a"):
+            GridSpec1D(a, b, 10)
+
     def test_gridfunction_length_check(self):
         grid = GridSpec1D(0.0, 1.0, 10)
         table = kappa_weights(2, 1.5, 10)

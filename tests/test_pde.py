@@ -26,7 +26,7 @@ from rieszfd import (
     solve,
     step,
 )
-from test_harness import _group_error
+from test_harness import _group_error, _source_step
 from test_operators import ALPHA_DOMAIN, BAD_ALPHAS
 
 CROSSOVER = rieszfd.pde._TOEPLITZ_MIN_M
@@ -68,6 +68,18 @@ class TestProblemValidation:
                 source=lambda x, t: np.zeros_like(x),
                 initial=lambda x: np.zeros_like(x),
             )
+
+    @pytest.mark.parametrize("field, value", [
+        ("K", np.nan), ("K", np.inf), ("K_alpha", np.nan), ("K_alpha", np.inf),
+        ("T", np.nan), ("T", np.inf), ("domain", (np.nan, 1.0)), ("domain", (0.0, np.nan)),
+        ("domain", (0.0, np.inf)), ("domain", (-np.inf, 1.0)),
+    ])
+    def test_non_finite_data_is_refused(self, field, value):
+        # these once reached the setup as a Levinson breakdown (a
+        # SingularMatrixError, meant for internal faults) or the march as
+        # "initial data is not finite"
+        with pytest.raises(DomainError):
+            dataclasses.replace(example42_problem(1.5), **{field: value})
 
 
 def _assert_refused(capsys, M):
@@ -180,7 +192,7 @@ class TestAssembly:
         problem = example42_problem(1.5)
         system = assemble_system(problem, CROSSOVER, 10)
         assert system.step_matrix is system.lhs is system.B is None
-        u = step(system, problem.initial(system.x_interior), 0.0)
+        u = _source_step(system, problem.initial(system.x_interior), 0.0)
         assert u.shape == (CROSSOVER - 1,) and np.all(np.isfinite(u))
 
     @pytest.mark.parametrize("M", (4, 5, 40, 499))
@@ -309,20 +321,32 @@ class TestStep:
         system = assemble_system(_sine_problem(alpha), 64, 200)
         u = ref = np.sin(np.pi * system.x_interior)
         for k in range(200):
-            u = step(system, u, k * system.tau)
+            u = _source_step(system, u, k * system.tau)
             ref = _explicit_matrix_step(system, ref, k * system.tau)
             assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_reads_only_the_factors(self):
-        for M, unread in ((32, ("lhs", "B", "column", "row")), (CROSSOVER, ("column", "row"))):
+        # not tau, the nodes or the source either: the march samples the forcing
+        for M in (32, CROSSOVER):
             system = assemble_system(example42_problem(1.6), M, 10)
+            unread = [f.name for f in dataclasses.fields(system)
+                      if f.name not in ("step_matrix", "step_spectra")]
             bare = dataclasses.replace(system, **dict.fromkeys(unread))
             u = system.problem.initial(system.x_interior)
-            np.testing.assert_array_equal(step(bare, u, 0.3), step(system, u, 0.3))
+            forcing = np.linspace(-1.0, 1.0, M - 1)
+            np.testing.assert_array_equal(step(bare, u, forcing=forcing),
+                                          step(system, u, forcing=forcing))
+
+    def test_forcing_is_keyword_only(self):
+        # a positional third argument, such as the old level time, would
+        # otherwise be added to u as the forcing
+        system = assemble_system(example42_problem(1.5), 16, 4)
+        with pytest.raises(TypeError):
+            step(system, np.zeros(15), 0.0)
 
     def test_zero_stays_zero(self):
         system = assemble_system(_zero_problem(1.5), 16, 4)
-        u = step(system, np.zeros(15), 0.0)
+        u = _source_step(system, np.zeros(15), 0.0)
         np.testing.assert_array_equal(u, 0.0)
 
     def test_energy_nonincreasing(self):
@@ -332,7 +356,7 @@ class TestStep:
         h = system.grid.h
         previous = grid_norm(u, h)
         for k in range(50):
-            u = step(system, u, k * system.tau)
+            u = _source_step(system, u, k * system.tau)
             current = grid_norm(u, h)
             assert current <= previous + 1e-12
             previous = current
@@ -344,7 +368,7 @@ class TestStep:
         problem = example42_problem(alpha)
         system = assemble_system(problem, 10, 5)
         x = system.x_interior
-        u = step(system, problem.exact(x, 0.0), 0.0)
+        u = _source_step(system, problem.exact(x, 0.0), 0.0)
         defect = np.max(np.abs(u - problem.exact(x, system.tau)))
         assert defect <= 10.0 * 1.238098e-4
 
@@ -377,7 +401,7 @@ class TestToeplitzPath:
                 u = problem.initial(x)
                 for k in range(N):
                     inputs[k] = u
-                    u = outputs[k] = step(system, u, k * tau)
+                    u = outputs[k] = _source_step(system, u, k * tau)
                 # the dense steps from the same inputs, batched
                 f = np.array([problem.source(x, (k + 0.5) * tau) for k in range(N)])
                 ref = 2.0 * lu_solve(lu_factor(dense.lhs), (inputs + (tau / 2.0) * f).T).T - inputs
@@ -532,7 +556,7 @@ def _reference_solve(problem, M, N, keep):
         full[1:M] = u
         rows.append(full)
     for k in range(N):
-        u = step(system, u, k * tau)
+        u = _source_step(system, u, k * tau)
         if keep == "all":
             full = np.zeros(M + 1)
             full[1:M] = u
@@ -571,12 +595,23 @@ class TestSolve:
         u = problem.initial(system.grid.nodes())[1:M]
         levels = [u]
         for k in range(N):
-            u = step(system, u, k * system.tau)
+            u = _source_step(system, u, k * system.tau)
             levels.append(u)
         expected = np.zeros((N + 1, M + 1))
         expected[:, 1:M] = levels
         sol = solve(problem, M, N, keep=keep)
         assert np.array_equal(sol.snapshots, expected if keep == "all" else expected[-1:])
+
+    @pytest.mark.parametrize("M", (40, CROSSOVER))
+    def test_scalar_source_marches_as_its_array(self, M):
+        # the lone run's forcing takes each level's source value by row
+        # assignment, so a scalar is broadcast over the nodes
+        base = _sine_problem(1.5)
+        scalar = dataclasses.replace(base, source=lambda x, t: np.cos(t))
+        array = dataclasses.replace(base, source=lambda x, t: np.full_like(x, np.cos(t)))
+        levels = solve(scalar, M, 30, keep="all").snapshots
+        assert np.array_equal(levels, solve(array, M, 30, keep="all").snapshots)
+        assert not np.array_equal(levels, solve(_sine_problem(1.5), M, 30, keep="all").snapshots)
 
     def test_zero_problem(self):
         sol = solve(_zero_problem(1.3), 16, 8)

@@ -23,13 +23,12 @@ from rieszfd import (
     kappa_weights,
     riesz_apply,
     riesz_matrix,
-    step,
 )
 from rieszfd.coeffs import _FIRST_DECAYING_ALPHA, _decaying_polynomial
 from rieszfd.errors import DomainError
 from rieszfd.harness import _example42
 from rieszfd.pde import _levinson_generators, _setups, _stacked_levinson_generators
-from test_harness import _reference_exact, _reference_source
+from test_harness import _reference_exact, _reference_source, _source_step
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -198,7 +197,7 @@ def test_energy_norm_nonincreasing_without_source(M, N, alpha, data):
     h = system.grid.h
     previous = grid_norm(u, h)
     for k in range(N):
-        u = step(system, u, k * system.tau)
+        u = _source_step(system, u, k * system.tau)
         current = grid_norm(u, h)
         assert current <= previous + 1e-12
         previous = current

@@ -11,11 +11,13 @@ import rieszfd.coeffs
 import rieszfd.operators
 import rieszfd.pde
 from rieszfd.cli import run
-from rieszfd.coeffs import _MAX_CONVOLUTION_COUNT, _MAX_COUNT
-from rieszfd.coeffs import gl_weights, kappa_weights, lubich_weights, wsgd_weights
+from rieszfd.coeffs import _MAX_APPLY_M, _MAX_CONVOLUTION_COUNT, _MAX_COUNT
+from rieszfd.coeffs import gl_weights, kappa_weights, lubich_weights, series_fractional_power
+from rieszfd.coeffs import wsgd_weights
 from rieszfd.errors import DomainError, SizeLimitError
 from rieszfd.harness import example42_problem
-from rieszfd.operators import GridSpec1D, assemble_galpha, spectral_bounds
+from rieszfd.operators import GridSpec1D, assemble_galpha, left_apply, riesz_apply, right_apply
+from rieszfd.operators import spectral_bounds
 from rieszfd.pde import _TOEPLITZ_MAX_M, assemble_system
 
 
@@ -25,6 +27,12 @@ class WorkStarted(Exception):
 
 def _work(*args, **kwargs):
     raise WorkStarted
+
+
+def _applied(operator):
+    """``operator`` on zero node values of the grid of n intervals, with
+    the kappa weights it needs."""
+    return lambda n: operator(np.zeros(n + 1), GridSpec1D(0.0, 1.0, n), kappa_weights(2, 1.5, n))
 
 
 def _subcommand(*argv):
@@ -59,7 +67,13 @@ ENTRIES = [
      "count", 2, _MAX_CONVOLUTION_COUNT, [(_COEFFS, "_kappa_convolution")], []),
     ("kappa_weights-fft-samples", lambda n: kappa_weights(2, 1.5, 4, method="fft", samples=n),
      "samples", 8, _FFT_CAP, [(_COEFFS, "_circle_power")], [(_COEFFS, "_MAX_SAMPLES")]),
+    ("series_fractional_power", lambda n: series_fractional_power([1.0, -1.0], 1.5, n), "count",
+     0, _MAX_COUNT, [(np, "asarray")], []),
     ("GridSpec1D", lambda n: GridSpec1D(0.0, 1.0, n), "M", 4, _MAX_COUNT, [], []),
+    ("left_apply", _applied(left_apply), "M", 4, _MAX_APPLY_M, [(np, "convolve")], []),
+    ("right_apply", _applied(right_apply), "M", 4, _MAX_APPLY_M, [(np, "convolve")], []),
+    ("riesz_apply", lambda n: riesz_apply(np.zeros(n + 1), GridSpec1D(0.0, 1.0, n), 1.5, 2), "M",
+     4, _MAX_APPLY_M, [(_OPS, "kappa_weights")], []),
     ("assemble_galpha", lambda n: assemble_galpha(1.5, 2, n), "M", 4, _MAX_COUNT,
      [(_OPS, "kappa_weights")], []),
     ("spectral_bounds", lambda n: spectral_bounds(1.5, 2, n), "M", 4, 512,
@@ -95,9 +109,9 @@ ENTRIES = [
 
 def test_caps_are_the_documented_values():
     # the README's table of caps; the entries below read the constants
-    assert (_MAX_COUNT, rieszfd.coeffs._MAX_SAMPLES, _MAX_CONVOLUTION_COUNT, _TOEPLITZ_MAX_M) == (
-        10**6, 4 * 10**6, 10**5, 10**5
-    )
+    caps = (_MAX_COUNT, rieszfd.coeffs._MAX_SAMPLES, _MAX_CONVOLUTION_COUNT, _MAX_APPLY_M,
+            _TOEPLITZ_MAX_M)
+    assert caps == (10**6, 4 * 10**6, 10**5, 80_000, 10**5)
 
 
 @pytest.mark.parametrize(
